@@ -17,9 +17,8 @@ import io
 import sys
 
 from . import moment as mo
-from . import spectral as spc
 from .errors import LegspecError, UnsupportedError
-from .suites import SUITE_NAMES, SuiteConfig, list_targets, run_suite
+from .suites import SPECTRUM_DEFAULTS, SUITE_NAMES, SuiteConfig, list_targets, run_suite
 
 USAGE_EXIT = 64
 
@@ -81,19 +80,20 @@ def _spectrum_csv(cfg):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["immersion", "index", "eigenvalue"])
-    from .suites import SPECTRUM_DEFAULTS
-
     for L in cfg.selected_immersions():
         if L.name not in SPECTRUM_DEFAULTS:
             continue
-        res = cfg.resolution or SPECTRUM_DEFAULTS[L.name]
-        report = spc.mesh_spectrum(L, res)
+        report = cfg.mesh_spectrum(L)
         for idx, ev in enumerate(report.eigenvalues):
             writer.writerow([L.name, idx, repr(float(ev))])
     return buf.getvalue()
 
 
 def _moment_fields_csv(cfg):
+    """One row per generator and node.  The fixed columns go through
+    ``csv.writer`` once per generator (it quotes labels such as
+    ``i*E[1,1]``); the node and value columns are joined directly, with the
+    same ``repr`` floats and CRLF line ends a per-row writer produces."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["immersion", "basis_index", "generator", "node", "value"])
@@ -101,8 +101,12 @@ def _moment_fields_csv(cfg):
         u, _ = L.nodes(cfg.resolution)
         for idx, X in enumerate(mo.algebra_basis(L.n)):
             vals = mo.moment_function(L, X, cfg.resolution).on_chart(u)
-            for node, val in enumerate(vals):
-                writer.writerow([L.name, idx, X.label, node, repr(float(val))])
+            fixed = io.StringIO()
+            csv.writer(fixed).writerow([L.name, idx, X.label])
+            prefix = fixed.getvalue().removesuffix("\r\n")
+            buf.write("".join(
+                f"{prefix},{node},{val!r}\r\n" for node, val in enumerate(vals.tolist())
+            ))
     return buf.getvalue()
 
 

@@ -172,13 +172,20 @@ class LegendrianImmersion:
         return np.sqrt(det)
 
     def integrate(self, f, resolution=None):
-        """Quadrature of a scalar field given on chart coordinates."""
-        u, w = self.nodes(resolution)
+        """Quadrature of a scalar field given on chart coordinates;
+        ``sqrt det g`` at the nodes is cached per resolution."""
+        res = self.resolve_resolution(resolution)
+        u, w = self.nodes(res)
         vals = f(u) if callable(f) else np.asarray(f, dtype=float)
         vals = np.broadcast_to(np.asarray(vals, dtype=float), (len(u),))
         if not np.all(np.isfinite(vals)):
             raise EvaluationError(f"{self.name}: non-finite integrand at a node")
-        return float(np.sum(vals * self.sqrt_det_metric(u) * w))
+        key = ("sqrt_g", res)
+        if key not in self._node_cache:
+            self._node_cache[key] = self.sqrt_det_metric(u)
+        # the weights stay out of the cache: vals * (sqrt_g * w) rounds
+        # differently from vals * sqrt_g * w
+        return float(np.sum(vals * self._node_cache[key] * w))
 
     def volume(self, resolution=None):
         vol = self.integrate(lambda u: np.ones(len(u)), resolution)

@@ -305,12 +305,16 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=24):
     else:
         verts, faces = icosphere(resolution)
         stiffness, mass = cotangent_laplacian(verts, faces)
+        # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
+        # ARPACK would otherwise draw one from OS entropy
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, stiffness.shape[0])
         ev = spla.eigsh(
             stiffness,
             k=num_modes,
             M=mass,
             sigma=-0.5,
             which="LM",
+            v0=v0,
             return_eigenvectors=False,
         )
         method = "icosphere-fem"

@@ -70,6 +70,11 @@ class SuiteConfig:
     tolerance_overrides: dict = field(default_factory=dict)
     output: str | None = None
     fmt: str = "json"
+    # built on first use and shared by every suite and exporter of this
+    # config, so per-resolution caches on the immersions and the mesh
+    # spectra are computed once per report
+    _immersions: list | None = field(default=None, init=False, repr=False, compare=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -95,19 +100,30 @@ class SuiteConfig:
         }
 
     def selected_immersions(self):
-        if self.immersion is not None:
-            return [im.get_immersion(self.immersion)]
-        names = CANONICAL_IMMERSIONS
-        if self.n is not None:
-            return [im.get_immersion(x) for x in names if im.get_immersion(x).n == self.n]
-        return [im.get_immersion(x) for x in names]
+        if self._immersions is None:
+            names = CANONICAL_IMMERSIONS if self.immersion is None else (self.immersion,)
+            built = [im.get_immersion(x) for x in names]
+            if self.immersion is None and self.n is not None:
+                built = [L for L in built if L.n == self.n]
+            self._immersions = built
+        return list(self._immersions)
 
     def selected_dimensions(self):
         if self.n is not None:
             return [self.n]
         if self.immersion is not None:
-            return [im.get_immersion(self.immersion).n]
+            return [self.selected_immersions()[0].n]
         return [1, 2]
+
+    def mesh_spectrum(self, L):
+        """Mesh spectrum of ``L`` at the configured resolution, solved once
+        per config for the spectrum suite and its CSV export."""
+        if L.name not in self._spectra:
+            res = self.resolution or SPECTRUM_DEFAULTS[L.name]
+            self._spectra[L.name] = spc.mesh_spectrum(
+                L, res, window=self.tolerances.cluster_window
+            )
+        return self._spectra[L.name]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +476,7 @@ def spectrum_records(cfg):
                 )
             )
             continue
-        res = cfg.resolution or SPECTRUM_DEFAULTS[L.name]
-        report = spc.mesh_spectrum(L, res, window=tol.cluster_window)
+        report = cfg.mesh_spectrum(L)
         report.residuals = {}
         for idx, X in enumerate(mo.algebra_basis(L.n)):
             f = mo.moment_function(L, X)

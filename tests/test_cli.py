@@ -1,12 +1,24 @@
 """Command-line surface: flags, exit codes, report files."""
 
+import csv
+import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from legspec.cli import main
-from legspec.suites import SUITE_NAMES, SuiteConfig, list_targets, run_suite
+from legspec import immersions as im
+from legspec import moment as mo
+from legspec import spectral as spc
+from legspec.cli import _moment_fields_csv, main
+from legspec.suites import (
+    CANONICAL_IMMERSIONS,
+    SUITE_NAMES,
+    SuiteConfig,
+    list_targets,
+    run_suite,
+)
 from legspec.errors import UnsupportedError
 
 
@@ -170,3 +182,78 @@ class TestReports:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "immersion,basis_index,generator,node,value"
         assert len(lines) == 1 + 4 * 32  # four generators, 32 nodes each
+
+
+def _per_row_moment_csv(cfg):
+    """Reference export: one csv.writer row per generator and node."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["immersion", "basis_index", "generator", "node", "value"])
+    for L in cfg.selected_immersions():
+        u, _ = L.nodes(cfg.resolution)
+        for idx, X in enumerate(mo.algebra_basis(L.n)):
+            vals = mo.moment_function(L, X, cfg.resolution).on_chart(u)
+            for node, val in enumerate(vals):
+                writer.writerow([L.name, idx, X.label, node, repr(float(val))])
+    return buf.getvalue()
+
+
+def _count_calls(monkeypatch, owner, name, key):
+    calls = Counter()
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSharedWork:
+    def test_moment_csv_matches_per_row_writer(self):
+        cfg = SuiteConfig(
+            suite="moment-family", immersion="clifford-torus-s5", resolution=8, fmt="csv"
+        )
+        text = _moment_fields_csv(cfg)
+        assert text == _per_row_moment_csv(cfg)
+        assert '"i*E[1,1]"' in text
+        assert text.count("\r\n") == 1 + 9 * 8 * 8
+
+    def test_moment_family_evaluates_sqrt_det_g_once(self, monkeypatch, tmp_path):
+        calls = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "sqrt_det_metric",
+            lambda L, u: (L.name, len(u)),
+        )
+        code = main(
+            [
+                "--suite", "moment-family", "--n", "2", "--format", "csv",
+                "--output", str(tmp_path / "fields.csv"),
+            ]
+        )
+        assert code == 0
+        assert calls == {("geodesic-sphere-n2", 24 * 48): 1, ("clifford-torus-s5", 48 * 48): 1}
+
+    def test_all_builds_each_immersion_once(self, monkeypatch):
+        built = _count_calls(monkeypatch, im, "get_immersion", lambda name: name)
+        cfg = SuiteConfig(suite="all", n=1)
+        run_suite(cfg)
+        # the n filter reads each canonical immersion's dimension once
+        assert built == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
+        assert [L.name for L in cfg.selected_immersions()] == ["great-circle-s3"]
+        first, second = cfg.selected_immersions(), cfg.selected_immersions()
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_spectrum_csv_reuses_the_suite_spectrum(self, monkeypatch, tmp_path):
+        solved = _count_calls(
+            monkeypatch, spc, "mesh_spectrum", lambda L, *args, **kwargs: L.name
+        )
+        code = main(
+            [
+                "--suite", "spectrum", "--immersion", "great-circle-s3",
+                "--resolution", "128", "--format", "csv",
+                "--output", str(tmp_path / "spectrum.csv"),
+            ]
+        )
+        assert code == 0
+        assert solved == {"great-circle-s3": 1}

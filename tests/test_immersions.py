@@ -148,6 +148,19 @@ class TestQuadrature:
         circle = im.great_circle()
         with pytest.raises(EvaluationError):
             circle.integrate(lambda u: np.full(len(u), np.nan))
+        circle.volume()  # sqrt det g now cached
+        with pytest.raises(EvaluationError):
+            circle.integrate(lambda u: np.full(len(u), np.inf))
+
+    def test_cached_integrate_matches_uncached_sum_bitwise(self, immersion):
+        L = immersion
+        X = mo.algebra_basis(L.n)[-1]
+        for res in (None, 16, None):
+            u, w = L.nodes(res)
+            vals = mo.moment(L.points(u), X)
+            expected = float(np.sum(vals * L.sqrt_det_metric(u) * w))
+            assert L.integrate(lambda v: mo.moment(L.points(v), X), res) == expected
+            assert L.integrate(vals, res) == expected
 
 
 class TestNormalSplit:

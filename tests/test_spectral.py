@@ -124,6 +124,11 @@ class TestMeshSpectrum:
         verdict = spc.bound_check(rep)
         assert verdict.passed and not verdict.equality
 
+    def test_icosphere_spectrum_is_bitwise_reproducible(self):
+        a = spc.mesh_spectrum(im.geodesic_sphere(2), 3).eigenvalues
+        b = spc.mesh_spectrum(im.geodesic_sphere(2), 3).eigenvalues
+        assert a.tobytes() == b.tobytes()
+
     def test_unsupported_immersion(self):
         with pytest.raises(UnsupportedError):
             spc.mesh_spectrum(im.geodesic_sphere(3))
