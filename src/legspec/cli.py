@@ -100,7 +100,7 @@ def _moment_fields_csv(cfg):
     for L in cfg.selected_immersions():
         u, _ = L.nodes(cfg.resolution)
         for idx, X in enumerate(mo.algebra_basis(L.n)):
-            vals = mo.moment_function(L, X, cfg.resolution).on_chart(u)
+            vals = cfg.moment_function(L, X, cfg.resolution).on_chart(u)
             fixed = io.StringIO()
             csv.writer(fixed).writerow([L.name, idx, X.label])
             prefix = fixed.getvalue().removesuffix("\r\n")

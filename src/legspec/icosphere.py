@@ -3,7 +3,8 @@
 Subdividing the icosahedron ``level`` times and projecting to the sphere
 gives ``10 * 4^level + 2`` vertices.  The cotangent-weight stiffness
 matrix with barycentric lumped mass is the standard piecewise-linear
-finite-element Laplacian on the induced round metric.
+finite-element Laplacian on the induced round metric;
+:func:`nested_dissection` orders its vertices for a sparse factorization.
 """
 
 import numpy as np
@@ -34,23 +35,28 @@ def icosahedron():
 
 
 def _subdivide(verts, faces):
-    verts = [tuple(v) for v in verts]
-    cache = {}
+    """Split every face into four through its projected edge midpoints.
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            p = np.array(verts[i]) + np.array(verts[j])
-            p /= np.linalg.norm(p)
-            cache[key] = len(verts)
-            verts.append(tuple(p))
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), np.array(out, dtype=int)
+    Midpoints are numbered in order of first appearance along the faces'
+    ``ab, bc, ca`` edges, so the face array does not depend on how the
+    edges are deduplicated.
+    """
+    nv = len(verts)
+    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, first, inverse = np.unique(
+        edges[:, 0] * nv + edges[:, 1], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mid = (nv + rank[inverse]).reshape(-1, 3)
+    i, j = np.divmod(keys[order], nv)
+    p = verts[i] + verts[j]
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    a, b, c = faces.T
+    ab, bc, ca = mid.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, p]), out.reshape(-1, 3)
 
 
 def icosphere(level, radius=1.0):
@@ -59,6 +65,50 @@ def icosphere(level, radius=1.0):
     for _ in range(int(level)):
         verts, faces = _subdivide(verts, faces)
     return radius * verts, faces
+
+
+# subsets this small are not dissected further; at level 6 the factor has
+# 4.25 M nonzeros at 32, 4.04 M at 8 for four times the recursion, 5.44 M
+# at 256
+_DISSECTION_LEAF = 32
+
+
+def nested_dissection(verts, faces):
+    """Fill-reducing elimination order for matrices on the mesh graph.
+
+    The vertex set is bisected along its widest coordinate axis; the
+    left-side vertices with a right-side neighbour form the separator,
+    which is ordered after both halves, and each half is dissected
+    recursively.  Returns a permutation of ``range(len(verts))``.
+    """
+    nv = len(verts)
+    # neighbour table, one row per vertex, listing each neighbour once per
+    # shared face and padded with nv, whose on_right entry stays False
+    pairs = faces[:, [0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0, 2]].reshape(-1, 2)
+    src, dst = pairs[np.argsort(pairs[:, 0], kind="stable")].T
+    slot = np.arange(len(src)) - np.searchsorted(src, src)
+    neighbours = np.full((nv, slot.max() + 1), nv)
+    neighbours[src, slot] = dst
+    on_right = np.zeros(nv + 1, dtype=bool)
+    order = []
+
+    def dissect(idx):
+        if len(idx) <= _DISSECTION_LEAF:
+            order.append(idx)
+            return
+        x = verts[idx]
+        axis = np.argmax(x.max(axis=0) - x.min(axis=0))
+        idx = idx[np.argsort(x[:, axis], kind="stable")]
+        left, right = idx[: len(idx) // 2], idx[len(idx) // 2:]
+        on_right[right] = True
+        cut = on_right[neighbours[left]].any(axis=1)
+        on_right[right] = False
+        dissect(left[~cut])
+        dissect(right)
+        order.append(left[cut])
+
+    dissect(np.arange(nv))
+    return np.concatenate(order)
 
 
 def cotangent_laplacian(verts, faces):

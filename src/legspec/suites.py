@@ -71,10 +71,11 @@ class SuiteConfig:
     output: str | None = None
     fmt: str = "json"
     # built on first use and shared by every suite and exporter of this
-    # config, so per-resolution caches on the immersions and the mesh
-    # spectra are computed once per report
+    # config, so per-resolution caches on the immersions, the mesh
+    # spectra and the moment functions are computed once per report
     _immersions: list | None = field(default=None, init=False, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -124,6 +125,14 @@ class SuiteConfig:
                 L, res, window=self.tolerances.cluster_window
             )
         return self._spectra[L.name]
+
+    def moment_function(self, L, X, resolution=None):
+        """``moment.moment_function(L, X, resolution)``, built once per
+        immersion, generator and resolution for all suites and exporters."""
+        key = (L.name, X.label, L.resolve_resolution(resolution))
+        if key not in self._moments:
+            self._moments[key] = mo.moment_function(L, X, resolution)
+        return self._moments[key]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def moment_family_records(cfg):
         samples = sk.sample_tangent_triples(S, 10, seed=cfg.seed)
         worst_killing = 0.0
         for idx, X in enumerate(mo.algebra_basis(L.n)):
-            f = mo.moment_function(L, X, cfg.resolution)
+            f = cfg.moment_function(L, X, cfg.resolution)
             name = f"{L.name}: eigen-residual basis[{idx}] {X.label}"
             try:
                 res = spc.eigen_residual(L, f.ambient, target, cfg.resolution)
@@ -479,7 +488,7 @@ def spectrum_records(cfg):
         report = cfg.mesh_spectrum(L)
         report.residuals = {}
         for idx, X in enumerate(mo.algebra_basis(L.n)):
-            f = mo.moment_function(L, X)
+            f = cfg.moment_function(L, X)
             er = spc.eigen_residual(L, f.ambient, report.target)
             if not er.degenerate:
                 report.residuals[f"basis[{idx}] {X.label}"] = er.residual
@@ -547,7 +556,7 @@ def spectrum_records(cfg):
                 shape = L.domain.grid_shape(r2)
                 worst = 0.0
                 for X in mo.algebra_basis(L.n):
-                    f = mo.moment_function(L, X, r2)
+                    f = cfg.moment_function(L, X, r2)
                     fv = f.on_chart(u2)
                     if np.max(np.abs(fv)) <= tol.zero_function:
                         continue
@@ -584,7 +593,7 @@ def spectrum_records(cfg):
             )
         worst_q = 0.0
         for X in mo.algebra_basis(L.n):
-            f = mo.moment_function(L, X, cfg.resolution)
+            f = cfg.moment_function(L, X, cfg.resolution)
             if np.max(np.abs(f.values(cfg.resolution))) <= tol.zero_function:
                 continue
             q = spc.rayleigh_quotient(L, f.ambient, cfg.resolution)

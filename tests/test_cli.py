@@ -244,6 +244,22 @@ class TestSharedWork:
         first, second = cfg.selected_immersions(), cfg.selected_immersions()
         assert all(a is b for a, b in zip(first, second))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "spectrum", "--immersion", "great-circle-s3"],
+            ["--suite", "moment-family", "--immersion", "clifford-torus-s5",
+             "--resolution", "16", "--format", "csv"],
+        ],
+    )
+    def test_builds_each_moment_function_once(self, monkeypatch, tmp_path, argv):
+        built = _count_calls(
+            monkeypatch, mo, "moment_function",
+            lambda L, X, resolution=None: (L.name, X.label, L.resolve_resolution(resolution)),
+        )
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+        assert built and set(built.values()) == {1}
+
     def test_spectrum_csv_reuses_the_suite_spectrum(self, monkeypatch, tmp_path):
         solved = _count_calls(
             monkeypatch, spc, "mesh_spectrum", lambda L, *args, **kwargs: L.name

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from legspec import icosphere as ic
 from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
@@ -128,6 +130,38 @@ class TestMeshSpectrum:
         a = spc.mesh_spectrum(im.geodesic_sphere(2), 3).eigenvalues
         b = spc.mesh_spectrum(im.geodesic_sphere(2), 3).eigenvalues
         assert a.tobytes() == b.tobytes()
+
+    def test_ordered_inverse_matches_plain_lu(self):
+        verts, faces = ic.icosphere(4)
+        stiffness, mass = ic.cotangent_laplacian(verts, faces)
+        shifted = (stiffness + 0.5 * mass).tocsc()
+        opinv = spc._ordered_inverse(shifted, ic.nested_dissection(verts, faces))
+        plain = spla.splu(shifted)
+        for b in np.random.default_rng(3).standard_normal((4, len(verts))):
+            x, ref = opinv.matvec(b), plain.solve(b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_icosphere_modes_match_arpack_internal_lu(self):
+        rep = spc.mesh_spectrum(im.geodesic_sphere(2), 4)
+        stiffness, mass = ic.cotangent_laplacian(*ic.icosphere(4))
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, stiffness.shape[0])
+        ref = np.sort(spla.eigsh(stiffness, k=16, M=mass, sigma=-0.5, which="LM",
+                                 v0=v0, return_eigenvectors=False))
+        assert len(rep.eigenvalues) == 16
+        assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12 * ref[-1]
+
+    def test_truncated_spectrum_is_inconclusive(self):
+        # nine modes end at the l = 2 cluster, so it may continue past them
+        L = im.geodesic_sphere(2)
+        cut = spc.bound_check(spc.mesh_spectrum(L, 3, num_modes=9))
+        assert cut.inconclusive and not cut.passed
+        full = spc.bound_check(spc.mesh_spectrum(L, 3, num_modes=16))
+        assert full.passed and full.equality and not full.inconclusive
+
+    def test_non_finite_eigenvalue_is_inconclusive(self):
+        ev = [0.0, 2.0, 2.0, 2.0, 6.0, 6.0, 6.0, 6.0, 6.0, 12.0, np.nan]
+        verdict = spc.bound_check(spc.SpectralReport(ev, 3, "test", 6.0, 0.05, 5))
+        assert verdict.inconclusive and not verdict.passed
 
     def test_unsupported_immersion(self):
         with pytest.raises(UnsupportedError):
