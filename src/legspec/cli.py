@@ -18,7 +18,7 @@ import sys
 
 from . import moment as mo
 from .errors import LegspecError, UnsupportedError
-from .suites import SPECTRUM_DEFAULTS, SUITE_NAMES, SuiteConfig, list_targets, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, list_targets, run_suite
 
 USAGE_EXIT = 64
 
@@ -81,7 +81,7 @@ def _spectrum_csv(cfg):
     writer = csv.writer(buf)
     writer.writerow(["immersion", "index", "eigenvalue"])
     for L in cfg.selected_immersions():
-        if L.name not in SPECTRUM_DEFAULTS:
+        if L.discretizer is None:
             continue
         report = cfg.mesh_spectrum(L)
         for idx, ev in enumerate(report.eigenvalues):

@@ -8,10 +8,16 @@ Shipped examples (registered by name for the CLI):
 * ``geodesic-sphere-n3``   -- the real unit S^3 inside S^7;
 * ``clifford-torus-s5``    -- (u, v) -> (e^{iu}, e^{iv}, e^{-i(u+v)}) / sqrt(3).
 
+Each states whether it is totally geodesic, the dimension of its
+``2n + 2`` eigenspace and its intrinsic mesh, if any; the suites read
+these fields, never the name.
+
 Quadrature follows the domain: uniform (trapezoid) grids on periodic
 boxes, Gauss-Legendre x trapezoid products on polar sphere charts.  The
 Gauss nodes are interior, so polar singularities are never evaluated.
 """
+
+import copy
 
 import numpy as np
 
@@ -83,10 +89,14 @@ class LegendrianImmersion:
     Jacobian having shape ``(..., 2n+2, n)``.  ``frame_mixer`` optionally
     rotates Jacobian columns before orthonormalization; every scalar
     output must be invariant under it.
+
+    ``multiplicity`` is the dimension of the ``2n + 2`` eigenspace and
+    ``discretizer`` a ``spectral.MESH_RESOLUTIONS`` key (``None``: none).
     """
 
     def __init__(self, name, n, chart_map, jacobian, domain, default_resolution,
-                 chart_hessian=None, frame_mixer=None):
+                 chart_hessian=None, frame_mixer=None, totally_geodesic=False,
+                 multiplicity=None, discretizer=None):
         self.name = name
         self.n = n
         self.ambient = SphereSasaki(n)
@@ -96,14 +106,17 @@ class LegendrianImmersion:
         self.domain = domain
         self.default_resolution = default_resolution
         self.frame_mixer = frame_mixer
+        self.totally_geodesic = totally_geodesic
+        self.multiplicity = multiplicity
+        self.discretizer = discretizer
         self._node_cache = {}
 
     def with_frame_mixer(self, mixer):
-        return LegendrianImmersion(
-            self.name, self.n, self.chart_map, self.jacobian, self.domain,
-            self.default_resolution, chart_hessian=self.chart_hessian,
-            frame_mixer=np.asarray(mixer, dtype=float),
-        )
+        """A copy with rotated Jacobian columns and empty caches."""
+        mixed = copy.copy(self)
+        mixed.frame_mixer = np.asarray(mixer, dtype=float)
+        mixed._node_cache = {}
+        return mixed
 
     def resolve_resolution(self, resolution=None):
         return self.default_resolution if resolution is None else int(resolution)
@@ -207,7 +220,7 @@ def _pack_hessian(rows):
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-1)
 
 
-def great_circle():
+def great_circle(name="great-circle-s3"):
     """Real unit circle in S^3: totally geodesic Legendrian."""
 
     def chart_map(u):
@@ -231,17 +244,16 @@ def great_circle():
         return -chart_map(u)[..., None, None]
 
     return LegendrianImmersion(
-        "great-circle-s3", 1, chart_map, jacobian, PeriodicGridDomain(1), 256,
-        chart_hessian=chart_hessian,
+        name, 1, chart_map, jacobian, PeriodicGridDomain(1), 256,
+        chart_hessian=chart_hessian, totally_geodesic=True, multiplicity=2,
+        discretizer="circle",
     )
 
 
 def geodesic_sphere(n):
     """Real unit S^n inside S^{2n+1} (imaginary parts zero)."""
     if n == 1:
-        circle = great_circle()
-        circle.name = "geodesic-sphere-n1"
-        return circle
+        return great_circle(name="geodesic-sphere-n1")
     if n == 2:
 
         def embed(u):
@@ -273,8 +285,7 @@ def geodesic_sphere(n):
             d_pp = np.stack([-st * cp, -st * sp, zeros], axis=-1)
             return _pack_hessian([[d_tt, d_tp], [d_tp, d_pp]])
 
-        default_res = 24
-        name = "geodesic-sphere-n2"
+        default_res, multiplicity, discretizer = 24, 5, "icosphere"
     elif n == 3:
 
         def embed(u):
@@ -315,8 +326,7 @@ def geodesic_sphere(n):
             d33 = np.stack([zeros, zeros, -s1 * s2 * cp, -s1 * s2 * sp], axis=-1)
             return _pack_hessian([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]])
 
-        default_res = 12
-        name = "geodesic-sphere-n3"
+        default_res, multiplicity, discretizer = 12, 9, None
     else:
         raise UnsupportedError(f"no geodesic sphere shipped for n={n}")
 
@@ -333,8 +343,9 @@ def geodesic_sphere(n):
         return np.concatenate([dre, np.zeros_like(dre)], axis=-3)
 
     return LegendrianImmersion(
-        name, n, chart_map, jacobian, PolarSphereDomain(n), default_res,
-        chart_hessian=chart_hessian,
+        f"geodesic-sphere-n{n}", n, chart_map, jacobian, PolarSphereDomain(n),
+        default_res, chart_hessian=chart_hessian, totally_geodesic=True,
+        multiplicity=multiplicity, discretizer=discretizer,
     )
 
 
@@ -396,7 +407,7 @@ def clifford_torus():
 
     return LegendrianImmersion(
         "clifford-torus-s5", 2, chart_map, jacobian, PeriodicGridDomain(2), 48,
-        chart_hessian=chart_hessian,
+        chart_hessian=chart_hessian, multiplicity=6, discretizer="torus",
     )
 
 

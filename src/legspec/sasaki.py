@@ -259,9 +259,6 @@ class SphereCone:
     def point(self, x, r):
         return float(r) * np.asarray(x, dtype=float)
 
-    def unit_radial(self, y):
-        return y / np.linalg.norm(y)
-
     def metric(self, V, W):
         return float(np.dot(V, W))
 
@@ -323,13 +320,14 @@ def cone_ricci_flat_via_chart(S, samples):
     """Chart-based cross-check of cone flatness (slower, lower accuracy).
 
     The finer second-derivative step keeps the truncation error an order
-    of magnitude under the 1e-5 cross-check tolerance down to r = 0.5.
+    of magnitude under the 1e-5 cross-check tolerance down to r = 0.5, and
+    the chart's radial bounds hold its stencil for every r in [0.5, 2].
     """
     worst = 0.0
     for x, r in samples:
-        chart = rm.cone_chart(S.graph_chart(x))
+        chart = rm.cone_chart(S.graph_chart(x), r_bounds=(0.25, 4.0))
         u = np.concatenate([np.zeros(S.dim), [float(r)]])
-        data = rm.riemann_ricci(chart, u, h2=5e-4)
+        data = rm.riemann_ricci(chart, u, h2=1e-4)
         worst = max(worst, float(np.max(np.abs(data.ricci))))
     return worst
 

@@ -217,15 +217,11 @@ class SpectralReport:
 
 
 def _intrinsic_kind(L):
-    if L.name in ("great-circle-s3", "geodesic-sphere-n1"):
-        return "circle"
-    if L.name == "clifford-torus-s5":
-        return "torus"
-    if L.name == "geodesic-sphere-n2":
-        return "icosphere"
-    raise UnsupportedError(
-        f"no intrinsic discretizer for '{L.name}' (pointwise pipeline still applies)"
-    )
+    if L.discretizer is None:
+        raise UnsupportedError(
+            f"no intrinsic discretizer for '{L.name}' (pointwise pipeline still applies)"
+        )
+    return L.discretizer
 
 
 def _fd_symbol_circle(L, N):
@@ -355,7 +351,7 @@ class BoundVerdict:
         self.diagnostics = diagnostics
 
 
-def bound_check(report, n=None, dim_g=None, min_separation=3.0):
+def bound_check(report, min_separation=3.0):
     """Compare the cluster multiplicity with the algebra bound.
 
     Inconclusive (never a pass) when the cluster is not separated from
@@ -364,18 +360,14 @@ def bound_check(report, n=None, dim_g=None, min_separation=3.0):
     continue past the computed modes), or when an eigenvalue is not
     finite.
     """
-    if dim_g is None:
-        bound = report.bound
-    else:
-        bound = int(dim_g) - int(n) * (int(n) + 1) // 2 - 1
     sep = report.separation_ratio()
-    diag = dict(report.summary(), bound=bound)
+    diag = report.summary()
     ev = report.eigenvalues
     truncated = not ev.size or ev[-1] <= report.target * (1.0 + report.window)
     if sep < min_separation or truncated or not np.all(np.isfinite(ev)):
         return BoundVerdict(False, False, True, diag)
     mult = report.multiplicity
-    return BoundVerdict(mult >= bound, mult == bound, False, diag)
+    return BoundVerdict(mult >= report.bound, mult == report.bound, False, diag)
 
 
 def sphere_eigenvalue_note(n):

@@ -37,20 +37,6 @@ SUITE_NAMES = (
     "all",
 )
 
-SPECTRUM_DEFAULTS = {
-    "great-circle-s3": 4096,
-    "geodesic-sphere-n1": 4096,
-    "clifford-torus-s5": 256,
-    "geodesic-sphere-n2": 6,
-}
-
-EXPECTED_MULTIPLICITY = {
-    "great-circle-s3": 2,
-    "geodesic-sphere-n1": 2,
-    "clifford-torus-s5": 6,
-    "geodesic-sphere-n2": 5,
-}
-
 
 def _inconclusive(name, anchor, exc):
     return rp.CheckRecord(
@@ -86,6 +72,16 @@ class SuiteConfig:
             raise UnsupportedError(
                 f"unknown immersion '{self.immersion}'; shipped: {sorted(im.registry())}"
             )
+        if self.resolution is not None and self.resolution <= 0:
+            raise UnsupportedError(f"resolution must be positive, got {self.resolution}")
+        # an --n that selects no immersion would give an empty report;
+        # sasaki-axioms takes any dimension unless an immersion fixes it
+        if self.n is not None and self.immersion is not None:
+            dim = self.selected_immersions()[0].n
+            if dim != self.n:
+                raise UnsupportedError(f"'{self.immersion}' has n={dim}, not n={self.n}")
+        elif self.n is not None and self.suite != "sasaki-axioms" and not self.selected_immersions():
+            raise UnsupportedError(f"no shipped immersion has n={self.n}")
         if self.tolerance_overrides:
             self.tolerances = self.tolerances.override(self.tolerance_overrides)
 
@@ -117,12 +113,12 @@ class SuiteConfig:
         return [1, 2]
 
     def mesh_spectrum(self, L):
-        """Mesh spectrum of ``L`` at the configured resolution, solved once
-        per config for the spectrum suite and its CSV export."""
+        """Mesh spectrum of ``L`` at the configured resolution (default the
+        finest shipped level), solved once per config for the spectrum
+        suite and its CSV export."""
         if L.name not in self._spectra:
-            res = self.resolution or SPECTRUM_DEFAULTS[L.name]
             self._spectra[L.name] = spc.mesh_spectrum(
-                L, res, window=self.tolerances.cluster_window
+                L, self.resolution, window=self.tolerances.cluster_window
             )
         return self._spectra[L.name]
 
@@ -225,7 +221,7 @@ def legendrian_geometry_records(cfg):
                 tol.mean_curvature,
             )
         )
-        if L.name.startswith("geodesic-sphere") or L.name == "great-circle-s3":
+        if L.totally_geodesic:
             records.append(
                 rp.residual_record(
                     f"{L.name}: second fundamental form",
@@ -321,7 +317,7 @@ def moment_family_records(cfg):
                 tol.killing,
             )
         )
-        if L.name.startswith("geodesic-sphere") or L.name == "great-circle-s3":
+        if L.totally_geodesic:
             u, _ = L.nodes(cfg.resolution)
             sel = u[:: max(1, len(u) // 40)]
             rows = [im.normal_split(L, X, sel).normal.ravel() for X in mo.algebra_basis(L.n)]
@@ -476,7 +472,7 @@ def spectrum_records(cfg):
     tol = cfg.tolerances
     records = []
     for L in cfg.selected_immersions():
-        if L.name not in SPECTRUM_DEFAULTS:
+        if L.discretizer is None:
             records.append(
                 rp.info_record(
                     f"{L.name}: no intrinsic discretizer",
@@ -498,7 +494,7 @@ def spectrum_records(cfg):
                 f"{L.name}: multiplicity at target",
                 "eigenspace-multiplicity-bound",
                 report.multiplicity,
-                EXPECTED_MULTIPLICITY[L.name],
+                L.multiplicity,
                 details=dict(report.summary(), eigen_residuals=report.residuals),
             )
         )
@@ -509,13 +505,12 @@ def spectrum_records(cfg):
                 verdict,
             )
         )
-        equality_expected = L.name != "clifford-torus-s5"
         records.append(
             rp.count_record(
                 f"{L.name}: equality case",
                 "equality-case-totally-geodesic",
                 int(verdict.equality),
-                int(equality_expected),
+                int(L.totally_geodesic),
             )
         )
         records.append(
@@ -548,7 +543,7 @@ def spectrum_records(cfg):
     # cross-pipeline agreement and Rayleigh checks
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
-        if L.name in ("great-circle-s3", "geodesic-sphere-n1", "clifford-torus-s5"):
+        if L.discretizer in ("circle", "torus"):
             res = 256 if L.n == 1 else 64
 
             def family_disagreement(r2):

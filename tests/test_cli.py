@@ -60,6 +60,23 @@ class TestUsageErrors:
     def test_missing_suite_exits_64(self):
         assert main([]) == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "relation", "--resolution", "0"],
+            ["--suite", "relation", "--resolution", "-8"],
+            ["--suite", "legendrian-geometry", "--n", "5"],
+            ["--suite", "relation", "--immersion", "clifford-torus-s5", "--n", "1"],
+        ],
+        ids=["zero-resolution", "negative-resolution", "n-selects-nothing", "n-contradicts-immersion"],
+    )
+    def test_meaningless_selection_exits_64(self, argv, capsys):
+        assert main(argv) == 64
+        assert "legspec: error:" in capsys.readouterr().err
+
+    def test_sasaki_axioms_takes_any_dimension(self):
+        assert SuiteConfig(suite="sasaki-axioms", n=5).selected_dimensions() == [5]
+
     def test_config_rejects_unknown_names_before_compute(self):
         with pytest.raises(UnsupportedError):
             SuiteConfig(suite="bogus")

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from legspec import immersions as im
 from legspec import moment as mo
+from legspec import spectral as spc
+from legspec.config import DEFAULT_TOLERANCES
 from legspec.errors import EvaluationError, UnsupportedError
 
 
@@ -119,6 +121,78 @@ class TestShapeOperator:
             b = im.shape_operator(L.with_frame_mixer(Q), u)
             assert abs(a.mean_curvature_norm() - b.mean_curvature_norm()) <= 1e-8
             assert abs(a.second_fundamental_norm() - b.second_fundamental_norm()) <= 1e-8
+
+
+def _totally_geodesic_agrees(L):
+    """The flag matches the measured second fundamental form."""
+    u, _ = L.nodes()
+    norm = im.shape_operator(L, u).second_fundamental_norm()
+    if L.totally_geodesic:
+        return norm <= DEFAULT_TOLERANCES.totally_geodesic
+    return norm >= 0.1
+
+
+def _multiplicity_meets_bound(L):
+    """Eigenspace dimension >= dim u(n+1) - n(n+1)/2 - 1, with equality
+    exactly in the totally geodesic case."""
+    bound = len(mo.algebra_basis(L.n)) - L.n * (L.n + 1) // 2 - 1
+    return L.multiplicity >= bound and (L.multiplicity == bound) == L.totally_geodesic
+
+
+def _mesh_finds_multiplicity(L):
+    """The coarsest shipped mesh of the discretizer counts ``multiplicity``
+    eigenvalues at 2n + 2 (vacuous without a discretizer)."""
+    if L.discretizer is None:
+        return True
+    coarsest = spc.MESH_RESOLUTIONS[L.discretizer][0]
+    return spc.mesh_spectrum(L, coarsest).multiplicity == L.multiplicity
+
+
+DESCRIPTOR_CHECKS = [_totally_geodesic_agrees, _multiplicity_meets_bound, _mesh_finds_multiplicity]
+
+
+def _flipped(name, field, value):
+    L = im.get_immersion(name)
+    setattr(L, field, value)
+    return L
+
+
+class TestDescriptor:
+    @pytest.mark.parametrize("check", DESCRIPTOR_CHECKS)
+    @pytest.mark.parametrize("name", sorted(im.registry()))
+    def test_descriptor_matches_geometry(self, name, check):
+        assert check(im.get_immersion(name))
+
+    @pytest.mark.parametrize(
+        "check, L",
+        [
+            (_totally_geodesic_agrees, _flipped("clifford-torus-s5", "totally_geodesic", True)),
+            (_totally_geodesic_agrees, _flipped("geodesic-sphere-n3", "totally_geodesic", False)),
+            (_multiplicity_meets_bound, _flipped("clifford-torus-s5", "multiplicity", 5)),
+            (_multiplicity_meets_bound, _flipped("geodesic-sphere-n2", "multiplicity", 6)),
+            (_mesh_finds_multiplicity, _flipped("clifford-torus-s5", "multiplicity", 7)),
+            (_mesh_finds_multiplicity, _flipped("geodesic-sphere-n3", "discretizer", "icosphere")),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or getattr(v, "name", None),
+    )
+    def test_flipped_field_is_caught(self, check, L):
+        assert not check(L)
+
+    @pytest.mark.parametrize("name", sorted(im.registry()))
+    def test_frame_mixer_keeps_descriptor(self, name):
+        L = im.get_immersion(name)
+        Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((L.n, L.n)))
+        mixed = L.with_frame_mixer(Q)
+        fields = ("name", "totally_geodesic", "multiplicity", "discretizer")
+        assert [getattr(mixed, f) for f in fields] == [getattr(L, f) for f in fields]
+        assert mixed._node_cache is not L._node_cache
+
+    def test_alias_is_the_great_circle_renamed(self):
+        alias, circle = im.geodesic_sphere(1), im.great_circle()
+        assert alias.name == "geodesic-sphere-n1"
+        assert (alias.totally_geodesic, alias.multiplicity, alias.discretizer) == (
+            circle.totally_geodesic, circle.multiplicity, circle.discretizer
+        )
 
 
 class TestQuadrature:

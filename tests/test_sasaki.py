@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from legspec import sasaki as sk
+from legspec.suites import SuiteConfig, run_suite
 from legspec.errors import ChartError, InvalidSampleError
 
 
@@ -115,6 +116,18 @@ class TestCone:
         rng = np.random.default_rng(13)
         pts = [(sphere.random_point(rng), 1.5)]
         assert sk.cone_ricci_flat_via_chart(sphere, pts) <= 1e-5
+
+    def test_chart_cross_check_at_sampled_radius_ends(self, sphere):
+        # the suite samples r in [0.5, 2.0]; the stencil must stay inside
+        # the chart and the truncation error under the threshold there
+        rng = np.random.default_rng(15)
+        pts = [(sphere.random_point(rng), r) for r in (0.5, 0.5001, 2.0)]
+        assert sk.cone_ricci_flat_via_chart(sphere, pts) <= 1e-5
+
+    @pytest.mark.parametrize("seed", [16, 34, 68, 163])
+    def test_suite_passes_at_seeds_sampling_r_near_half(self, seed):
+        # each of these seeds puts a chart cross-check sample at r < 0.53
+        assert run_suite(SuiteConfig(suite="sasaki-axioms", seed=seed)).exit_code() == 0
 
     def test_wrong_cone_metric_fails(self, sphere):
         rng = np.random.default_rng(14)
