@@ -31,7 +31,6 @@ class Tolerances:
     bianchi: float = 1e-5
     sasaki_axioms: float = 1e-7
     eta_einstein: float = 1e-5
-    cone_ricci: float = 1e-8
     cone_ricci_chart: float = 1e-5
     cone_relations: float = 1e-8
     legendrian: float = 1e-8
@@ -43,9 +42,7 @@ class Tolerances:
     mean_zero: float = 1e-8
     eigen_residual: float = 1e-5
     nomizu_algebra: float = 1e-8
-    div_constancy: float = 1e-8
     frame_sum_identity: float = 1e-7
-    radial_independence: float = 1e-9
     family_coincidence: float = 1e-8
     pipeline_agreement: float = 0.02
     cluster_accuracy: float = 0.02

@@ -170,12 +170,18 @@ class LegendrianImmersion:
         return np.stack(frame, axis=-2)
 
     def legendrian_residual(self, resolution=None):
-        """max |eta(d_i map)| over quadrature nodes."""
-        u, _ = self.nodes(resolution)
-        x = self.points(u)
-        jac = self.jacobian_at(u)
-        jx = self.ambient.apply_J(x)
-        return float(np.max(np.abs(np.einsum("...a,...ai->...i", jx, jac))))
+        """max |eta(d_i map)| over quadrature nodes, cached per resolution."""
+        res = self.resolve_resolution(resolution)
+        key = ("legendrian", res)
+        if key not in self._node_cache:
+            u, _ = self.nodes(res)
+            x = self.points(u)
+            jac = self.jacobian_at(u)
+            jx = self.ambient.apply_J(x)
+            self._node_cache[key] = float(
+                np.max(np.abs(np.einsum("...a,...ai->...i", jx, jac)))
+            )
+        return self._node_cache[key]
 
     def sqrt_det_metric(self, u):
         g = self.induced_metric(u)

@@ -1,22 +1,23 @@
 """Corrected Nomizu operators on the flat cone and the induced functions.
 
-A cone field here is a linear field ``y -> M y`` on ``R^{2n+2} - {0}``
+A cone field here is a linear field ``K(y) = M y`` on ``R^{2n+2} - {0}``
 with ``M`` skew and commuting with ``J``: exactly the Killing and
 holomorphic fields obtained from sphere automorphisms extended radially.
-The associated operator
+The cone is flat, so ``grad K = M`` and ``div(JK) = tr(JM)`` at every
+cone point, and the associated operator
 
-    op(K) = grad K + div(JK) / (2n + 2) * J
+    op(K) = grad K + div(JK) / (2n + 2) * J = M + tr(JM) / (2n + 2) * J
 
-(the covariant derivative of ``K`` plus a trace correction) is skew,
-commutes with ``J`` and has ``trace(J op) = 0``; pairing it radially,
-``f(x) = <op x, J x>``, produces the second eigenfunction family.
+(the covariant derivative of ``K`` plus a trace correction) is one
+constant matrix.  It is skew, commutes with ``J`` and has
+``trace(J op) = 0``; pairing it radially, ``f(x) = <op x, J x>``,
+produces the second eigenfunction family.
 """
 
 import numpy as np
 
-from .config import FD_FIELD
 from .errors import InvalidFieldError, PreconditionError
-from .sasaki import SphereCone, SphereSasaki
+from .sasaki import SphereSasaki
 from .moment import moment_function
 
 
@@ -43,31 +44,21 @@ class ConeField:
         return np.asarray(y) @ self.matrix.T
 
 
-def cone_field_residuals(K, points, h=FD_FIELD):
-    """Finite-difference Killing and holomorphy residuals at cone points."""
-    cone = SphereCone(SphereSasaki(K.n))
-    d = 2 * K.n + 2
-    killing = holo = 0.0
-    rng = np.random.default_rng(17)
-    for y in points:
-        grad = np.empty((d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            grad[:, i] = (K(y + e) - K(y - e)) / (2.0 * h)
-        killing = max(killing, float(np.max(np.abs(grad + grad.T))))
-        v = rng.standard_normal(d)
-        lhs = cone.nabla(K, y, K.J @ v, h)
-        rhs = K.J @ cone.nabla(K, y, v, h)
-        holo = max(holo, float(np.max(np.abs(lhs - rhs))))
-    return {"killing": killing, "holomorphic": holo}
+def cone_field_residuals(K):
+    """Killing and holomorphy residuals of a linear field: its gradient
+    ``M`` is skew (``max|M + M^T|``) and commutes with ``J``
+    (``max|MJ - JM|``), exactly and at every cone point."""
+    M = K.matrix
+    return {
+        "killing": float(np.max(np.abs(M + M.T))),
+        "holomorphic": float(np.max(np.abs(M @ K.J - K.J @ M))),
+    }
 
 
 class NomizuOperator:
-    """The corrected operator of a cone field at a cone point."""
+    """The corrected operator of a cone field (constant on the cone)."""
 
-    def __init__(self, point, matrix, div_jk):
-        self.point = point
+    def __init__(self, matrix, div_jk):
         self.matrix = matrix
         self.div_jk = div_jk
 
@@ -80,22 +71,19 @@ class NomizuOperator:
         }
 
 
-def nomizu_operator(K, point, h=FD_FIELD, tol=1e-6):
-    """Corrected Nomizu operator of ``K`` at a cone point.
+def nomizu_operator(K, tol=1e-6):
+    """Corrected Nomizu operator ``M + tr(JM) / (2n + 2) * J`` of ``K``.
 
-    The field must pass its Killing/holomorphy residual check at the
-    point; on the flat cone the gradient of a linear field is its matrix,
-    and the divergence is evaluated by central differences of the
-    composite field ``y -> J K(y)``.
+    The field must pass its Killing/holomorphy residual check; on the
+    flat cone the gradient of a linear field is its matrix and the
+    divergence of ``y -> J M y`` is ``tr(JM)``.
     """
-    point = np.asarray(point, dtype=float)
-    res = cone_field_residuals(K, [point], h)
+    res = cone_field_residuals(K)
     if max(res.values()) > tol:
         raise InvalidFieldError(f"cone field fails Killing/holomorphy check: {res}")
-    cone = SphereCone(SphereSasaki(K.n))
-    div_jk = cone.divergence(lambda y: K.J @ K(y), point, h)
+    div_jk = float(np.trace(K.J @ K.matrix))
     matrix = K.matrix + div_jk / (2.0 * K.n + 2.0) * K.J
-    return NomizuOperator(point, matrix, div_jk)
+    return NomizuOperator(matrix, div_jk)
 
 
 class NomizuFunction:
@@ -119,76 +107,31 @@ class NomizuFunction:
         return self.ambient(float(r) * np.asarray(x, dtype=float))
 
 
-def nomizu_function(K, h=FD_FIELD):
-    """The eigenfunction candidate of a cone field (evaluated at r = 1)."""
-    e0 = np.zeros(2 * K.n + 2)
-    e0[0] = 1.0
-    return NomizuFunction(K, nomizu_operator(K, e0, h))
+def nomizu_function(K):
+    """The eigenfunction candidate of a cone field."""
+    return NomizuFunction(K, nomizu_operator(K))
 
 
-def radial_independence_residual(K, x, radii=(0.7, 1.3)):
-    """Spread of the function value along the ray through ``x``."""
-    f = NomizuFunction(K, nomizu_operator(K, radii[0] * np.asarray(x, float)))
-    vals = [f(x, r) for r in radii]
-    return float(np.max(vals) - np.min(vals))
+def operator_identity_residuals(K, L, resolution=None, radii=(0.5, 1.0, 2.0),
+                                legendrian_tol=1e-8):
+    """Frame-sum identity of the operator along ``L``:
 
+        max | sum_i <op (r e_i), J (r e_i)> + r^2 f |
 
-def operator_identity_residuals(K, L, seed=0, samples=40, resolution=None,
-                                radii=(0.5, 1.0, 2.0), legendrian_tol=1e-8):
-    """Residual report for the algebraic identities of the operator.
-
-    Keys:
-
-    * ``div_constancy``     -- max pairwise spread of div(JK) over cone samples;
-    * ``gradient_vs_curvature`` -- |grad of the operator field| and the
-      curvature pairing, both zero on the flat cone, checked as computed;
-    * ``radial_curvature``  -- flat-cone curvature contracted with radial
-      and rotated radial directions (identically zero, still evaluated);
-    * ``frame_sum``         -- | sum_i <op (r e_i), J (r e_i)> + r^2 f |
-      over quadrature nodes and the given radii (needs L Legendrian).
+    over quadrature nodes, orthonormal tangent frames ``e_i`` and the
+    given radii.  It holds only for Legendrian ``L``, which is checked
+    first (``PreconditionError`` otherwise).
     """
     if L.legendrian_residual(resolution) > legendrian_tol:
         raise PreconditionError(
             f"{L.name} is not Legendrian at tolerance {legendrian_tol}"
         )
-    S = SphereSasaki(K.n)
-    cone = SphereCone(S)
-    rng = np.random.default_rng(seed)
-
-    # (a) divergence constancy
-    divs = []
-    for _ in range(samples):
-        y = rng.uniform(0.5, 2.0) * S.random_point(rng)
-        divs.append(cone.divergence(lambda p: K.J @ K(p), y))
-    div_spread = float(np.max(divs) - np.min(divs))
-
-    # (b) gradient of the operator field vs curvature pairing
-    d = 2 * K.n + 2
-    grad_resid = 0.0
-    for _ in range(8):
-        y = rng.uniform(0.5, 2.0) * S.random_point(rng)
-        op_field = lambda p: nomizu_matrix_flat(K, p, cone)
-        v = rng.standard_normal(d)
-        dop = cone.nabla(op_field, y, v)
-        curv = np.zeros((d, d))  # flat cone: Rm(., K) vanishes
-        grad_resid = max(grad_resid, float(np.max(np.abs(dop - curv))))
-
-    # (c) curvature against radial directions
-    rad_resid = 0.0
-    for _ in range(8):
-        x = S.random_point(rng)
-        r = rng.uniform(0.5, 2.0)
-        y = r * x
-        ric = cone.ricci(y)
-        rad_resid = max(rad_resid, float(np.max(np.abs(ric @ (K.J @ y)))))
-
-    # (d) frame-sum identity at quadrature nodes
     u, _ = L.nodes(resolution)
     frames = L.frames(u)
     f = nomizu_function(K)
     fvals = f.ambient(L.points(u))
+    op = f.operator.matrix
     frame_resid = 0.0
-    op = nomizu_operator(K, np.ones(d) / np.sqrt(d)).matrix
     for r in radii:
         scaled = r * frames
         sums = np.einsum(
@@ -197,19 +140,7 @@ def operator_identity_residuals(K, L, seed=0, samples=40, resolution=None,
             scaled @ K.J.T,
         )
         frame_resid = max(frame_resid, float(np.max(np.abs(sums + r**2 * fvals))))
-
-    return {
-        "div_constancy": div_spread,
-        "gradient_vs_curvature": grad_resid,
-        "radial_curvature": rad_resid,
-        "frame_sum": frame_resid,
-    }
-
-
-def nomizu_matrix_flat(K, point, cone):
-    """Matrix field of the corrected operator (constant for linear fields)."""
-    div_jk = cone.divergence(lambda y: K.J @ K(y), point)
-    return K.matrix + div_jk / (2.0 * K.n + 2.0) * K.J
+    return frame_resid
 
 
 def family_coincidence_residuals(X, L, resolution=None):
@@ -227,10 +158,8 @@ def family_coincidence_residuals(X, L, resolution=None):
     pts = L.points(u)
     cone_vals = f_cone.ambient(pts)
 
-    S = L.ambient
-    eta_vals = S.eta(pts, X(pts))
-    cone_obj = SphereCone(S)
-    div_jx = cone_obj.divergence(lambda y: K.J @ K(y), pts[0])
+    eta_vals = L.ambient.eta(pts, X(pts))
+    div_jx = f_cone.operator.div_jk
     resid_a = float(np.max(np.abs(cone_vals - eta_vals - div_jx / (2.0 * L.n + 2.0))))
 
     f_mom = moment_function(L, X, resolution)

@@ -159,6 +159,18 @@ MESH_RESOLUTIONS = {
 }
 
 
+def mesh_resolution(kind, resolution=None):
+    """The ``kind`` mesh resolution to use: the finest shipped one for
+    ``None``; a value outside ``MESH_RESOLUTIONS[kind]`` is a usage error."""
+    lo, hi = MESH_RESOLUTIONS[kind]
+    resolution = hi if resolution is None else int(resolution)
+    if not lo <= resolution <= hi:
+        raise UnsupportedError(
+            f"{kind} resolution {resolution} outside shipped range [{lo}, {hi}]"
+        )
+    return resolution
+
+
 class SpectralReport:
     """Discrete spectrum with multiplicity bookkeeping at a target."""
 
@@ -302,12 +314,7 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     above the ``2n + 2 = 6`` target (l = 2) without splitting one.
     """
     kind = _intrinsic_kind(L)
-    lo, hi = MESH_RESOLUTIONS[kind]
-    resolution = hi if resolution is None else int(resolution)
-    if not lo <= resolution <= hi:
-        raise UnsupportedError(
-            f"{kind} resolution {resolution} outside shipped range [{lo}, {hi}]"
-        )
+    resolution = mesh_resolution(kind, resolution)
     target = 2.0 * L.n + 2.0
     dim_g = (L.n + 1) ** 2
     bound = dim_g - L.n * (L.n + 1) // 2 - 1
@@ -369,18 +376,3 @@ def bound_check(report, min_separation=3.0):
     mult = report.multiplicity
     return BoundVerdict(mult >= report.bound, mult == report.bound, False, diag)
 
-
-def sphere_eigenvalue_note(n):
-    """Degree-one harmonic count on the round n-sphere.
-
-    The first nonzero eigenvalue of round S^n is n, carried by the
-    restrictions of the ambient linear coordinates; the computed
-    multiplicity is therefore n + 1.  A quoted count of n (n + 1) for
-    this eigenvalue is reported alongside for comparison, not adjudicated.
-    """
-    return {
-        "eigenvalue": float(n),
-        "computed_multiplicity": n + 1,
-        "quoted_multiplicity": n * (n + 1),
-        "agrees": n + 1 == n * (n + 1),
-    }

@@ -114,24 +114,14 @@ def test_criterion_4_nomizu_family():
     for name in BUILTINS:
         L = im.get_immersion(name)
         target = 2.0 * L.n + 2.0
-        S = L.ambient
-        rng = np.random.default_rng(2)
-        pts = [rng.uniform(0.5, 2.0) * S.random_point(rng) for _ in range(5)]
         for X in mo.algebra_basis(L.n):
             K = nz.ConeField.from_automorphism(X)
-            for y in pts:
-                alg = nz.nomizu_operator(K, y).residuals(K.J)
-                crit.check(f"{name} operator-skew", alg["skew"], 1e-8)
-                crit.check(f"{name} operator-J-commute", alg["j_commutes"], 1e-8)
-                crit.check(f"{name} operator-trace", alg["j_trace"], 1e-8)
-            ident = nz.operator_identity_residuals(K, L, radii=(0.5, 1.0, 2.0))
-            crit.check(f"{name} div-constancy", ident["div_constancy"], 1e-8)
-            crit.check(f"{name} frame-sum", ident["frame_sum"], 1e-7)
-            crit.check(
-                f"{name} radial-independence",
-                nz.radial_independence_residual(K, S.random_point(rng)),
-                1e-9,
-            )
+            alg = nz.nomizu_operator(K).residuals(K.J)
+            crit.check(f"{name} operator-skew", alg["skew"], 1e-8)
+            crit.check(f"{name} operator-J-commute", alg["j_commutes"], 1e-8)
+            crit.check(f"{name} operator-trace", alg["j_trace"], 1e-8)
+            frame_sum = nz.operator_identity_residuals(K, L, radii=(0.5, 1.0, 2.0))
+            crit.check(f"{name} frame-sum", frame_sum, 1e-7)
             res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target)
             if not res.degenerate:
                 crit.check(f"{name} eigen-residual", res.residual, 1e-5)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -67,12 +68,30 @@ class TestUsageErrors:
             ["--suite", "relation", "--resolution", "-8"],
             ["--suite", "legendrian-geometry", "--n", "5"],
             ["--suite", "relation", "--immersion", "clifford-torus-s5", "--n", "1"],
+            ["--suite", "sasaki-axioms", "--n", "0"],
+            ["--suite", "sasaki-axioms", "--n", "-1"],
+            ["--suite", "all", "--resolution", "128"],
         ],
-        ids=["zero-resolution", "negative-resolution", "n-selects-nothing", "n-contradicts-immersion"],
+        ids=[
+            "zero-resolution", "negative-resolution", "n-selects-nothing",
+            "n-contradicts-immersion", "zero-n", "negative-n", "resolution-outside-a-mesh-range",
+        ],
     )
     def test_meaningless_selection_exits_64(self, argv, capsys):
         assert main(argv) == 64
         assert "legspec: error:" in capsys.readouterr().err
+
+    def test_mesh_resolution_checked_before_compute(self, monkeypatch, capsys, tmp_path):
+        # 128 is a circle and a torus level but no icosphere level
+        solved = _count_calls(
+            monkeypatch, spc, "mesh_spectrum", lambda L, *args, **kwargs: L.name
+        )
+        assert main(["--suite", "spectrum", "--resolution", "128"]) == 64
+        assert "icosphere resolution 128 outside shipped range" in capsys.readouterr().err
+        assert not solved
+        argv = ["--suite", "spectrum", "--immersion", "clifford-torus-s5", "--resolution", "128"]
+        assert main(argv + ["--output", str(tmp_path / "torus.json")]) == 0
+        assert solved == {"clifford-torus-s5": 1}
 
     def test_sasaki_axioms_takes_any_dimension(self):
         assert SuiteConfig(suite="sasaki-axioms", n=5).selected_dimensions() == [5]
@@ -276,6 +295,20 @@ class TestSharedWork:
         )
         assert main(argv + ["--output", str(tmp_path / "out")]) == 0
         assert built and set(built.values()) == {1}
+
+    def test_nomizu_family_checks_legendrian_once_per_immersion(self, monkeypatch):
+        # count the Jacobian evaluations made by the Legendrian check
+        # itself, not by the frames of the same nodes
+        calls = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "jacobian_at",
+            lambda L, u: (L.name, sys._getframe(2).f_code.co_name),
+        )
+        assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
+        evaluations = {
+            name: count for (name, caller), count in calls.items()
+            if caller == "legendrian_residual"
+        }
+        assert evaluations == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
 
     def test_spectrum_csv_reuses_the_suite_spectrum(self, monkeypatch, tmp_path):
         solved = _count_calls(

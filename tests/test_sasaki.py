@@ -94,23 +94,12 @@ class TestEtaEinstein:
 
 
 class TestCone:
-    def test_metric_restriction_matches_base(self, sphere):
-        cone = sk.SphereCone(sphere)
-        samples = sk.sample_tangent_triples(sphere, 100, seed=10)
-        assert cone.restriction_residual(samples) <= 1e-12
-
     def test_connection_relations(self, sphere):
         cone = sk.SphereCone(sphere)
         samples = sk.sample_tangent_triples(sphere, 30, seed=11)
         res = cone.connection_relation_residuals(samples)
         assert res["radial_gradient"] <= 1e-8
         assert res["position_identity"] <= 1e-8
-
-    def test_flat_evaluator_ricci(self, sphere):
-        cone = sk.SphereCone(sphere)
-        rng = np.random.default_rng(12)
-        pts = [(sphere.random_point(rng), rng.uniform(0.5, 2.0)) for _ in range(5)]
-        assert sk.cone_ricci_flat(cone, pts) <= 1e-8
 
     def test_chart_cross_check(self, sphere):
         rng = np.random.default_rng(13)

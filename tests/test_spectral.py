@@ -252,15 +252,9 @@ class TestSpanAndNotes:
         rank = int(np.sum(svals > 1e-6 * svals[0]))
         assert rank == 5  # n (n + 3) / 2 at n = 2
 
-    def test_sphere_eigenvalue_note(self):
-        note = spc.sphere_eigenvalue_note(2)
-        assert note["computed_multiplicity"] == 3
-        assert note["quoted_multiplicity"] == 6
-        assert not note["agrees"]
-
-    def test_note_matches_mesh_spectrum_at_first_level(self):
-        # numerical confirmation: eigenvalue 2 on round S^2 has
-        # multiplicity 3, not 6
+    def test_first_mesh_cluster_of_round_sphere(self):
+        # eigenvalue 2 on round S^2 has multiplicity 3 (the restricted
+        # linear coordinates)
         rep = spc.mesh_spectrum(im.geodesic_sphere(2), 4)
         ev = rep.eigenvalues
         near2 = ev[(ev > 1.8) & (ev < 2.2)]
