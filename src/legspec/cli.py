@@ -99,8 +99,9 @@ def _moment_fields_csv(cfg):
     writer.writerow(["immersion", "basis_index", "generator", "node", "value"])
     for L in cfg.selected_immersions():
         u, _ = L.nodes(cfg.resolution)
-        for idx, X in enumerate(mo.algebra_basis(L.n)):
-            vals = cfg.moment_function(L, X, cfg.resolution).on_chart(u)
+        basis = mo.algebra_basis(L.n)
+        values = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution).on_chart(u)
+        for idx, (X, vals) in enumerate(zip(basis, values)):
             fixed = io.StringIO()
             csv.writer(fixed).writerow([L.name, idx, X.label])
             prefix = fixed.getvalue().removesuffix("\r\n")

@@ -191,12 +191,13 @@ class LegendrianImmersion:
         return np.sqrt(det)
 
     def integrate(self, f, resolution=None):
-        """Quadrature of a scalar field given on chart coordinates;
+        """Quadrature of a scalar field given on chart coordinates, over the
+        last (node) axis: values ``(k, N)`` give ``k`` integrals.
         ``sqrt det g`` at the nodes is cached per resolution."""
         res = self.resolve_resolution(resolution)
         u, w = self.nodes(res)
-        vals = f(u) if callable(f) else np.asarray(f, dtype=float)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), (len(u),))
+        vals = np.asarray(f(u) if callable(f) else f, dtype=float)
+        vals = np.broadcast_to(vals, vals.shape[:-1] + (len(u),))
         if not np.all(np.isfinite(vals)):
             raise EvaluationError(f"{self.name}: non-finite integrand at a node")
         key = ("sqrt_g", res)
@@ -204,7 +205,7 @@ class LegendrianImmersion:
             self._node_cache[key] = self.sqrt_det_metric(u)
         # the weights stay out of the cache: vals * (sqrt_g * w) rounds
         # differently from vals * sqrt_g * w
-        return float(np.sum(vals * self._node_cache[key] * w))
+        return np.sum(vals * self._node_cache[key] * w, axis=-1)
 
     def volume(self, resolution=None):
         vol = self.integrate(lambda u: np.ones(len(u)), resolution)
@@ -544,7 +545,8 @@ class NormalSplit:
 def normal_split(L, X, u):
     """Split ``X`` along ``L`` into tangent and normal parts at ``u``.
 
-    ``X`` maps ambient points to ambient vectors (vectorized).  Returns a
+    ``X`` maps ambient points to ambient vectors (vectorized; a stacked
+    field adds a leading generator axis to every part).  Returns a
     :class:`NormalSplit`; the 1-form uses the pointwise identity
     ``d eta(V, W) = <JV, W>`` valid for vectors tangent to the sphere.
     """

@@ -6,25 +6,33 @@ matrices commuting with ``J``.  The induced linear vector field
 ``x -> U x`` is tangent to the sphere, Killing, and preserves the contact
 form; the moment map pairs it with the Reeb direction,
 ``mu(x)(X) = <U x, J x> = eta_x(X_x)``.
+
+A field may also carry ``k`` generators at once, as a ``(k, d, d)``
+tensor: the family is a linear image of the algebra, so every evaluation
+broadcasts over that leading axis.  Values at ``N`` points then have
+shape ``(k, N)`` and node reductions run over ``axis=-1``; a single
+``(d, d)`` generator gives the unstacked shapes.
 """
 
 import numpy as np
 
 from .config import FD_FIELD
-from .errors import InvalidFieldError, InvalidPointError, QuadratureError
-from .sasaki import SphereSasaki, _bracket, _extend, _fd_dir
+from .errors import InvalidFieldError, InvalidPointError
+from .sasaki import _bracket, _extend, _fd_dir, complex_structure
 
 
 class AutomorphismField:
-    """A sphere automorphism generator as a linear vector field."""
+    """A sphere automorphism generator, or a ``(k, d, d)`` stack of them,
+    as a linear vector field."""
 
     def __init__(self, generator, n, label=""):
         U = np.asarray(generator, dtype=float)
         d = 2 * n + 2
-        if U.shape != (d, d):
+        if U.shape[-2:] != (d, d):
             raise InvalidFieldError(f"generator must be {d}x{d}")
-        J = SphereSasaki(n).J
-        if np.max(np.abs(U + U.T)) > 1e-12 or np.max(np.abs(U @ J - J @ U)) > 1e-12:
+        J = complex_structure(n)
+        if (np.max(np.abs(U + np.swapaxes(U, -1, -2))) > 1e-12
+                or np.max(np.abs(U @ J - J @ U)) > 1e-12):
             raise InvalidFieldError(
                 "generator must be skew-symmetric and commute with J"
             )
@@ -33,7 +41,7 @@ class AutomorphismField:
         self.label = label
 
     def __call__(self, points):
-        return np.asarray(points) @ self.generator.T
+        return np.asarray(points) @ np.swapaxes(self.generator, -1, -2)
 
     def __repr__(self):
         return f"AutomorphismField({self.label or 'unlabeled'}, n={self.n})"
@@ -73,6 +81,13 @@ def algebra_basis(n):
     return basis
 
 
+def stack_fields(fields, label):
+    """The generators of ``fields`` as one field over a leading axis, so
+    that each evaluation covers all of them; ``label`` names the stack
+    (``u(n+1)`` for ``algebra_basis``, ``su(n+1)`` for ``traceless_basis``)."""
+    return AutomorphismField(np.stack([X.generator for X in fields]), fields[0].n, label)
+
+
 def traceless_basis(n):
     """Basis of the traceless subalgebra (su-type): diagonal differences
     replace the diagonal generators."""
@@ -97,13 +112,12 @@ def reeb_generator(n):
 
 
 def moment(x, X):
-    """Contact moment pairing ``<U x, J x>`` at a unit ambient point."""
+    """Contact moment pairing ``<U x, J x>`` at unit ambient points."""
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=-1)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise InvalidPointError("moment map requires unit points")
-    S = SphereSasaki(X.n)
-    return np.einsum("...i,...i->...", X(x), S.apply_J(x))
+    return np.einsum("...i,...i->...", X(x), x @ complex_structure(X.n).T)
 
 
 class MomentFunction:
@@ -111,18 +125,21 @@ class MomentFunction:
 
     ``ambient`` evaluates the radially constant extension at arbitrary
     nonzero ambient points; ``on_chart`` evaluates at chart coordinates.
-    ``mean_value`` is the quadrature mean that was subtracted.
+    ``mean_value`` is the quadrature mean that was subtracted, one per
+    generator of a stacked field.
     """
 
     def __init__(self, immersion, generator, mean_value):
         self.immersion = immersion
         self.generator = generator
-        self.mean_value = float(mean_value)
+        self.mean_value = mean_value
 
     def ambient(self, y):
         y = np.asarray(y, dtype=float)
         xhat = y / np.linalg.norm(y, axis=-1, keepdims=True)
-        return moment(xhat, self.generator) - self.mean_value
+        # one mean per generator, broadcast over the point axes
+        mean = np.reshape(self.mean_value, np.shape(self.mean_value) + (1,) * (xhat.ndim - 1))
+        return moment(xhat, self.generator) - mean
 
     def on_chart(self, u):
         return self.ambient(self.immersion.points(u))
@@ -135,8 +152,6 @@ class MomentFunction:
 def moment_function(L, X, resolution=None):
     """Moment-map function on ``L`` with its quadrature mean removed."""
     vol = L.volume(resolution)
-    if vol <= 0.0:
-        raise QuadratureError("zero volume")
     raw = lambda u: moment(L.points(u), X)
     mean = L.integrate(raw, resolution) / vol
     return MomentFunction(L, X, mean)

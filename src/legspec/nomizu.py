@@ -12,13 +12,17 @@ cone point, and the associated operator
 constant matrix.  It is skew, commutes with ``J`` and has
 ``trace(J op) = 0``; pairing it radially, ``f(x) = <op x, J x>``,
 produces the second eigenfunction family.
+
+Like ``moment.AutomorphismField``, a cone field may stack ``k`` matrices
+as ``(k, d, d)``; operators, functions and residuals then carry the same
+leading axis.
 """
 
 import numpy as np
 
 from .errors import InvalidFieldError, PreconditionError
-from .sasaki import SphereSasaki
 from .moment import moment_function
+from .sasaki import complex_structure
 
 
 class ConeField:
@@ -27,12 +31,12 @@ class ConeField:
     def __init__(self, matrix, n, label=""):
         M = np.asarray(matrix, dtype=float)
         d = 2 * n + 2
-        if M.shape != (d, d):
+        if M.shape[-2:] != (d, d):
             raise InvalidFieldError(f"cone field matrix must be {d}x{d}")
         self.matrix = M
         self.n = n
         self.label = label
-        self.J = SphereSasaki(n).J
+        self.J = complex_structure(n)
 
     @classmethod
     def from_automorphism(cls, X):
@@ -41,16 +45,17 @@ class ConeField:
         return cls(X.generator, X.n, X.label)
 
     def __call__(self, y):
-        return np.asarray(y) @ self.matrix.T
+        return np.asarray(y) @ np.swapaxes(self.matrix, -1, -2)
 
 
 def cone_field_residuals(K):
     """Killing and holomorphy residuals of a linear field: its gradient
     ``M`` is skew (``max|M + M^T|``) and commutes with ``J``
-    (``max|MJ - JM|``), exactly and at every cone point."""
+    (``max|MJ - JM|``), exactly and at every cone point; a stacked field
+    reports the worst of its matrices."""
     M = K.matrix
     return {
-        "killing": float(np.max(np.abs(M + M.T))),
+        "killing": float(np.max(np.abs(M + np.swapaxes(M, -1, -2)))),
         "holomorphic": float(np.max(np.abs(M @ K.J - K.J @ M))),
     }
 
@@ -65,9 +70,9 @@ class NomizuOperator:
     def residuals(self, J):
         M = self.matrix
         return {
-            "skew": float(np.max(np.abs(M + M.T))),
+            "skew": float(np.max(np.abs(M + np.swapaxes(M, -1, -2)))),
             "j_commutes": float(np.max(np.abs(M @ J - J @ M))),
-            "j_trace": abs(float(np.trace(J @ M))),
+            "j_trace": float(np.max(np.abs(np.trace(J @ M, axis1=-2, axis2=-1)))),
         }
 
 
@@ -81,8 +86,8 @@ def nomizu_operator(K, tol=1e-6):
     res = cone_field_residuals(K)
     if max(res.values()) > tol:
         raise InvalidFieldError(f"cone field fails Killing/holomorphy check: {res}")
-    div_jk = float(np.trace(K.J @ K.matrix))
-    matrix = K.matrix + div_jk / (2.0 * K.n + 2.0) * K.J
+    div_jk = np.trace(K.J @ K.matrix, axis1=-2, axis2=-1)
+    matrix = K.matrix + np.expand_dims(div_jk / (2.0 * K.n + 2.0), (-2, -1)) * K.J
     return NomizuOperator(matrix, div_jk)
 
 
@@ -101,7 +106,8 @@ class NomizuFunction:
         y = np.asarray(y, dtype=float)
         xhat = y / np.linalg.norm(y, axis=-1, keepdims=True)
         jx = xhat @ self.cone_field.J.T
-        return np.einsum("...i,...i->...", xhat @ self.operator.matrix.T, jx)
+        op_x = xhat @ np.swapaxes(self.operator.matrix, -1, -2)
+        return np.einsum("...i,...i->...", op_x, jx)
 
     def __call__(self, x, r=1.0):
         return self.ambient(float(r) * np.asarray(x, dtype=float))
@@ -119,8 +125,9 @@ def operator_identity_residuals(K, L, resolution=None, radii=(0.5, 1.0, 2.0),
         max | sum_i <op (r e_i), J (r e_i)> + r^2 f |
 
     over quadrature nodes, orthonormal tangent frames ``e_i`` and the
-    given radii.  It holds only for Legendrian ``L``, which is checked
-    first (``PreconditionError`` otherwise).
+    given radii, one value per generator of a stacked field.  It holds
+    only for Legendrian ``L``, which is checked first
+    (``PreconditionError`` otherwise).
     """
     if L.legendrian_residual(resolution) > legendrian_tol:
         raise PreconditionError(
@@ -130,16 +137,17 @@ def operator_identity_residuals(K, L, resolution=None, radii=(0.5, 1.0, 2.0),
     frames = L.frames(u)
     f = nomizu_function(K)
     fvals = f.ambient(L.points(u))
-    op = f.operator.matrix
+    # (..., 1, d, d): each operator acts on the (N, n, d) frames of all nodes
+    op = np.expand_dims(np.swapaxes(f.operator.matrix, -1, -2), -3)
     frame_resid = 0.0
     for r in radii:
         scaled = r * frames
         sums = np.einsum(
             "...ka,...ka->...",
-            scaled @ op.T,
+            scaled @ op,
             scaled @ K.J.T,
         )
-        frame_resid = max(frame_resid, float(np.max(np.abs(sums + r**2 * fvals))))
+        frame_resid = np.maximum(frame_resid, np.max(np.abs(sums + r**2 * fvals), axis=-1))
     return frame_resid
 
 
@@ -147,7 +155,8 @@ def family_coincidence_residuals(X, L, resolution=None):
     """Pointwise comparison of the two function families for a sphere
     automorphism ``X`` along ``L``.
 
-    Returns the max over quadrature nodes of
+    Returns the max over quadrature nodes, per generator of a stacked
+    field, of
 
     * ``vs_contact_plus_trace`` -- |f - eta(X) - div(JX)/(2n+2)|;
     * ``vs_moment_family``      -- |f - (eta(X) - mean eta(X))|.
@@ -159,9 +168,9 @@ def family_coincidence_residuals(X, L, resolution=None):
     cone_vals = f_cone.ambient(pts)
 
     eta_vals = L.ambient.eta(pts, X(pts))
-    div_jx = f_cone.operator.div_jk
-    resid_a = float(np.max(np.abs(cone_vals - eta_vals - div_jx / (2.0 * L.n + 2.0))))
+    trace_term = np.expand_dims(f_cone.operator.div_jk / (2.0 * L.n + 2.0), -1)
+    resid_a = np.max(np.abs(cone_vals - eta_vals - trace_term), axis=-1)
 
     f_mom = moment_function(L, X, resolution)
-    resid_b = float(np.max(np.abs(cone_vals - f_mom.on_chart(u))))
+    resid_b = np.max(np.abs(cone_vals - f_mom.on_chart(u)), axis=-1)
     return {"vs_contact_plus_trace": resid_a, "vs_moment_family": resid_b}

@@ -148,36 +148,6 @@ def christoffel(chart, u, h=FD_FIRST):
     return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
 
-def covariant_hessian(chart, f, u, gradient=None, h1=FD_FIRST, h2=FD_SECOND):
-    """Covariant Hessian of a scalar field: d_i d_j f - Gamma^k_ij d_k f."""
-    u = np.asarray(u, dtype=float)
-    dim = chart.dim
-    if gradient is not None:
-        grad = np.asarray(gradient(u), dtype=float)
-    else:
-        grad = np.empty(dim)
-        for k in range(dim):
-            e = np.zeros(dim)
-            e[k] = h1
-            grad[k] = (f(u + e) - f(u - e)) / (2.0 * h1)
-    hess = np.empty((dim, dim))
-    f0 = f(u)
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h2
-        hess[i, i] = (f(u + ei) - 2.0 * f0 + f(u - ei)) / h2**2
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = h2
-            mixed = (
-                f(u + ei + ej) - f(u + ei - ej) - f(u - ei + ej) + f(u - ei - ej)
-            ) / (4.0 * h2**2)
-            hess[i, j] = mixed
-            hess[j, i] = mixed
-    gamma = christoffel(chart, u, h=h1)
-    return hess - np.einsum("kij,k->ij", gamma, grad)
-
-
 def riemann_ricci(chart, u, h1=FD_FIRST, h2=FD_SECOND):
     """Riemann (3,1)-tensor and Ricci tensor from Christoffel derivatives."""
     if h2 < 1e-8 or h1 < 1e-8:
@@ -203,19 +173,6 @@ def riemann_ricci(chart, u, h1=FD_FIRST, h2=FD_SECOND):
     ricci = np.einsum("aija->ij", riemann)
     ricci = 0.5 * (ricci + ricci.T)
     return CurvatureData(u, gamma, riemann, ricci)
-
-
-def divergence(chart, V, u, h=FD_FIRST):
-    """Divergence of a coordinate vector field: d_i V^i + Gamma^i_ik V^k."""
-    u = np.asarray(u, dtype=float)
-    dim = chart.dim
-    dv = 0.0
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        dv += (V(u + e)[i] - V(u - e)[i]) / (2.0 * h)
-    gamma = christoffel(chart, u, h=h)
-    return float(dv + np.einsum("iik,k->", gamma, np.asarray(V(u), dtype=float)))
 
 
 def metric_compatibility_residual(chart, u, h=FD_FIRST):

@@ -11,6 +11,9 @@ Two independent routes to the same operator:
 
 Both use the nonnegative sign convention: the spectrum of the round
 circle is ``k^2``, of the round 2-sphere ``l (l + 1)``.
+
+The pointwise functions accept a function family stacked over a leading
+axis (values ``(k, N)``, see ``moment``) and reduce over nodes only.
 """
 
 import numpy as np
@@ -19,7 +22,6 @@ import scipy.sparse.linalg as spla
 from .config import FD_LAPLACIAN
 from .errors import PreconditionError, UnsupportedError
 from .icosphere import cotangent_laplacian, icosphere, nested_dissection
-from .immersions import shape_operator
 
 
 # ---------------------------------------------------------------------------
@@ -42,69 +44,32 @@ def _minimality_check(L, tol):
     if worst > tol:
         raise PreconditionError(
             f"{L.name}: mean-curvature residual {worst:.2e} exceeds {tol:.1e}; "
-            "use include_mean_curvature=True for non-minimal immersions"
+            "the frame-trace Laplacian holds only for minimal immersions"
         )
 
 
-def extrinsic_laplacian(L, f, u, h=FD_LAPLACIAN, include_mean_curvature=False,
-                        minimality_tol=1e-6):
+def extrinsic_laplacian(L, f, u, h=FD_LAPLACIAN, minimality_tol=1e-6):
     """Laplacian of an ambient scalar field along ``L`` at chart points.
 
     ``f`` maps ambient points to scalars, vectorized, and must not depend
-    on the radius (compose with ``y -> y/|y|`` to enforce this).  For
-    minimal immersions the value is ``-sum_i Hess f(e_i, e_i)`` along
-    straight ambient lines through each frame direction.  With
-    ``include_mean_curvature=True`` the Hessian is taken along great
-    circles of the sphere and the mean-curvature derivative term is
-    added, which is valid for arbitrary immersions.
+    on the radius (compose with ``y -> y/|y|`` to enforce this).  ``L``
+    must be minimal (checked first): the value is then
+    ``-sum_i Hess f(e_i, e_i)`` along straight ambient lines through each
+    frame direction.
     """
     u = np.asarray(u, dtype=float)
     x = L.points(u)
-    if include_mean_curvature:
-        sd = shape_operator(L, u)
-        frame = sd.frame
-    else:
-        _minimality_check(L, minimality_tol)
-        frame = L.frames(u)
-
+    _minimality_check(L, minimality_tol)
+    frame = L.frames(u)
     total = np.zeros(x.shape[:-1])
     for i in range(L.n):
-        e = frame[..., i, :]
-        if include_mean_curvature:
-            # second derivative along the great circle tangent to e
-            def F_arc(t):
-                return f(np.cos(t) * x + np.sin(t) * e)
-
-            val = (
-                -F_arc(2.0 * h)
-                + 16.0 * F_arc(h)
-                - 30.0 * F_arc(0.0)
-                + 16.0 * F_arc(-h)
-                - F_arc(-2.0 * h)
-            ) / (12.0 * h**2)
-        else:
-            val = _directional_second(f, x, e, h)
-        total = total + val
-    result = -total
-    if include_mean_curvature:
-        H = sd.mean_curvature
-        hnorm = np.linalg.norm(H, axis=-1)
-        # derivative of f along H via the projected curve through x
-        safe = np.where(hnorm > 1e-14, hnorm, 1.0)
-        direction = H / safe[..., None]
-        step = 1e-6
-
-        def on_sphere(t):
-            y = x + t * direction
-            return f(y / np.linalg.norm(y, axis=-1, keepdims=True))
-
-        df = (on_sphere(step) - on_sphere(-step)) / (2.0 * step)
-        result = result - np.where(hnorm > 1e-14, hnorm * df, 0.0)
-    return result
+        total = total + _directional_second(f, x, frame[..., i, :], h)
+    return -total
 
 
 class EigenResidual:
-    """Relative residual of the eigen-equation for one function."""
+    """Relative residual of the eigen-equation, one entry per function of
+    a stacked family."""
 
     def __init__(self, residual, degenerate, sup_norm):
         self.residual = residual
@@ -112,19 +77,22 @@ class EigenResidual:
         self.sup_norm = sup_norm
 
 
-def eigen_residual(L, f, eigenvalue, resolution=None, zero_tol=1e-12, **kwargs):
+def eigen_residual(L, f, eigenvalue, resolution=None, zero_tol=1e-12):
     """max |Lap f - lambda f| / max |f| over quadrature nodes.
 
-    The zero function is reported as residual 0 with ``degenerate`` set.
+    A zero function is reported as residual 0 with ``degenerate`` set;
+    the Laplacian is skipped only when every function is zero.
     """
     u, _ = L.nodes(resolution)
     fvals = f(L.points(u))
-    sup = float(np.max(np.abs(fvals)))
-    if sup <= zero_tol:
-        return EigenResidual(0.0, True, sup)
-    lap = extrinsic_laplacian(L, f, u, **kwargs)
-    res = float(np.max(np.abs(lap - eigenvalue * fvals))) / sup
-    return EigenResidual(res, False, sup)
+    sup = np.max(np.abs(fvals), axis=-1)
+    degenerate = sup <= zero_tol
+    if np.all(degenerate):
+        return EigenResidual(np.zeros_like(sup), degenerate, sup)
+    lap = extrinsic_laplacian(L, f, u)
+    worst = np.max(np.abs(lap - eigenvalue * fvals), axis=-1)
+    res = np.where(degenerate, 0.0, worst / np.where(degenerate, 1.0, sup))
+    return EigenResidual(res, degenerate, sup)
 
 
 def rayleigh_quotient(L, f, resolution=None, h=1e-5):
@@ -134,11 +102,11 @@ def rayleigh_quotient(L, f, resolution=None, h=1e-5):
     metric; an eigensolver-free check of the eigenvalue.
     """
     u, _ = L.nodes(resolution)
-    k = u.shape[-1]
+    dim = u.shape[-1]
     fvals = f(L.points(u))
-    grad = np.empty(u.shape)
-    for a in range(k):
-        e = np.zeros(k)
+    grad = np.empty(fvals.shape + (dim,))
+    for a in range(dim):
+        e = np.zeros(dim)
         e[a] = h
         grad[..., a] = (f(L.points(u + e)) - f(L.points(u - e))) / (2.0 * h)
     ginv = np.linalg.inv(L.induced_metric(u))
@@ -261,24 +229,25 @@ def _fd_symbol_torus(L, N):
 
 
 def apply_mesh_operator(L, grid_values):
-    """Apply the intrinsic stencil to sampled grid values (circle/torus)."""
+    """Apply the intrinsic stencil to sampled grid values (circle/torus),
+    the grid being the trailing one (circle) or two (torus) axes."""
     kind = _intrinsic_kind(L)
     v = np.asarray(grid_values, dtype=float)
     if kind == "circle":
         g = L.induced_metric(np.zeros(1))[0, 0]
-        h = 2.0 * np.pi / v.shape[0] * np.sqrt(g)
-        return (2.0 * v - np.roll(v, 1) - np.roll(v, -1)) / h**2
+        h = 2.0 * np.pi / v.shape[-1] * np.sqrt(g)
+        return (2.0 * v - np.roll(v, 1, -1) - np.roll(v, -1, -1)) / h**2
     if kind == "torus":
         ginv = np.linalg.inv(L.induced_metric(np.zeros(2)))
         a, b, c = ginv[0, 0], ginv[1, 1], ginv[0, 1]
-        h = 2.0 * np.pi / v.shape[0]
-        d_uu = (np.roll(v, 1, 0) - 2.0 * v + np.roll(v, -1, 0)) / h**2
-        d_vv = (np.roll(v, 1, 1) - 2.0 * v + np.roll(v, -1, 1)) / h**2
+        h = 2.0 * np.pi / v.shape[-1]
+        d_uu = (np.roll(v, 1, -2) - 2.0 * v + np.roll(v, -1, -2)) / h**2
+        d_vv = (np.roll(v, 1, -1) - 2.0 * v + np.roll(v, -1, -1)) / h**2
         d_uv = (
-            np.roll(np.roll(v, -1, 0), -1, 1)
-            - np.roll(np.roll(v, -1, 0), 1, 1)
-            - np.roll(np.roll(v, 1, 0), -1, 1)
-            + np.roll(np.roll(v, 1, 0), 1, 1)
+            np.roll(np.roll(v, -1, -2), -1, -1)
+            - np.roll(np.roll(v, -1, -2), 1, -1)
+            - np.roll(np.roll(v, 1, -2), -1, -1)
+            + np.roll(np.roll(v, 1, -2), 1, -1)
         ) / (4.0 * h**2)
         return -(a * d_uu + 2.0 * c * d_uv + b * d_vv)
     raise UnsupportedError("stencil application covers circle and torus grids")

@@ -115,9 +115,7 @@ class SuiteConfig:
     def selected_dimensions(self):
         if self.n is not None:
             return [self.n]
-        if self.immersion is not None:
-            return [self.selected_immersions()[0].n]
-        return [1, 2]
+        return sorted({L.n for L in self.selected_immersions()})
 
     def mesh_spectrum(self, L):
         """Mesh spectrum of ``L`` at the configured resolution (default the
@@ -241,16 +239,14 @@ def legendrian_geometry_records(cfg):
                 tol.frame_orthonormality,
             )
         )
-        worst = 0.0
-        for X in mo.algebra_basis(L.n)[: L.n + 2]:
-            split = im.normal_split(L, X, u)
-            rebuilt = im.normal_from_split(L, u, split.reeb_component, split.one_form)
-            worst = max(worst, float(np.max(np.linalg.norm(rebuilt - split.normal, axis=-1))))
+        first = mo.stack_fields(mo.algebra_basis(L.n)[: L.n + 2], "u(n+1)[:n+2]")
+        split = im.normal_split(L, first, u)
+        rebuilt = im.normal_from_split(L, u, split.reeb_component, split.one_form)
         records.append(
             rp.residual_record(
                 f"{L.name}: normal-split roundtrip",
                 "normal-bundle-isomorphism",
-                worst,
+                np.max(np.linalg.norm(rebuilt - split.normal, axis=-1)),
                 tol.chi_roundtrip,
             )
         )
@@ -265,7 +261,7 @@ def legendrian_geometry_records(cfg):
 def moment_family_records(cfg):
     tol = cfg.tolerances
     records = []
-    for n in sorted({L.n for L in cfg.selected_immersions()}):
+    for n in cfg.selected_dimensions():
         S = sk.SphereSasaki(n)
         samples = sk.sample_tangent_triples(S, 10, seed=cfg.seed)
         worst_killing = 0.0
@@ -283,37 +279,41 @@ def moment_family_records(cfg):
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
         vol = L.volume(cfg.resolution)
-        for idx, X in enumerate(mo.algebra_basis(L.n)):
-            f = cfg.moment_function(L, X, cfg.resolution)
+        basis = mo.algebra_basis(L.n)
+        algebra = mo.stack_fields(basis, "u(n+1)")
+        f = cfg.moment_function(L, algebra, cfg.resolution)
+        try:
+            res = spc.eigen_residual(L, f.ambient, target, cfg.resolution)
+        except PreconditionError as exc:
+            res = exc
+        mean_resid = np.abs(L.integrate(f.on_chart, cfg.resolution)) / vol
+        for idx, X in enumerate(basis):
             name = f"{L.name}: eigen-residual basis[{idx}] {X.label}"
-            try:
-                res = spc.eigen_residual(L, f.ambient, target, cfg.resolution)
-            except PreconditionError as exc:
-                records.append(_inconclusive(name, "moment-family-eigenvalue", exc))
+            if isinstance(res, PreconditionError):
+                records.append(_inconclusive(name, "moment-family-eigenvalue", res))
             else:
                 records.append(
                     rp.residual_record(
                         name,
                         "moment-family-eigenvalue",
-                        res.residual,
+                        res.residual[idx],
                         tol.eigen_residual,
-                        degenerate=res.degenerate,
+                        degenerate=res.degenerate[idx],
                     )
                 )
-            mean_resid = abs(L.integrate(f.on_chart, cfg.resolution)) / vol
             records.append(
                 rp.residual_record(
                     f"{L.name}: mean-zero basis[{idx}]",
                     "mean-free-normalization",
-                    mean_resid,
+                    mean_resid[idx],
                     tol.mean_zero,
                 )
             )
         if L.totally_geodesic:
             u, _ = L.nodes(cfg.resolution)
             sel = u[:: max(1, len(u) // 40)]
-            rows = [im.normal_split(L, X, sel).normal.ravel() for X in mo.algebra_basis(L.n)]
-            svals = np.linalg.svd(np.array(rows), compute_uv=False)
+            normal = im.normal_split(L, algebra, sel).normal
+            svals = np.linalg.svd(normal.reshape(len(basis), -1), compute_uv=False)
             rank = int(np.sum(svals > 1e-8 * svals[0]))
             expected = (L.n + 1) ** 2 - L.n * (L.n + 1) // 2
             records.append(
@@ -332,7 +332,7 @@ def nomizu_family_records(cfg):
     records = []
     # the operator of a linear cone field is one matrix: its algebra
     # depends on the generator alone, not on the immersion
-    for n in sorted({L.n for L in cfg.selected_immersions()}):
+    for n in cfg.selected_dimensions():
         for idx, X in enumerate(mo.algebra_basis(n)):
             K = nz.ConeField.from_automorphism(X)
             records.append(
@@ -345,38 +345,39 @@ def nomizu_family_records(cfg):
             )
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
-        for idx, X in enumerate(mo.algebra_basis(L.n)):
-            K = nz.ConeField.from_automorphism(X)
-            try:
-                frame_sum = nz.operator_identity_residuals(
-                    K, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian
+        basis = mo.algebra_basis(L.n)
+        K = nz.ConeField.from_automorphism(mo.stack_fields(basis, "u(n+1)"))
+        try:
+            frame_sum = nz.operator_identity_residuals(
+                K, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian
+            )
+        except PreconditionError as exc:
+            records.extend(
+                _inconclusive(
+                    f"{L.name}: operator identities basis[{idx}]",
+                    "frame-sum-identity",
+                    exc,
                 )
-            except PreconditionError as exc:
-                records.append(
-                    _inconclusive(
-                        f"{L.name}: operator identities basis[{idx}]",
-                        "frame-sum-identity",
-                        exc,
-                    )
-                )
-                continue
+                for idx in range(len(basis))
+            )
+            continue
+        res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target, cfg.resolution)
+        for idx, X in enumerate(basis):
             records.append(
                 rp.residual_record(
                     f"{L.name}: frame-sum identity basis[{idx}]",
                     "frame-sum-identity",
-                    frame_sum,
+                    frame_sum[idx],
                     tol.frame_sum_identity,
                 )
             )
-            f = nz.nomizu_function(K)
-            res = spc.eigen_residual(L, f.ambient, target, cfg.resolution)
             records.append(
                 rp.residual_record(
                     f"{L.name}: eigen-residual basis[{idx}] {X.label}",
                     "cone-family-eigenvalue",
-                    res.residual,
+                    res.residual[idx],
                     tol.eigen_residual,
-                    degenerate=res.degenerate,
+                    degenerate=res.degenerate[idx],
                 )
             )
     return records
@@ -387,16 +388,13 @@ def relation_records(cfg):
     records = []
     for L in cfg.selected_immersions():
         vol = L.volume(cfg.resolution)
-        worst_a = worst_b = 0.0
-        for X in mo.algebra_basis(L.n):
-            res = nz.family_coincidence_residuals(X, L, cfg.resolution)
-            worst_a = max(worst_a, res["vs_contact_plus_trace"])
-            worst_b = max(worst_b, res["vs_moment_family"])
+        algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
+        res = nz.family_coincidence_residuals(algebra, L, cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: cone function vs contact pairing + trace term",
                 "families-coincide",
-                worst_a,
+                np.max(res["vs_contact_plus_trace"]),
                 tol.family_coincidence,
             )
         )
@@ -404,19 +402,17 @@ def relation_records(cfg):
             rp.residual_record(
                 f"{L.name}: cone family vs moment family",
                 "families-coincide",
-                worst_b,
+                np.max(res["vs_moment_family"]),
                 tol.family_coincidence,
             )
         )
-        worst_int = 0.0
-        for X in mo.traceless_basis(L.n):
-            val = abs(L.integrate(lambda u: mo.moment(L.points(u), X), cfg.resolution))
-            worst_int = max(worst_int, val / vol)
+        traceless = mo.stack_fields(mo.traceless_basis(L.n), "su(n+1)")
+        integrals = L.integrate(lambda u: mo.moment(L.points(u), traceless), cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: traceless contact integrals",
                 "contact-integral-vanishes",
-                worst_int,
+                np.max(np.abs(integrals) / vol),
                 tol.mean_zero,
             )
         )
@@ -437,12 +433,14 @@ def spectrum_records(cfg):
             )
             continue
         report = cfg.mesh_spectrum(L)
-        report.residuals = {}
-        for idx, X in enumerate(mo.algebra_basis(L.n)):
-            f = cfg.moment_function(L, X)
-            er = spc.eigen_residual(L, f.ambient, report.target)
-            if not er.degenerate:
-                report.residuals[f"basis[{idx}] {X.label}"] = er.residual
+        basis = mo.algebra_basis(L.n)
+        f = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"))
+        er = spc.eigen_residual(L, f.ambient, report.target)
+        report.residuals = {
+            f"basis[{idx}] {X.label}": float(er.residual[idx])
+            for idx, X in enumerate(basis)
+            if not er.degenerate[idx]
+        }
         verdict = spc.bound_check(report, min_separation=tol.cluster_separation)
         records.append(
             rp.count_record(
@@ -498,28 +496,20 @@ def spectrum_records(cfg):
     # cross-pipeline agreement and Rayleigh checks
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
+        algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
         if L.discretizer in ("circle", "torus"):
             res = 256 if L.n == 1 else 64
 
             def family_disagreement(r2):
                 u2, _ = L.nodes(r2)
-                shape = L.domain.grid_shape(r2)
-                worst = 0.0
-                for X in mo.algebra_basis(L.n):
-                    f = cfg.moment_function(L, X, r2)
-                    fv = f.on_chart(u2)
-                    if np.max(np.abs(fv)) <= tol.zero_function:
-                        continue
-                    mesh_vals = spc.apply_mesh_operator(L, fv.reshape(shape))
-                    ext_vals = spc.extrinsic_laplacian(L, f.ambient, u2).reshape(shape)
-                    worst = max(
-                        worst,
-                        float(
-                            np.max(np.abs(mesh_vals - ext_vals))
-                            / np.max(np.abs(ext_vals))
-                        ),
-                    )
-                return worst
+                f = cfg.moment_function(L, algebra, r2)
+                fv = f.on_chart(u2)
+                keep = np.max(np.abs(fv), axis=-1) > tol.zero_function
+                ext_vals = spc.extrinsic_laplacian(L, f.ambient, u2)[keep]
+                grid = fv[keep].reshape((-1,) + L.domain.grid_shape(r2))
+                mesh_vals = spc.apply_mesh_operator(L, grid).reshape(ext_vals.shape)
+                worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)
+                return float(np.max(worst / np.max(np.abs(ext_vals), axis=-1), initial=0.0))
 
             errs = [family_disagreement(r2) for r2 in (res // 2, res, 2 * res)]
             records.append(
@@ -541,18 +531,14 @@ def spectrum_records(cfg):
                     rp.PASS if order >= 1.8 else rp.FAIL,
                 )
             )
-        worst_q = 0.0
-        for X in mo.algebra_basis(L.n):
-            f = cfg.moment_function(L, X, cfg.resolution)
-            if np.max(np.abs(f.values(cfg.resolution))) <= tol.zero_function:
-                continue
-            q = spc.rayleigh_quotient(L, f.ambient, cfg.resolution)
-            worst_q = max(worst_q, abs(q - target) / target)
+        f = cfg.moment_function(L, algebra, cfg.resolution)
+        keep = np.max(np.abs(f.values(cfg.resolution)), axis=-1) > tol.zero_function
+        q = spc.rayleigh_quotient(L, lambda y: f.ambient(y)[keep], cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: Rayleigh quotients",
                 "rayleigh-quotient",
-                worst_q,
+                np.max(np.abs(q - target) / target, initial=0.0),
                 tol.rayleigh,
             )
         )

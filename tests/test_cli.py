@@ -11,6 +11,7 @@ import pytest
 
 from legspec import immersions as im
 from legspec import moment as mo
+from legspec import sasaki as sk
 from legspec import spectral as spc
 from legspec.cli import _moment_fields_csv, main
 from legspec.suites import (
@@ -95,6 +96,16 @@ class TestUsageErrors:
 
     def test_sasaki_axioms_takes_any_dimension(self):
         assert SuiteConfig(suite="sasaki-axioms", n=5).selected_dimensions() == [5]
+
+    def test_sasaki_axioms_follow_the_selected_immersions(self):
+        # geodesic-sphere-n3 is selected by default, so S^7 is checked too
+        cfg = SuiteConfig(suite="sasaki-axioms")
+        assert cfg.selected_dimensions() == [1, 2, 3]
+        s7 = [r for r in run_suite(cfg).records if r.name.startswith("s7:")]
+        assert len(s7) == 9
+        assert {r.status for r in s7} == {"pass"}
+        narrowed = SuiteConfig(suite="sasaki-axioms", immersion="clifford-torus-s5")
+        assert narrowed.selected_dimensions() == [2]
 
     def test_config_rejects_unknown_names_before_compute(self):
         with pytest.raises(UnsupportedError):
@@ -309,6 +320,24 @@ class TestSharedWork:
             if caller == "legendrian_residual"
         }
         assert evaluations == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
+
+    def test_nomizu_family_takes_frames_once_per_pass(self, monkeypatch):
+        # per immersion: the minimality precheck's shape operator, the
+        # frame-sum identity and the eigen-residual, each over the whole
+        # algebra at once
+        calls = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "frames", lambda L, u: L.name
+        )
+        assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
+        assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 3)
+
+    def test_moment_builds_no_sasaki_structure(self, monkeypatch):
+        L = im.clifford_torus()
+        pts = L.points(L.nodes(8)[0])
+        algebra = mo.stack_fields(mo.algebra_basis(2), "u(n+1)")
+        built = _count_calls(monkeypatch, sk.SphereSasaki, "__init__", lambda S, n: n)
+        assert mo.moment(pts, algebra).shape == (9, 64)
+        assert not built
 
     def test_spectrum_csv_reuses_the_suite_spectrum(self, monkeypatch, tmp_path):
         solved = _count_calls(

@@ -222,8 +222,9 @@ class TestSeededDefects:
 
     def test_trace_correction_over_2n(self, monkeypatch):
         def over_2n(K, tol=1e-6):
-            div_jk = float(np.trace(K.J @ K.matrix))
-            return nz.NomizuOperator(K.matrix + div_jk / (2.0 * K.n) * K.J, div_jk)
+            div_jk = np.trace(K.J @ K.matrix, axis1=-2, axis2=-1)
+            correction = np.expand_dims(div_jk / (2.0 * K.n), (-2, -1)) * K.J
+            return nz.NomizuOperator(K.matrix + correction, div_jk)
 
         monkeypatch.setattr(nz, "nomizu_operator", over_2n)
         assert {"cone-operator-algebra", "frame-sum-identity"} <= self.failing_anchors()

@@ -62,41 +62,6 @@ class TestChristoffel:
         assert err[0] / err[1] >= 3.0
 
 
-class TestHessian:
-    def test_linear_function_flat_chart(self):
-        chart = rm.constant_metric_chart(np.eye(2))
-        f = lambda u: 3.0 * u[0] - 2.0 * u[1]
-        assert_allclose(
-            rm.covariant_hessian(chart, f, np.array([0.3, 5.1])), 0.0, atol=1e-9
-        )
-
-    def test_constant_function(self):
-        chart = rm.sphere_polar_chart()
-        assert_allclose(
-            rm.covariant_hessian(chart, lambda u: 4.2, np.array([1.0, 1.0])),
-            0.0,
-            atol=1e-12,
-        )
-
-    def test_first_harmonic_on_s2(self):
-        # cos(theta) is a first spherical harmonic: Hess = -f g, so at
-        # theta = pi/4 the Hessian is diag(-sqrt(2)/2, -sqrt(2)/4)
-        chart = rm.sphere_polar_chart()
-        u = np.array([np.pi / 4, 0.3])
-        hess = rm.covariant_hessian(chart, lambda v: np.cos(v[0]), u)
-        expected = np.diag([-np.sqrt(2) / 2, -np.sqrt(2) / 4])
-        assert_allclose(hess, expected, atol=1e-6)
-        # same thing stated metric-style
-        assert_allclose(hess, -np.cos(u[0]) * chart.metric_at(u), atol=1e-6)
-
-    def test_symmetry(self):
-        chart = s3_graph_chart()
-        f = lambda u: np.sin(u[0]) * u[1] + u[2] ** 2
-        for u in chart.domain.sample(RNG, 5):
-            hess = rm.covariant_hessian(chart, f, u)
-            assert np.max(np.abs(hess - hess.T)) <= 1e-8
-
-
 class TestCurvature:
     def test_flat_chart(self):
         chart = rm.euclidean_chart(4)
@@ -128,31 +93,6 @@ class TestCurvature:
     def test_step_underflow_raises(self):
         with pytest.raises(ConfigurationError):
             rm.riemann_ricci(rm.sphere_polar_chart(), np.array([1.0, 1.0]), h2=1e-9)
-
-
-class TestDivergence:
-    def test_constant_field(self):
-        chart = rm.constant_metric_chart(np.eye(3))
-        V = lambda u: np.array([1.0, 2.0, -1.0])
-        assert_allclose(rm.divergence(chart, V, np.array([0.1, 0.2, 0.3])), 0.0, atol=1e-12)
-
-    def test_euler_field_1d(self):
-        chart = rm.euclidean_chart(1)
-        assert_allclose(
-            rm.divergence(chart, lambda u: np.array([u[0]]), np.array([0.7])),
-            1.0,
-            atol=1e-10,
-        )
-
-    def test_linear_field_trace(self):
-        chart = rm.euclidean_chart(4)
-        M = RNG.standard_normal((4, 4))
-        V = lambda u: M @ u
-        assert_allclose(
-            rm.divergence(chart, V, np.array([0.5, -0.2, 0.1, 1.0])),
-            np.trace(M),
-            atol=1e-8,
-        )
 
 
 REGISTERED_CHARTS = {

@@ -49,23 +49,6 @@ class TestExtrinsicLaplacian:
         with pytest.raises(PreconditionError):
             spc.extrinsic_laplacian(bad, lambda y: y[..., 0], bad.nodes()[0])
 
-    def test_mean_curvature_path_on_non_minimal_circle(self):
-        # latitude circle at angle a: plane circle of radius cos(a); the
-        # intrinsic Laplacian of f(t) = cos(t) pulled back is
-        # cos(t)/cos(a)^2
-        a = 0.5
-        bad = _latitude_circle(a)
-        u, _ = bad.nodes()
-
-        def f(y):
-            yhat = y / np.linalg.norm(y, axis=-1, keepdims=True)
-            return yhat[..., 0]
-
-        lap = spc.extrinsic_laplacian(bad, f, u, include_mean_curvature=True)
-        t = u[..., 0]
-        expected = np.cos(a) * np.cos(t) / np.cos(a) ** 2
-        assert np.max(np.abs(lap - expected)) <= 1e-5
-
 
 class TestEigenResidual:
     def test_zero_function_flagged_degenerate(self):

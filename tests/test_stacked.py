@@ -1,0 +1,87 @@
+"""Families over the stacked algebra: each row of a ``(k, d, d)`` field
+evaluation equals, bit for bit, the evaluation of that generator alone."""
+
+import numpy as np
+import pytest
+
+from legspec import immersions as im
+from legspec import moment as mo
+from legspec import nomizu as nz
+from legspec import spectral as spc
+from legspec.errors import InvalidFieldError
+
+IMMERSIONS = ["great-circle-s3", "geodesic-sphere-n2", "clifford-torus-s5", "geodesic-sphere-n3"]
+
+
+def same_bits(stacked, singles):
+    stacked = np.asarray(stacked)
+    singles = np.asarray(singles)
+    assert stacked.shape == singles.shape
+    assert stacked.tobytes() == singles.tobytes()
+
+
+@pytest.fixture(scope="module", params=IMMERSIONS)
+def case(request):
+    L = im.get_immersion(request.param)
+    basis = mo.algebra_basis(L.n)
+    return L, basis, mo.stack_fields(basis, "u(n+1)")
+
+
+def test_stack_keeps_generators_and_validates_all_of_them():
+    basis = mo.algebra_basis(2)
+    algebra = mo.stack_fields(basis, "u(n+1)")
+    assert algebra.generator.shape == (9, 6, 6)
+    broken = algebra.generator.copy()
+    broken[4, 0, 0] = 1.0  # one generator of nine no longer skew
+    with pytest.raises(InvalidFieldError):
+        mo.AutomorphismField(broken, 2)
+
+
+def test_integrate(case):
+    L, basis, algebra = case
+    f = mo.moment_function(L, algebra)
+    singles = [mo.moment_function(L, X) for X in basis]
+    same_bits(f.mean_value, [g.mean_value for g in singles])
+    same_bits(L.integrate(f.on_chart), [L.integrate(g.on_chart) for g in singles])
+
+
+def test_moment_eigen_residual(case):
+    L, basis, algebra = case
+    target = 2.0 * L.n + 2.0
+    res = spc.eigen_residual(L, mo.moment_function(L, algebra).ambient, target)
+    singles = [spc.eigen_residual(L, mo.moment_function(L, X).ambient, target) for X in basis]
+    same_bits(res.residual, [r.residual for r in singles])
+    same_bits(res.degenerate, [r.degenerate for r in singles])
+    same_bits(res.sup_norm, [r.sup_norm for r in singles])
+
+
+def test_cone_eigen_residual_and_operator_identities(case):
+    L, basis, algebra = case
+    target = 2.0 * L.n + 2.0
+    K = nz.ConeField.from_automorphism(algebra)
+    cones = [nz.ConeField.from_automorphism(X) for X in basis]
+    res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target)
+    singles = [spc.eigen_residual(L, nz.nomizu_function(C).ambient, target) for C in cones]
+    same_bits(res.residual, [r.residual for r in singles])
+    same_bits(nz.operator_identity_residuals(K, L),
+              [nz.operator_identity_residuals(C, L) for C in cones])
+
+
+def test_family_coincidence(case):
+    L, basis, algebra = case
+    res = nz.family_coincidence_residuals(algebra, L)
+    singles = [nz.family_coincidence_residuals(X, L) for X in basis]
+    for key in res:
+        same_bits(res[key], [r[key] for r in singles])
+
+
+def test_normal_split(case):
+    L, basis, algebra = case
+    u = L.nodes()[0][::7]
+    split = im.normal_split(L, algebra, u)
+    singles = [im.normal_split(L, X, u) for X in basis]
+    for part in ("tangent", "normal", "reeb_component", "one_form"):
+        same_bits(getattr(split, part), [getattr(s, part) for s in singles])
+    rebuilt = im.normal_from_split(L, u, split.reeb_component, split.one_form)
+    same_bits(rebuilt, [im.normal_from_split(L, u, s.reeb_component, s.one_form)
+                        for s in singles])
