@@ -21,6 +21,7 @@ import copy
 
 import numpy as np
 
+from .config import FD_FIRST
 from .errors import (
     DegenerateImmersionError,
     EvaluationError,
@@ -52,6 +53,9 @@ class PeriodicGridDomain:
     def grid_shape(self, resolution):
         return (resolution,) * self.k
 
+    def node_count(self, resolution):
+        return resolution**self.k
+
 
 class PolarSphereDomain:
     """Polar chart of S^n: Gauss-Legendre on each polar angle in (0, pi),
@@ -76,6 +80,9 @@ class PolarSphereDomain:
         for wg in wgrids:
             weights = weights * wg.ravel()
         return nodes, weights
+
+    def node_count(self, resolution):
+        return 2 * resolution**self.n
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +480,7 @@ class ShapeData:
         return float(np.max(np.linalg.norm(self.second_fundamental, axis=-1)))
 
 
-def _chart_second_derivatives(L, u, h=1e-4):
+def _chart_second_derivatives(L, u):
     """d_a d_b (chart map) by central differences of the Jacobian,
     symmetrized over the two chart slots."""
     u = np.asarray(u, dtype=float)
@@ -482,8 +489,8 @@ def _chart_second_derivatives(L, u, h=1e-4):
     out = np.empty(base.shape + (k,))  # (..., D, b, a)
     for a in range(k):
         e = np.zeros(k)
-        e[a] = h
-        out[..., a] = (L.jacobian(u + e) - L.jacobian(u - e)) / (2.0 * h)
+        e[a] = FD_FIRST
+        out[..., a] = (L.jacobian(u + e) - L.jacobian(u - e)) / (2.0 * FD_FIRST)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 

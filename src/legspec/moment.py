@@ -16,7 +16,6 @@ shape ``(k, N)`` and node reductions run over ``axis=-1``; a single
 
 import numpy as np
 
-from .config import FD_FIELD
 from .errors import InvalidFieldError, InvalidPointError
 from .sasaki import _bracket, _extend, _fd_dir, complex_structure
 
@@ -157,15 +156,15 @@ def moment_function(L, X, resolution=None):
     return MomentFunction(L, X, mean)
 
 
-def automorphism_residuals(S, X, samples, h=FD_FIELD):
+def automorphism_residuals(S, X, samples):
     """Killing and contact-form Lie-derivative residuals of a generator."""
     killing, contact = 0.0, 0.0
     for x, v, w in samples:
         V, W = _extend(v, x), _extend(w, x)
-        xv = _bracket(X, V, x, h)
-        xw = _bracket(X, W, x, h)
-        dg = _fd_dir(lambda p: np.dot(V(p), W(p)), x, X(x), h)
+        xv = _bracket(X, V, x)
+        xw = _bracket(X, W, x)
+        dg = _fd_dir(lambda p: np.dot(V(p), W(p)), x, X(x))
         killing = max(killing, abs(dg - np.dot(xv, w) - np.dot(v, xw)))
-        de = _fd_dir(lambda p: np.dot(S.apply_J(p), V(p)), x, X(x), h)
+        de = _fd_dir(lambda p: np.dot(S.apply_J(p), V(p)), x, X(x))
         contact = max(contact, abs(de - np.dot(S.apply_J(x), xv)))
     return {"killing": killing, "contact_form": contact}

@@ -76,15 +76,15 @@ class NomizuOperator:
         }
 
 
-def nomizu_operator(K, tol=1e-6):
+def nomizu_operator(K):
     """Corrected Nomizu operator ``M + tr(JM) / (2n + 2) * J`` of ``K``.
 
-    The field must pass its Killing/holomorphy residual check; on the
-    flat cone the gradient of a linear field is its matrix and the
+    The field must pass its Killing/holomorphy residual check at 1e-6; on
+    the flat cone the gradient of a linear field is its matrix and the
     divergence of ``y -> J M y`` is ``tr(JM)``.
     """
     res = cone_field_residuals(K)
-    if max(res.values()) > tol:
+    if max(res.values()) > 1e-6:
         raise InvalidFieldError(f"cone field fails Killing/holomorphy check: {res}")
     div_jk = np.trace(K.J @ K.matrix, axis1=-2, axis2=-1)
     matrix = K.matrix + np.expand_dims(div_jk / (2.0 * K.n + 2.0), (-2, -1)) * K.J
@@ -118,37 +118,31 @@ def nomizu_function(K):
     return NomizuFunction(K, nomizu_operator(K))
 
 
-def operator_identity_residuals(K, L, resolution=None, radii=(0.5, 1.0, 2.0),
-                                legendrian_tol=1e-8):
+def operator_identity_residuals(K, L, resolution=None, legendrian_tol=1e-8):
     """Frame-sum identity of the operator along ``L``:
 
-        max | sum_i <op (r e_i), J (r e_i)> + r^2 f |
+        max | sum_i <op e_i, J e_i> + f |
 
-    over quadrature nodes, orthonormal tangent frames ``e_i`` and the
-    given radii, one value per generator of a stacked field.  It holds
-    only for Legendrian ``L``, which is checked first
-    (``PreconditionError`` otherwise).
+    over quadrature nodes and orthonormal tangent frames ``e_i``, one
+    value per generator of a stacked field: the trace of ``op^T J`` against
+    the tangent projector ``sum_i e_i e_i^T``.  Every term scales by r^2 on
+    the cone, so r = 1 stands for every radius.  It holds only for
+    Legendrian ``L``, which is checked first (``PreconditionError``
+    otherwise).
     """
     if L.legendrian_residual(resolution) > legendrian_tol:
         raise PreconditionError(
             f"{L.name} is not Legendrian at tolerance {legendrian_tol}"
         )
     u, _ = L.nodes(resolution)
-    frames = L.frames(u)
     f = nomizu_function(K)
+    # f first: its (k, N, d) temporaries are freed before the projector
     fvals = f.ambient(L.points(u))
-    # (..., 1, d, d): each operator acts on the (N, n, d) frames of all nodes
-    op = np.expand_dims(np.swapaxes(f.operator.matrix, -1, -2), -3)
-    frame_resid = 0.0
-    for r in radii:
-        scaled = r * frames
-        sums = np.einsum(
-            "...ka,...ka->...",
-            scaled @ op,
-            scaled @ K.J.T,
-        )
-        frame_resid = np.maximum(frame_resid, np.max(np.abs(sums + r**2 * fvals), axis=-1))
-    return frame_resid
+    frames = L.frames(u)
+    projector = np.einsum("nia,nib->nab", frames, frames)
+    op_j = np.swapaxes(f.operator.matrix, -1, -2) @ K.J
+    sums = np.einsum("...ab,nab->...n", op_j, projector)
+    return np.max(np.abs(sums + fvals), axis=-1)
 
 
 def family_coincidence_residuals(X, L, resolution=None):

@@ -148,20 +148,19 @@ def christoffel(chart, u, h=FD_FIRST):
     return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
 
-def riemann_ricci(chart, u, h1=FD_FIRST, h2=FD_SECOND):
-    """Riemann (3,1)-tensor and Ricci tensor from Christoffel derivatives."""
-    if h2 < 1e-8 or h1 < 1e-8:
+def riemann_ricci(chart, u, h2=FD_SECOND):
+    """Riemann (3,1)-tensor and Ricci tensor from Christoffel derivatives;
+    ``h2`` is the step of the Christoffel differences."""
+    if h2 < 1e-8:
         raise ConfigurationError("finite-difference step underflow (h < 1e-8)")
     u = np.asarray(u, dtype=float)
     dim = chart.dim
-    gamma = christoffel(chart, u, h=h1)
+    gamma = christoffel(chart, u)
     dgamma = np.empty((dim, dim, dim, dim))  # [a, k, i, j] = d_a Gamma^k_ij
     for a in range(dim):
         e = np.zeros(dim)
         e[a] = h2
-        dgamma[a] = (christoffel(chart, u + e, h=h1) - christoffel(chart, u - e, h=h1)) / (
-            2.0 * h2
-        )
+        dgamma[a] = (christoffel(chart, u + e) - christoffel(chart, u - e)) / (2.0 * h2)
     # R(e_a, e_b) e_c = (d_a Gamma^d_bc - d_b Gamma^d_ac
     #                    + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac) e_d
     riemann = (
@@ -175,11 +174,11 @@ def riemann_ricci(chart, u, h1=FD_FIRST, h2=FD_SECOND):
     return CurvatureData(u, gamma, riemann, ricci)
 
 
-def metric_compatibility_residual(chart, u, h=FD_FIRST):
+def metric_compatibility_residual(chart, u):
     """Max norm of d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il."""
     g = chart.metric_at(u)
-    dg = chart.metric_derivative_at(u, h=h)
-    gamma = christoffel(chart, u, h=h)
+    dg = chart.metric_derivative_at(u)
+    gamma = christoffel(chart, u)
     nabla_g = dg - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
     return float(np.max(np.abs(nabla_g)))
 
@@ -283,12 +282,12 @@ def cone_chart(base_chart, r_bounds=(0.5, 2.0)):
     return Chart(dim, metric, dmetric, domain, f"cone({base_chart.name})")
 
 
-def scaled_cone_chart(base_chart, r_bounds=(0.5, 2.0)):
+def scaled_cone_chart(base_chart):
     """Deliberately wrong cone metric ``r^2 g(u) + r^2 dr^2``.
 
     Not Ricci-flat; used as the negative control for the flatness suite.
     """
-    right = cone_chart(base_chart, r_bounds)
+    right = cone_chart(base_chart)
     m = base_chart.dim
 
     def metric(w):

@@ -128,19 +128,19 @@ def _reeb_field(S):
     return lambda p: S.apply_J(p)
 
 
-def _fd_dir(F, x, u, h=FD_FIELD):
-    return (F(x + h * u) - F(x - h * u)) / (2.0 * h)
+def _fd_dir(F, x, u):
+    return (F(x + FD_FIELD * u) - F(x - FD_FIELD * u)) / (2.0 * FD_FIELD)
 
 
-def _bracket(V, W, x, h=FD_FIELD):
-    return _fd_dir(W, x, V(x), h) - _fd_dir(V, x, W(x), h)
+def _bracket(V, W, x):
+    return _fd_dir(W, x, V(x)) - _fd_dir(V, x, W(x))
 
 
-def contact_two_form(S, V, W, x, h=FD_FIELD):
+def contact_two_form(S, V, W, x):
     """d eta (V, W) at x, with the 1/2 normalization."""
-    f1 = _fd_dir(lambda p: np.dot(S.apply_J(p), W(p)), x, V(x), h)
-    f2 = _fd_dir(lambda p: np.dot(S.apply_J(p), V(p)), x, W(x), h)
-    lie = _bracket(V, W, x, h)
+    f1 = _fd_dir(lambda p: np.dot(S.apply_J(p), W(p)), x, V(x))
+    f2 = _fd_dir(lambda p: np.dot(S.apply_J(p), V(p)), x, W(x))
+    lie = _bracket(V, W, x)
     return 0.5 * (f1 - f2 - np.dot(S.apply_J(x), lie))
 
 
@@ -152,13 +152,13 @@ def _phi_field(S, V):
     return field
 
 
-def nijenhuis(S, V, W, x, h=FD_FIELD):
+def nijenhuis(S, V, W, x):
     """Torsion N_Phi(V, W) at x via finite differences on extended fields."""
     pv, pw = _phi_field(S, V), _phi_field(S, W)
-    t1 = S.phi(x, S.phi(x, _bracket(V, W, x, h)))
-    t2 = _bracket(pv, pw, x, h)
-    t3 = S.phi(x, _bracket(pv, W, x, h))
-    t4 = S.phi(x, _bracket(V, pw, x, h))
+    t1 = S.phi(x, S.phi(x, _bracket(V, W, x)))
+    t2 = _bracket(pv, pw, x)
+    t3 = S.phi(x, _bracket(pv, W, x))
+    t4 = S.phi(x, _bracket(V, pw, x))
     return t1 + t2 - t3 - t4
 
 
@@ -172,7 +172,7 @@ def sample_tangent_triples(S, count, seed=0):
     return out
 
 
-def verify_sasaki_axioms(S, samples, h=FD_FIELD):
+def verify_sasaki_axioms(S, samples):
     """Max residual of each structure identity over the samples.
 
     Returns a dict with one entry per axiom.  Sample vectors must be
@@ -196,7 +196,7 @@ def verify_sasaki_axioms(S, samples, h=FD_FIELD):
         V, W = _extend(v, x), _extend(w, x)
         res["eta_reeb"] = max(res["eta_reeb"], abs(S.eta(x, xi) - 1.0))
         res["reeb_contraction"] = max(
-            res["reeb_contraction"], abs(contact_two_form(S, _reeb_field(S), W, x, h))
+            res["reeb_contraction"], abs(contact_two_form(S, _reeb_field(S), W, x))
         )
         res["phi_square"] = max(
             res["phi_square"],
@@ -210,12 +210,12 @@ def verify_sasaki_axioms(S, samples, h=FD_FIELD):
                 + S.eta(x, v) * S.eta(x, w)
             ),
         )
-        deta = contact_two_form(S, V, W, x, h)
+        deta = contact_two_form(S, V, W, x)
         res["deta_phi"] = max(res["deta_phi"], abs(deta - S.metric(x, S.phi(x, v), w)))
         # factor 2 matches the 1/2 exterior-derivative normalization
         res["normality"] = max(
             res["normality"],
-            float(np.max(np.abs(nijenhuis(S, V, W, x, h) + 2.0 * deta * xi))),
+            float(np.max(np.abs(nijenhuis(S, V, W, x) + 2.0 * deta * xi))),
         )
     return res
 
@@ -244,60 +244,30 @@ def eta_einstein_residual(S, x, constant=None):
 class SphereCone:
     """Kaehler cone over the round sphere, realized as ``R^{2n+2} - {0}``.
 
-    Cone points ``(x, r)`` are identified with ``y = r x``; a vector
-    tangent to the sphere factor at ``(x, r)`` corresponds to the ambient
-    vector ``r v``.  The cone metric is the flat Euclidean one, so the
-    Levi-Civita connection is the directional derivative and the
-    curvature vanishes identically; a linear field ``y -> M y`` has
-    covariant derivative ``M`` (see ``legspec.nomizu``).  The radial
-    identities of the connection are checked by finite differences, and
-    flatness through a polar chart (``cone_ricci_flat_via_chart``).
+    Cone points ``(x, r)`` are identified with ``y = r x``.  The cone
+    metric is the flat Euclidean one, so the Levi-Civita connection is the
+    directional derivative and the curvature vanishes identically; a
+    linear field ``y -> M y`` has covariant derivative ``M`` (see
+    ``legspec.nomizu``).  Flatness is cross-checked in the cone over a
+    graph chart of the sphere (``ricci_via_chart``).
     """
 
     def __init__(self, base):
         self.base = base
-        self.n = base.n
-        self.J = base.J
 
-    def point(self, x, r):
-        return float(r) * np.asarray(x, dtype=float)
-
-    def connection_relation_residuals(self, samples, h=FD_FIELD):
-        """The two radial-field identities of the cone connection.
-
-        For tangent ``v`` at ``(x, r)``: ``nabla_v d_r = v / r`` and the
-        derivative of the position field is the identity.
-        """
-        rad_unit = lambda y: y / np.linalg.norm(y)
-        position = lambda y: y
-        res_dr, res_id = 0.0, 0.0
-        rng = np.random.default_rng(5)
-        for x, v, _ in samples:
-            r = rng.uniform(0.5, 2.0)
-            y = self.point(x, r)
-            vt = r * v  # ambient form of the sphere-tangent vector
-            lhs = _fd_dir(rad_unit, y, vt, h)
-            res_dr = max(res_dr, float(np.max(np.abs(lhs - vt / r))))
-            u = rng.standard_normal(len(y))
-            lhs2 = _fd_dir(position, y, u, h)
-            res_id = max(res_id, float(np.max(np.abs(lhs2 - u))))
-        return {"radial_gradient": res_dr, "position_identity": res_id}
-
-
-def cone_ricci_flat_via_chart(S, samples):
-    """Chart-based cross-check of cone flatness (slower, lower accuracy).
-
-    The finer second-derivative step keeps the truncation error an order
-    of magnitude under the 1e-5 cross-check tolerance down to r = 0.5, and
-    the chart's radial bounds hold its stencil for every r in [0.5, 2].
-    """
-    worst = 0.0
-    for x, r in samples:
-        chart = rm.cone_chart(S.graph_chart(x), r_bounds=(0.25, 4.0))
-        u = np.concatenate([np.zeros(S.dim), [float(r)]])
-        data = rm.riemann_ricci(chart, u, h2=1e-4)
-        worst = max(worst, float(np.max(np.abs(data.ricci))))
-    return worst
+    def ricci_via_chart(self, samples):
+        """Max Ricci norm of the cone chart at the ``(x, r)`` samples.  The
+        finer second-derivative step keeps the truncation error an order of
+        magnitude under the 1e-5 tolerance down to r = 0.5, and the radial
+        bounds (0.25, 4) hold the stencil for every r in [0.5, 2]."""
+        S = self.base
+        worst = 0.0
+        for x, r in samples:
+            chart = rm.cone_chart(S.graph_chart(x), r_bounds=(0.25, 4.0))
+            u = np.concatenate([np.zeros(S.dim), [float(r)]])
+            data = rm.riemann_ricci(chart, u, h2=1e-4)
+            worst = max(worst, float(np.max(np.abs(data.ricci))))
+        return worst
 
 
 def defective_cone_ricci(S, samples):

@@ -19,7 +19,7 @@ axis (values ``(k, N)``, see ``moment``) and reduce over nodes only.
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .config import FD_LAPLACIAN
+from .config import FD_FIELD, FD_LAPLACIAN, ZERO_FUNCTION
 from .errors import PreconditionError, UnsupportedError
 from .icosphere import cotangent_laplacian, icosphere, nested_dissection
 
@@ -39,31 +39,27 @@ def _directional_second(F, x, d, h):
     ) / (12.0 * h**2)
 
 
-def _minimality_check(L, tol):
-    worst = L.mean_curvature_residual()
-    if worst > tol:
-        raise PreconditionError(
-            f"{L.name}: mean-curvature residual {worst:.2e} exceeds {tol:.1e}; "
-            "the frame-trace Laplacian holds only for minimal immersions"
-        )
-
-
-def extrinsic_laplacian(L, f, u, h=FD_LAPLACIAN, minimality_tol=1e-6):
+def extrinsic_laplacian(L, f, u):
     """Laplacian of an ambient scalar field along ``L`` at chart points.
 
     ``f`` maps ambient points to scalars, vectorized, and must not depend
     on the radius (compose with ``y -> y/|y|`` to enforce this).  ``L``
-    must be minimal (checked first): the value is then
-    ``-sum_i Hess f(e_i, e_i)`` along straight ambient lines through each
-    frame direction.
+    must be minimal, with mean-curvature residual at most 1e-6 (checked
+    first): the value is then ``-sum_i Hess f(e_i, e_i)`` along straight
+    ambient lines through each frame direction.
     """
     u = np.asarray(u, dtype=float)
     x = L.points(u)
-    _minimality_check(L, minimality_tol)
+    worst = L.mean_curvature_residual()
+    if worst > 1e-6:
+        raise PreconditionError(
+            f"{L.name}: mean-curvature residual {worst:.2e} exceeds 1.0e-06; "
+            "the frame-trace Laplacian holds only for minimal immersions"
+        )
     frame = L.frames(u)
     total = np.zeros(x.shape[:-1])
     for i in range(L.n):
-        total = total + _directional_second(f, x, frame[..., i, :], h)
+        total = total + _directional_second(f, x, frame[..., i, :], FD_LAPLACIAN)
     return -total
 
 
@@ -77,16 +73,17 @@ class EigenResidual:
         self.sup_norm = sup_norm
 
 
-def eigen_residual(L, f, eigenvalue, resolution=None, zero_tol=1e-12):
+def eigen_residual(L, f, eigenvalue, resolution=None):
     """max |Lap f - lambda f| / max |f| over quadrature nodes.
 
-    A zero function is reported as residual 0 with ``degenerate`` set;
-    the Laplacian is skipped only when every function is zero.
+    A zero function (sup norm at most ``ZERO_FUNCTION``) is reported as
+    residual 0 with ``degenerate`` set; the Laplacian is skipped only when
+    every function is zero.
     """
     u, _ = L.nodes(resolution)
     fvals = f(L.points(u))
     sup = np.max(np.abs(fvals), axis=-1)
-    degenerate = sup <= zero_tol
+    degenerate = sup <= ZERO_FUNCTION
     if np.all(degenerate):
         return EigenResidual(np.zeros_like(sup), degenerate, sup)
     lap = extrinsic_laplacian(L, f, u)
@@ -95,7 +92,7 @@ def eigen_residual(L, f, eigenvalue, resolution=None, zero_tol=1e-12):
     return EigenResidual(res, degenerate, sup)
 
 
-def rayleigh_quotient(L, f, resolution=None, h=1e-5):
+def rayleigh_quotient(L, f, resolution=None):
     """Quadrature Rayleigh quotient: integral |grad f|^2 / integral f^2.
 
     The gradient is taken in chart coordinates with the inverse induced
@@ -107,8 +104,8 @@ def rayleigh_quotient(L, f, resolution=None, h=1e-5):
     grad = np.empty(fvals.shape + (dim,))
     for a in range(dim):
         e = np.zeros(dim)
-        e[a] = h
-        grad[..., a] = (f(L.points(u + e)) - f(L.points(u - e))) / (2.0 * h)
+        e[a] = FD_FIELD
+        grad[..., a] = (f(L.points(u + e)) - f(L.points(u - e))) / (2.0 * FD_FIELD)
     ginv = np.linalg.inv(L.induced_metric(u))
     sq = np.einsum("...a,...ab,...b->...", grad, ginv, grad)
     num = L.integrate(sq, resolution)
@@ -149,7 +146,6 @@ class SpectralReport:
         self.target = float(target)
         self.window = float(window)
         self.bound = int(bound)
-        self.residuals = None
 
     @property
     def first_eigenvalue(self):

@@ -120,7 +120,7 @@ def test_criterion_4_nomizu_family():
             crit.check(f"{name} operator-skew", alg["skew"], 1e-8)
             crit.check(f"{name} operator-J-commute", alg["j_commutes"], 1e-8)
             crit.check(f"{name} operator-trace", alg["j_trace"], 1e-8)
-            frame_sum = nz.operator_identity_residuals(K, L, radii=(0.5, 1.0, 2.0))
+            frame_sum = nz.operator_identity_residuals(K, L)
             crit.check(f"{name} frame-sum", frame_sum, 1e-7)
             res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target)
             if not res.degenerate:

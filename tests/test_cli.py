@@ -5,6 +5,7 @@ import io
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from legspec import moment as mo
 from legspec import sasaki as sk
 from legspec import spectral as spc
 from legspec.cli import _moment_fields_csv, main
+from legspec.config import Tolerances
 from legspec.suites import (
     CANONICAL_IMMERSIONS,
+    MAX_NODES,
     SUITE_NAMES,
     SuiteConfig,
     list_targets,
@@ -94,6 +97,45 @@ class TestUsageErrors:
         assert main(argv + ["--output", str(tmp_path / "torus.json")]) == 0
         assert solved == {"clifford-torus-s5": 1}
 
+    def test_quadrature_size_checked_before_compute(self, monkeypatch, capsys):
+        # 2 * 128**3 polar nodes on S^3 would take gigabytes: building any
+        # quadrature fails the test at once instead
+        def refuse(L, resolution=None):
+            raise AssertionError(f"{L.name}: nodes built at resolution {resolution}")
+
+        monkeypatch.setattr(im.LegendrianImmersion, "nodes", refuse)
+        argv = ["--suite", "legendrian-geometry", "--immersion", "geodesic-sphere-n3",
+                "--resolution", "128"]
+        assert main(argv) == 64
+        assert "quadrature nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "immersion,resolution,nodes",
+        [("geodesic-sphere-n3", 40, 128000), ("geodesic-sphere-n3", 41, 137842),
+         ("clifford-torus-s5", 256, 65536), ("clifford-torus-s5", 363, 131769),
+         ("geodesic-sphere-n2", 256, 131072), ("geodesic-sphere-n2", 257, 132098)],
+    )
+    def test_quadrature_cap_boundary(self, immersion, resolution, nodes):
+        L = im.get_immersion(immersion)
+        assert L.domain.node_count(resolution) == nodes == len(L.domain.nodes_weights(resolution)[1])
+        if nodes <= MAX_NODES:
+            SuiteConfig(suite="relation", immersion=immersion, resolution=resolution)
+        else:
+            with pytest.raises(UnsupportedError):
+                SuiteConfig(suite="relation", immersion=immersion, resolution=resolution)
+
+    def test_sasaki_axioms_ignore_the_quadrature_cap(self):
+        SuiteConfig(suite="sasaki-axioms", resolution=1000)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["metric_symmetry", "metric_compatibility", "hessian_symmetry", "bianchi",
+         "cone_relations", "zero_function"],
+    )
+    def test_tolerance_names_no_check_reads_exit_64(self, name):
+        assert len(fields(Tolerances)) == 19
+        assert main(["--suite", "sasaki-axioms", "--tolerance", f"{name}=1e-3"]) == 64
+
     def test_sasaki_axioms_takes_any_dimension(self):
         assert SuiteConfig(suite="sasaki-axioms", n=5).selected_dimensions() == [5]
 
@@ -102,7 +144,7 @@ class TestUsageErrors:
         cfg = SuiteConfig(suite="sasaki-axioms")
         assert cfg.selected_dimensions() == [1, 2, 3]
         s7 = [r for r in run_suite(cfg).records if r.name.startswith("s7:")]
-        assert len(s7) == 9
+        assert len(s7) == 8
         assert {r.status for r in s7} == {"pass"}
         narrowed = SuiteConfig(suite="sasaki-axioms", immersion="clifford-torus-s5")
         assert narrowed.selected_dimensions() == [2]
@@ -338,6 +380,13 @@ class TestSharedWork:
         built = _count_calls(monkeypatch, sk.SphereSasaki, "__init__", lambda S, n: n)
         assert mo.moment(pts, algebra).shape == (9, 64)
         assert not built
+
+    def test_spectrum_suite_leaves_the_cached_spectrum_unchanged(self):
+        cfg = SuiteConfig(suite="spectrum", immersion="great-circle-s3", resolution=64)
+        spectrum = cfg.mesh_spectrum(cfg.selected_immersions()[0])
+        before = {key: repr(value) for key, value in vars(spectrum).items()}
+        assert run_suite(cfg).exit_code() == 0
+        assert {key: repr(value) for key, value in vars(spectrum).items()} == before
 
     def test_spectrum_csv_reuses_the_suite_spectrum(self, monkeypatch, tmp_path):
         solved = _count_calls(

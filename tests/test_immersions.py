@@ -79,6 +79,34 @@ def u_dim(L):
     return L.nodes()[0].shape[-1]
 
 
+@pytest.mark.parametrize("name", sorted(im.registry()))
+class TestChartDerivatives:
+    """Closed-form chart derivatives against finite-difference references
+    at 50 seeded chart points, polar angles kept off the poles."""
+
+    @staticmethod
+    def chart_points(L):
+        u = np.random.default_rng(31).uniform(0.1, np.pi - 0.1, size=(50, L.n))
+        u[:, -1] *= 2.0  # the last axis is periodic on every shipped chart
+        return u
+
+    def test_jacobian_matches_chart_map_differences(self, name):
+        L = im.get_immersion(name)
+        u = self.chart_points(L)
+        h = 1e-6
+        fd = np.stack(
+            [(L.chart_map(u + h * e) - L.chart_map(u - h * e)) / (2 * h) for e in np.eye(L.n)],
+            axis=-1,
+        )
+        assert np.max(np.abs(L.jacobian(u) - fd)) <= 1e-7
+
+    def test_chart_hessian_matches_jacobian_differences(self, name):
+        L = im.get_immersion(name)
+        u = self.chart_points(L)
+        reference = im._chart_second_derivatives(L, u)
+        assert np.max(np.abs(L.chart_hessian(u) - reference)) <= 1e-7
+
+
 class TestShapeOperator:
     def test_geodesic_spheres_are_totally_geodesic(self):
         for name in ("great-circle-s3", "geodesic-sphere-n2", "geodesic-sphere-n3"):

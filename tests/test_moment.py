@@ -10,6 +10,7 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import sasaki as sk
 from legspec.errors import InvalidFieldError, InvalidPointError
+from legspec.suites import SuiteConfig, run_suite
 
 
 def diag_generator(n, entries):
@@ -154,6 +155,17 @@ class TestMomentFunction:
             rank = int(np.sum(svals > 1e-8 * svals[0]))
             expected = (n + 1) ** 2 - n * (n + 1) // 2
             assert rank == expected, n
+
+    @pytest.mark.parametrize(
+        "immersion,resolution,rank",
+        [("geodesic-sphere-n2", 20, 6), ("geodesic-sphere-n3", 10, 10)],
+    )
+    def test_kernel_rank_record_at_grid_aligned_resolutions(self, immersion, resolution, rank):
+        # a node stride that divides the inner grid blocks samples a single
+        # curve, whose normal parts have too small a rank
+        cfg = SuiteConfig(suite="moment-family", immersion=immersion, resolution=resolution)
+        kernel = [r for r in run_suite(cfg).records if r.anchor == "tangent-generator-kernel"]
+        assert [(r.value, r.status) for r in kernel] == [(rank, "pass")]
 
 
 _TORUS = im.clifford_torus()

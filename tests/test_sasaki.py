@@ -94,24 +94,17 @@ class TestEtaEinstein:
 
 
 class TestCone:
-    def test_connection_relations(self, sphere):
-        cone = sk.SphereCone(sphere)
-        samples = sk.sample_tangent_triples(sphere, 30, seed=11)
-        res = cone.connection_relation_residuals(samples)
-        assert res["radial_gradient"] <= 1e-8
-        assert res["position_identity"] <= 1e-8
-
     def test_chart_cross_check(self, sphere):
         rng = np.random.default_rng(13)
         pts = [(sphere.random_point(rng), 1.5)]
-        assert sk.cone_ricci_flat_via_chart(sphere, pts) <= 1e-5
+        assert sk.SphereCone(sphere).ricci_via_chart(pts) <= 1e-5
 
     def test_chart_cross_check_at_sampled_radius_ends(self, sphere):
         # the suite samples r in [0.5, 2.0]; the stencil must stay inside
         # the chart and the truncation error under the threshold there
         rng = np.random.default_rng(15)
         pts = [(sphere.random_point(rng), r) for r in (0.5, 0.5001, 2.0)]
-        assert sk.cone_ricci_flat_via_chart(sphere, pts) <= 1e-5
+        assert sk.SphereCone(sphere).ricci_via_chart(pts) <= 1e-5
 
     @pytest.mark.parametrize("seed", [16, 34, 68, 163])
     def test_suite_passes_at_seeds_sampling_r_near_half(self, seed):
