@@ -8,7 +8,6 @@ finite-element Laplacian on the induced round metric;
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def icosahedron():
@@ -118,6 +117,10 @@ def cotangent_laplacian(verts, faces):
     ``stiffness v = lambda mass v`` whose eigenvalues approximate the
     nonnegative Laplace-Beltrami spectrum.
     """
+    # imported here, not at module level, so processes that never assemble
+    # a mesh start without loading scipy (cold start)
+    import scipy.sparse as sp
+
     nv = len(verts)
     tri = verts[faces]
     rows, cols, vals = [], [], []

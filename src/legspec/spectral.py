@@ -17,7 +17,6 @@ axis (values ``(k, N)``, see ``moment``) and reduce over nodes only.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .config import FD_FIELD, FD_LAPLACIAN, ZERO_FUNCTION
 from .errors import PreconditionError, UnsupportedError
@@ -256,6 +255,10 @@ def _ordered_inverse(matrix, perm):
     fill-reducing elimination order ``perm``; positive definiteness lets
     the LU skip pivoting, so it keeps that order.
     """
+    # imported here, not at module level, so processes that never build an
+    # icosphere spectrum start without loading scipy (cold start)
+    import scipy.sparse.linalg as spla
+
     lu = spla.splu(matrix.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
@@ -291,6 +294,11 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
         ev = _fd_symbol_torus(L, resolution)
         method = "periodic-fd-symbol"
     else:
+        # local import for cold start, as in _ordered_inverse; eigsh is looked
+        # up on the module at call time, so a wrapper set on
+        # scipy.sparse.linalg.eigsh (perfbench/tracer.py) sees the solve
+        import scipy.sparse.linalg as spla
+
         verts, faces = icosphere(resolution)
         stiffness, mass = cotangent_laplacian(verts, faces)
         # a negative shift keeps stiffness - shift * mass positive definite

@@ -167,6 +167,35 @@ class TestMomentFunction:
         kernel = [r for r in run_suite(cfg).records if r.anchor == "tangent-generator-kernel"]
         assert [(r.value, r.status) for r in kernel] == [(rank, "pass")]
 
+    def test_kernel_rank_is_inconclusive_on_too_few_nodes(self):
+        # two antipodal nodes share one normal plane: rank 2 of 3, while the
+        # default nodes reach 3, so the deficit is the nodes', not the family's
+        cfg = SuiteConfig(suite="moment-family", immersion="great-circle-s3", resolution=2)
+        report = run_suite(cfg)
+        kernel = [r for r in report.records if r.anchor == "tangent-generator-kernel"]
+        assert [(r.value, r.status) for r in kernel] == [(2, "inconclusive")]
+        assert kernel[0].details["rank"] == 2
+        assert kernel[0].details["default_rank"] == 3
+        assert report.exit_code() == 2
+
+    @pytest.mark.parametrize("resolution", [None, 1])
+    def test_kernel_rank_fails_when_a_normal_part_is_lost(self, monkeypatch, resolution):
+        # i*E[1,1] has a normal part outside the span of the others; zeroing
+        # it drops the rank below 6 at every node set, the default one
+        # included, so a low resolution cannot turn the defect inconclusive
+        split = im.normal_split
+
+        def defective(L, X, u):
+            out = split(L, X, u)
+            out.normal[0] = 0.0
+            return out
+
+        monkeypatch.setattr(im, "normal_split", defective)
+        cfg = SuiteConfig(suite="moment-family", immersion="geodesic-sphere-n2",
+                          resolution=resolution)
+        kernel = [r for r in run_suite(cfg).records if r.anchor == "tangent-generator-kernel"]
+        assert [r.status for r in kernel] == ["fail"]
+
 
 _TORUS = im.clifford_torus()
 _TORUS_NODES = _TORUS.nodes(16)[0]

@@ -41,3 +41,23 @@ def test_method_binding_resolves(module_name, cls_name, method):
     cls = getattr(importlib.import_module(f"legspec.{module_name}"), cls_name, None)
     assert cls is not None
     assert callable(getattr(cls, method, None))
+
+
+def test_eigsh_is_looked_up_on_scipy_at_call_time(monkeypatch):
+    # the tracer's spectral.eigsh span wraps scipy.sparse.linalg.eigsh on
+    # the module object, so spectral must not hold its own reference
+    import scipy.sparse.linalg as spla
+
+    from legspec import spectral
+    from legspec.immersions import get_immersion
+
+    calls = []
+    original = spla.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting)
+    spectral.mesh_spectrum(get_immersion("geodesic-sphere-n2"), 3)
+    assert len(calls) == 1
