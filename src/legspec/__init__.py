@@ -3,8 +3,8 @@ Legendrian submanifolds of the standard Sasakian spheres.
 
 The package is organized around the objects it checks:
 
-* :mod:`legspec.riemannian` -- chart-based metrics, Christoffel symbols,
-  curvature and divergence (the numerical substrate).
+* :mod:`legspec.riemannian` -- Christoffel symbols and curvature of a
+  metric in coordinates, with the hemisphere and cone metrics.
 * :mod:`legspec.sasaki` -- the contact structure of the round sphere
   ``S^{2n+1}`` and its flat Kaehler cone, with axiom residual suites.
 * :mod:`legspec.immersions` -- parameterized Legendrian immersions

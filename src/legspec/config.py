@@ -8,17 +8,10 @@ threshold, never a bare pass/fail.
 from dataclasses import dataclass, fields
 
 
-# Central-difference step sizes.  First derivatives tolerate a smaller
-# step than second derivatives before roundoff dominates.
-FD_FIRST = 1e-4
-FD_SECOND = 1e-3
+# Central-difference step sizes.
+FD_SECOND = 1e-3      # Christoffel differences of the curvature stencil
 FD_FIELD = 1e-5       # derivatives of analytic ambient fields
 FD_LAPLACIAN = 1e-2   # five-point second-derivative stencil on ambient lines
-
-# Margin by which random sampling shrinks away from coordinate
-# singularities (polar chart poles).  Quadrature nodes are interior by
-# construction and do not use this.
-POLE_MARGIN = 1e-2
 
 # Sup norm at or below which a family member is the zero function: its
 # eigen-residual is degenerate and the agreement and Rayleigh checks skip it.

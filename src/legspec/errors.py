@@ -5,22 +5,6 @@ class LegspecError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DomainError(LegspecError):
-    """Coordinates fall outside the declared chart domain."""
-
-
-class DegenerateMetricError(LegspecError):
-    """Metric is not positive definite at the requested point."""
-
-
-class ConfigurationError(LegspecError):
-    """Invalid numerical configuration (step sizes, resolutions)."""
-
-
-class ChartError(LegspecError):
-    """Chart construction failed (e.g. base point not on the sphere)."""
-
-
 class InvalidSampleError(LegspecError):
     """A sample point/vector violates the suite preconditions."""
 

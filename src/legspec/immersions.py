@@ -21,7 +21,6 @@ import copy
 
 import numpy as np
 
-from .config import FD_FIRST
 from .errors import (
     DegenerateImmersionError,
     EvaluationError,
@@ -92,8 +91,9 @@ class PolarSphereDomain:
 class LegendrianImmersion:
     """A parameterized immersion ``L^n -> S^{2n+1}`` with quadrature.
 
-    ``chart_map`` and ``jacobian`` are vectorized over leading axes, the
-    Jacobian having shape ``(..., 2n+2, n)``.  ``frame_mixer`` optionally
+    ``chart_map``, ``jacobian`` and ``chart_hessian`` are vectorized over
+    leading axes, the Jacobian having shape ``(..., 2n+2, n)`` and the
+    Hessian ``(..., 2n+2, n, n)``.  ``frame_mixer`` optionally
     rotates Jacobian columns before orthonormalization; every scalar
     output must be invariant under it.
 
@@ -102,14 +102,14 @@ class LegendrianImmersion:
     """
 
     def __init__(self, name, n, chart_map, jacobian, domain, default_resolution,
-                 chart_hessian=None, frame_mixer=None, totally_geodesic=False,
+                 chart_hessian, frame_mixer=None, totally_geodesic=False,
                  multiplicity=None, discretizer=None):
         self.name = name
         self.n = n
         self.ambient = SphereSasaki(n)
         self.chart_map = chart_map
         self.jacobian = jacobian
-        self.chart_hessian = chart_hessian  # u -> (..., 2n+2, n, n), optional
+        self.chart_hessian = chart_hessian
         self.domain = domain
         self.default_resolution = default_resolution
         self.frame_mixer = frame_mixer
@@ -425,17 +425,6 @@ def clifford_torus():
     )
 
 
-def builtin_examples(n):
-    """The shipped minimal Legendrian immersions of S^{2n+1}."""
-    if n == 1:
-        return [great_circle()]
-    if n == 2:
-        return [geodesic_sphere(2), clifford_torus()]
-    if n == 3:
-        return [geodesic_sphere(3)]
-    raise UnsupportedError(f"builtin examples exist for n in {{1, 2, 3}}, got {n}")
-
-
 def registry():
     """Name -> constructor for CLI addressing."""
     return {
@@ -480,29 +469,14 @@ class ShapeData:
         return float(np.max(np.linalg.norm(self.second_fundamental, axis=-1)))
 
 
-def _chart_second_derivatives(L, u):
-    """d_a d_b (chart map) by central differences of the Jacobian,
-    symmetrized over the two chart slots."""
-    u = np.asarray(u, dtype=float)
-    k = u.shape[-1]
-    base = L.jacobian(u)
-    out = np.empty(base.shape + (k,))  # (..., D, b, a)
-    for a in range(k):
-        e = np.zeros(k)
-        e[a] = FD_FIRST
-        out[..., a] = (L.jacobian(u + e) - L.jacobian(u - e)) / (2.0 * FD_FIRST)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
 def shape_operator(L, u):
     """Second fundamental form of ``L`` inside the sphere at ``u``.
 
     Tensorial route: the sphere covariant derivative of coordinate fields
     is ``d_a d_b x + g_ab x``; contracting with the frame coefficients and
     removing the component tangent to ``L`` gives the second fundamental
-    form.  Analytic chart Hessians are used when available (they keep the
-    computation roundoff-limited near polar chart nodes); otherwise the
-    Jacobian is differenced.
+    form.  The chart Hessians are analytic, which keeps the computation
+    roundoff-limited near polar chart nodes.
     """
     u = np.asarray(u, dtype=float)
     x = L.points(u)
@@ -513,10 +487,7 @@ def shape_operator(L, u):
     # chart coefficients of each frame vector: solve jac @ c = e_k
     coeff = np.einsum("...ij,...aj,...ka->...ki", gram_inv, raw_jac, frame)
 
-    if L.chart_hessian is not None:
-        hess = L.chart_hessian(u)  # (..., 2n+2, k, k)
-    else:
-        hess = _chart_second_derivatives(L, u)
+    hess = L.chart_hessian(u)  # (..., 2n+2, k, k)
     cov = hess + x[..., None, None] * gram[..., None, :, :]
     second = np.einsum("...iab,...Aa,...Bb->...ABi", cov, coeff, coeff)
     # remove the part tangent to L

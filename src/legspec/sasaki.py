@@ -20,8 +20,8 @@ Convention notes, pinned numerically on the sphere itself:
 import numpy as np
 
 from . import riemannian as rm
-from .config import FD_FIELD
-from .errors import ChartError, InvalidSampleError
+from .config import FD_FIELD, FD_SECOND
+from .errors import InvalidSampleError
 
 
 def complex_structure(n):
@@ -72,42 +72,6 @@ class SphereSasaki:
     def random_tangent(self, rng, x):
         v = self.project_tangent(x, rng.standard_normal(x.shape))
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def tangent_basis(self, x):
-        """Orthonormal basis of T_x M with the Reeb vector first."""
-        xi = self.reeb(x)
-        # Householder map sending e1 to x gives a deterministic completion
-        # of {x} to an orthonormal basis of the ambient space.
-        e1 = np.zeros(self.embed_dim)
-        e1[0] = 1.0
-        w = x - e1
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            H = np.eye(self.embed_dim)
-        else:
-            w = w / nw
-            H = np.eye(self.embed_dim) - 2.0 * np.outer(w, w)
-        cols = [H[:, k] for k in range(1, self.embed_dim)]
-        # replace the column closest to xi and re-orthogonalize against xi
-        basis = [xi]
-        for c in cols:
-            v = c - np.dot(c, xi) * xi
-            for b in basis[1:]:
-                v = v - np.dot(v, b) * b
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                basis.append(v / nv)
-            if len(basis) == self.dim:
-                break
-        return np.array(basis)
-
-    def graph_chart(self, x):
-        """Riemannian chart of the sphere centered at ``x`` (Reeb-adapted)."""
-        x = np.asarray(x, dtype=float)
-        if abs(np.linalg.norm(x) - 1.0) > 1e-8:
-            raise ChartError("chart base point must lie on the unit sphere")
-        basis = self.tangent_basis(x)
-        return rm.sphere_graph_chart(x, basis.T)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +184,16 @@ def verify_sasaki_axioms(S, samples):
     return res
 
 
-def eta_einstein_residual(S, x, constant=None):
-    """Entrywise residual of Ric = A g + (2n - A) eta (x) eta at ``x``.
+def eta_einstein_residual(S, constant=None):
+    """Entrywise residual of Ric = A g at the centre of the hemisphere
+    chart, where the chart metric is the identity.
 
-    Evaluated over the Reeb-adapted tangent basis of the graph chart
-    centered at ``x``, where the chart metric is the identity.
+    On the round sphere the eta-Einstein constant is ``A = 2n``, so the
+    ``(2n - A) eta (x) eta`` term of the general identity vanishes.
     """
     A = S.einstein_constant if constant is None else float(constant)
-    chart = S.graph_chart(x)
-    data = rm.riemann_ricci(chart, np.zeros(S.dim))
-    g0 = np.eye(S.dim)
-    eta_components = np.array(
-        [S.eta(x, chart.tangent_basis[:, k]) for k in range(S.dim)]
-    )
-    target = A * g0 + (2.0 * S.n - A) * np.outer(eta_components, eta_components)
-    return float(np.max(np.abs(data.ricci - target)))
+    _, ricci = rm.riemann_ricci(*rm.sphere_metric(S.dim), np.zeros(S.dim))
+    return float(np.max(np.abs(ricci - A * np.eye(S.dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +207,31 @@ class SphereCone:
     metric is the flat Euclidean one, so the Levi-Civita connection is the
     directional derivative and the curvature vanishes identically; a
     linear field ``y -> M y`` has covariant derivative ``M`` (see
-    ``legspec.nomizu``).  Flatness is cross-checked in the cone over a
-    graph chart of the sphere (``ricci_via_chart``).
+    ``legspec.nomizu``).  Flatness is cross-checked in the cone over the
+    hemisphere chart of the sphere (``ricci_via_chart``).
     """
 
     def __init__(self, base):
         self.base = base
 
-    def ricci_via_chart(self, samples):
-        """Max Ricci norm of the cone chart at the ``(x, r)`` samples.  The
-        finer second-derivative step keeps the truncation error an order of
-        magnitude under the 1e-5 tolerance down to r = 0.5, and the radial
-        bounds (0.25, 4) hold the stencil for every r in [0.5, 2]."""
-        S = self.base
-        worst = 0.0
-        for x, r in samples:
-            chart = rm.cone_chart(S.graph_chart(x), r_bounds=(0.25, 4.0))
-            u = np.concatenate([np.zeros(S.dim), [float(r)]])
-            data = rm.riemann_ricci(chart, u, h2=1e-4)
-            worst = max(worst, float(np.max(np.abs(data.ricci))))
-        return worst
+    def ricci_via_chart(self, radii):
+        """Max Ricci norm of the cone chart at the chart centre and each
+        radius.  The finer second-derivative step keeps the truncation
+        error an order of magnitude under the 1e-5 tolerance down to
+        r = 0.5."""
+        return _cone_ricci(self.base, radii, defective=False, h2=1e-4)
 
 
-def defective_cone_ricci(S, samples):
+def defective_cone_ricci(S, radii):
     """Negative control: Ricci norm of the wrong metric r^2 g + r^2 dr^2."""
+    return _cone_ricci(S, radii, defective=True, h2=FD_SECOND)
+
+
+def _cone_ricci(S, radii, defective, h2):
+    metric, dmetric = rm.cone_metric(*rm.sphere_metric(S.dim), defective=defective)
     worst = 0.0
-    for x, r in samples:
-        chart = rm.scaled_cone_chart(S.graph_chart(x))
+    for r in radii:
         u = np.concatenate([np.zeros(S.dim), [float(r)]])
-        worst = max(worst, float(np.max(np.abs(rm.riemann_ricci(chart, u).ricci))))
+        _, ricci = rm.riemann_ricci(metric, dmetric, u, h2=h2)
+        worst = max(worst, float(np.max(np.abs(ricci))))
     return worst

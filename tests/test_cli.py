@@ -249,6 +249,17 @@ class TestReports:
         assert report.exit_code() == 0
         assert elapsed < 300.0
 
+    def test_icosphere_level_is_the_mesh_level_only(self):
+        # the Rayleigh quotients integrate at the default quadrature, not on
+        # a polar grid of resolution equal to the mesh level
+        values = []
+        for level in (3, 4, 5):
+            report = run_suite(SuiteConfig(
+                suite="spectrum", immersion="geodesic-sphere-n2", resolution=level))
+            assert report.exit_code() == 0, level
+            values += [r.value for r in report.records if r.anchor == "rayleigh-quotient"]
+        assert len(values) == 3 and len(set(values)) == 1
+
     def test_spectral_report_eigenvalues_sorted(self):
         from legspec import immersions as im
         from legspec import spectral as spc

@@ -53,4 +53,5 @@ def test_icosphere_spectrum_loads_scipy(tmp_path):
         tmp_path, [["--suite", "spectrum", "--immersion", "geodesic-sphere-n2",
                     "--resolution", "3"]]
     )
+    assert result["codes"] == [0]
     assert "scipy.sparse.linalg" in result["scipy"]

@@ -20,16 +20,6 @@ def immersion(request):
 
 
 class TestBuiltins:
-    def test_builtin_lists(self):
-        assert [L.name for L in im.builtin_examples(1)] == ["great-circle-s3"]
-        assert [L.name for L in im.builtin_examples(2)] == [
-            "geodesic-sphere-n2",
-            "clifford-torus-s5",
-        ]
-        assert [L.name for L in im.builtin_examples(3)] == ["geodesic-sphere-n3"]
-        with pytest.raises(UnsupportedError):
-            im.builtin_examples(4)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(UnsupportedError):
             im.get_immersion("mystery-immersion")
@@ -103,7 +93,12 @@ class TestChartDerivatives:
     def test_chart_hessian_matches_jacobian_differences(self, name):
         L = im.get_immersion(name)
         u = self.chart_points(L)
-        reference = im._chart_second_derivatives(L, u)
+        h = 1e-4
+        reference = np.stack(
+            [(L.jacobian(u + h * e) - L.jacobian(u - h * e)) / (2 * h) for e in np.eye(L.n)],
+            axis=-1,
+        )
+        reference = 0.5 * (reference + np.swapaxes(reference, -1, -2))
         assert np.max(np.abs(L.chart_hessian(u) - reference)) <= 1e-7
 
 

@@ -161,8 +161,15 @@ class TestOperatorIdentities:
             zeros = np.zeros_like(t)
             return np.stack([-c * np.sin(t), zeros, c * np.cos(t), zeros], axis=-1)[..., None]
 
+        def chart_hessian(u):
+            t = u[..., 0]
+            c = np.cos(0.4)
+            zeros = np.zeros_like(t)
+            return np.stack([-c * np.cos(t), zeros, -c * np.sin(t), zeros], axis=-1)[..., None, None]
+
         bad = im.LegendrianImmersion(
-            "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128
+            "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128,
+            chart_hessian,
         )
         assert bad.legendrian_residual() > 1e-3
         K = nz.ConeField.from_automorphism(mo.algebra_basis(1)[0])

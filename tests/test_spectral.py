@@ -259,6 +259,13 @@ def _latitude_circle(angle):
         zeros = np.zeros_like(t)
         return np.stack([-c * np.sin(t), zeros, c * np.cos(t), zeros], axis=-1)[..., None]
 
+    def chart_hessian(u):
+        t = u[..., 0]
+        c = np.cos(angle)
+        zeros = np.zeros_like(t)
+        return np.stack([-c * np.cos(t), zeros, -c * np.sin(t), zeros], axis=-1)[..., None, None]
+
     return im.LegendrianImmersion(
-        "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128
+        "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128,
+        chart_hessian,
     )
