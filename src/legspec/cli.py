@@ -16,6 +16,8 @@ import csv
 import io
 import sys
 
+import numpy as np
+
 from . import moment as mo
 from .errors import LegspecError, UnsupportedError
 from .suites import SUITE_NAMES, SuiteConfig, list_targets, run_suite
@@ -89,26 +91,31 @@ def _spectrum_csv(cfg):
     return buf.getvalue()
 
 
-def _moment_fields_csv(cfg):
-    """One row per generator and node.  The fixed columns go through
-    ``csv.writer`` once per generator (it quotes labels such as
-    ``i*E[1,1]``); the node and value columns are joined directly, with the
-    same ``repr`` floats and CRLF line ends a per-row writer produces."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["immersion", "basis_index", "generator", "node", "value"])
+def _moment_fields_csv(cfg, out):
+    """Write one row per generator and node to the text stream ``out``, a
+    generator at a time, so the file is never held as one string.  The
+    fixed columns go through ``csv.writer`` once per generator (it quotes
+    labels such as ``i*E[1,1]``); the node and value columns are joined
+    directly, with the same ``repr`` floats and CRLF line ends a per-row
+    writer produces.  Each distinct value is formatted once: values are
+    told apart by their bit patterns, so ``-0.0`` and ``0.0`` keep their
+    own strings."""
+    csv.writer(out).writerow(["immersion", "basis_index", "generator", "node", "value"])
     for L in cfg.selected_immersions():
         u, _ = L.nodes(cfg.resolution)
         basis = mo.algebra_basis(L.n)
         values = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution).on_chart(u)
-        for idx, (X, vals) in enumerate(zip(basis, values)):
+        bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+        # one repr of the list formats every float as repr(float) does
+        text = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
+        nodes = [f",{node}," for node in range(len(u))]
+        for idx, (X, row) in enumerate(zip(basis, inverse.reshape(values.shape))):
             fixed = io.StringIO()
             csv.writer(fixed).writerow([L.name, idx, X.label])
             prefix = fixed.getvalue().removesuffix("\r\n")
-            buf.write("".join(
-                f"{prefix},{node},{val!r}\r\n" for node, val in enumerate(vals.tolist())
-            ))
-    return buf.getvalue()
+            out.write(prefix)
+            out.write(f"\r\n{prefix}".join(map(str.__add__, nodes, map(text.__getitem__, row.tolist()))))
+            out.write("\r\n")
 
 
 def main(argv=None):
@@ -147,16 +154,15 @@ def main(argv=None):
     report.print_lines()
 
     if cfg.output:
-        if cfg.fmt == "json":
-            payload = report.to_json()
-        elif cfg.suite == "spectrum":
-            payload = _spectrum_csv(cfg)
-        elif cfg.suite == "moment-family":
-            payload = _moment_fields_csv(cfg)
-        else:
-            payload = _records_csv(report)
         with open(cfg.output, "w") as fh:
-            fh.write(payload)
+            if cfg.fmt == "json":
+                fh.write(report.to_json())
+            elif cfg.suite == "spectrum":
+                fh.write(_spectrum_csv(cfg))
+            elif cfg.suite == "moment-family":
+                _moment_fields_csv(cfg, fh)
+            else:
+                fh.write(_records_csv(report))
         print(f"report written to {cfg.output}", file=sys.stderr)
 
     return report.exit_code()

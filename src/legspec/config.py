@@ -12,6 +12,9 @@ from dataclasses import dataclass, fields
 FD_SECOND = 1e-3      # Christoffel differences of the curvature stencil
 FD_FIELD = 1e-5       # derivatives of analytic ambient fields
 FD_LAPLACIAN = 1e-2   # five-point second-derivative stencil on ambient lines
+# Largest max|closed form - stencil| / sup|f| of the family Laplacians: the
+# stencil's own truncation at FD_LAPLACIAN is about 3e-7 of sup|f|
+STENCIL_AGREEMENT = 1e-6
 
 # Sup norm at or below which a family member is the zero function: its
 # eigen-residual is degenerate and the agreement and Rayleigh checks skip it.

@@ -110,6 +110,13 @@ def reeb_generator(n):
     return AutomorphismField(_real_form(np.zeros((m, m)), np.eye(m)), n, "i*Id")
 
 
+def pairing_form(A, J):
+    """Symmetric ``Q`` of the quadratic form ``x -> <A x, J x> = x^T A^T J x``;
+    a ``(k, d, d)`` stack of ``A`` gives the ``k`` forms."""
+    B = np.swapaxes(A, -1, -2) @ J
+    return 0.5 * (B + np.swapaxes(B, -1, -2))
+
+
 def moment(x, X):
     """Contact moment pairing ``<U x, J x>`` at unit ambient points."""
     x = np.asarray(x, dtype=float)
@@ -125,7 +132,8 @@ class MomentFunction:
     ``ambient`` evaluates the radially constant extension at arbitrary
     nonzero ambient points; ``on_chart`` evaluates at chart coordinates.
     ``mean_value`` is the quadrature mean that was subtracted, one per
-    generator of a stacked field.
+    generator of a stacked field.  On unit points the function is
+    ``x^T Q x - mean_value`` with ``Q = quadratic_form``.
     """
 
     def __init__(self, immersion, generator, mean_value):
@@ -139,6 +147,10 @@ class MomentFunction:
         # one mean per generator, broadcast over the point axes
         mean = np.reshape(self.mean_value, np.shape(self.mean_value) + (1,) * (xhat.ndim - 1))
         return moment(xhat, self.generator) - mean
+
+    @property
+    def quadratic_form(self):
+        return pairing_form(self.generator.generator, complex_structure(self.generator.n))
 
     def on_chart(self, u):
         return self.ambient(self.immersion.points(u))

@@ -21,7 +21,7 @@ leading axis.
 import numpy as np
 
 from .errors import InvalidFieldError, PreconditionError
-from .moment import moment_function
+from .moment import moment_function, pairing_form
 from .sasaki import complex_structure
 
 
@@ -95,12 +95,17 @@ class NomizuFunction:
     """Radial pairing of the corrected operator: ambient scalar field.
 
     Values do not depend on the radius; ``ambient`` accepts any nonzero
-    point and ``on_chart`` composes with an immersion.
+    point.  On unit points the function is ``x^T Q x`` with
+    ``Q = quadratic_form``.
     """
 
     def __init__(self, K, operator):
         self.cone_field = K
         self.operator = operator
+
+    @property
+    def quadratic_form(self):
+        return pairing_form(self.operator.matrix, self.cone_field.J)
 
     def ambient(self, y):
         y = np.asarray(y, dtype=float)

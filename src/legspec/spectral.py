@@ -2,9 +2,10 @@
 
 Two independent routes to the same operator:
 
-* :func:`extrinsic_laplacian` traces the flat-cone Hessian of the
-  radially constant extension over an orthonormal tangent frame
-  (pointwise, no discretization of the manifold);
+* :func:`extrinsic_laplacian` gives the Laplacian of a quadratic form
+  restricted to a minimal ``L`` in closed form, pointwise (no
+  discretization of the manifold); :func:`stencil_laplacian` checks it
+  with a five-point stencil of the flat-cone Hessian;
 * :func:`mesh_spectrum` diagonalizes an intrinsic discretization of
   the induced metric (periodic finite differences on the circle and
   torus, cotangent finite elements on the icosphere).
@@ -18,7 +19,7 @@ axis (values ``(k, N)``, see ``moment``) and reduce over nodes only.
 
 import numpy as np
 
-from .config import FD_FIELD, FD_LAPLACIAN, ZERO_FUNCTION
+from .config import FD_LAPLACIAN, ZERO_FUNCTION
 from .errors import PreconditionError, UnsupportedError
 from .icosphere import cotangent_laplacian, icosphere, nested_dissection
 
@@ -27,38 +28,63 @@ from .icosphere import cotangent_laplacian, icosphere, nested_dissection
 # pointwise extrinsic pipeline
 
 
-def _directional_second(F, x, d, h):
-    """Five-point second derivative of t -> F(x + t d) at t = 0."""
-    return (
-        -F(x + 2.0 * h * d)
-        + 16.0 * F(x + h * d)
-        - 30.0 * F(x)
-        + 16.0 * F(x - h * d)
-        - F(x - 2.0 * h * d)
-    ) / (12.0 * h**2)
+def extrinsic_laplacian(L, Q, u):
+    """Laplacian along ``L`` at chart points of the quadratic forms ``Q``.
 
+    ``Q`` is symmetric, ``(d, d)`` or a ``(k, d, d)`` stack, and stands for
+    ``f(x) = x^T Q x`` on the unit sphere (a constant added to ``f`` does
+    not change the value).  ``L`` must be minimal, with mean-curvature
+    residual at most 1e-6 (checked first).  Then, with unit points ``x``
+    and tangent projector ``P = sum_i e_i e_i^T``, the value is exact:
 
-def extrinsic_laplacian(L, f, u):
-    """Laplacian of an ambient scalar field along ``L`` at chart points.
+        Lap f = 2 tr(Q (n x x^T - P)),
 
-    ``f`` maps ambient points to scalars, vectorized, and must not depend
-    on the radius (compose with ``y -> y/|y|`` to enforce this).  ``L``
-    must be minimal, with mean-curvature residual at most 1e-6 (checked
-    first): the value is then ``-sum_i Hess f(e_i, e_i)`` along straight
-    ambient lines through each frame direction.
+    since along a unit ``e`` orthogonal to ``x`` the radially constant
+    extension of ``f`` has second derivative ``2 e^T Q e - 2 x^T Q x``.
     """
     u = np.asarray(u, dtype=float)
-    x = L.points(u)
     worst = L.mean_curvature_residual()
     if worst > 1e-6:
         raise PreconditionError(
             f"{L.name}: mean-curvature residual {worst:.2e} exceeds 1.0e-06; "
             "the frame-trace Laplacian holds only for minimal immersions"
         )
+    x = L.points(u)
     frame = L.frames(u)
+    lap = np.empty(np.shape(Q)[:-2] + (len(x),))
+    # (N, d, d) weights in 4096-node blocks to bound memory
+    for start in range(0, len(x), 4096):
+        block = slice(start, start + 4096)
+        weights = L.n * x[block, :, None] * x[block, None, :]
+        weights -= np.swapaxes(frame[block], -1, -2) @ frame[block]
+        # each output row reads only its own Q, so a stacked row equals, bit
+        # for bit, the value of that form alone (a product over the stack
+        # may not)
+        lap[..., block] = np.einsum("...ab,nab->...n", Q, weights)
+    return 2.0 * lap
+
+
+def stencil_laplacian(L, F, u):
+    """Five-point stencil of ``-sum_i Hess F(e_i, e_i)`` along straight
+    ambient lines through each orthonormal frame direction ``e_i`` of ``L``
+    at chart points ``u``: the Laplacian of an ambient scalar field ``F``
+    that does not depend on the radius, on a minimal ``L``, up to the
+    stencil's ``FD_LAPLACIAN^4`` truncation.  It cross-checks
+    :func:`extrinsic_laplacian` without sharing its algebra.
+    """
+    x = L.points(u)
+    frame = L.frames(u)
+    h = FD_LAPLACIAN
     total = np.zeros(x.shape[:-1])
     for i in range(L.n):
-        total = total + _directional_second(f, x, frame[..., i, :], FD_LAPLACIAN)
+        d = frame[..., i, :]
+        total = total + (
+            -F(x + 2.0 * h * d)
+            + 16.0 * F(x + h * d)
+            - 30.0 * F(x)
+            + 16.0 * F(x - h * d)
+            - F(x - 2.0 * h * d)
+        ) / (12.0 * h**2)
     return -total
 
 
@@ -75,17 +101,20 @@ class EigenResidual:
 def eigen_residual(L, f, eigenvalue, resolution=None):
     """max |Lap f - lambda f| / max |f| over quadrature nodes.
 
-    A zero function (sup norm at most ``ZERO_FUNCTION``) is reported as
-    residual 0 with ``degenerate`` set; the Laplacian is skipped only when
-    every function is zero.
+    ``f`` is a family of quadratic forms (``moment.MomentFunction`` or
+    ``nomizu.NomizuFunction``): its values come from ``f.ambient`` and its
+    Laplacian from ``f.quadratic_form`` in closed form.  A zero function
+    (sup norm at most ``ZERO_FUNCTION``) is reported as residual 0 with
+    ``degenerate`` set; the Laplacian is skipped only when every function
+    is zero.
     """
     u, _ = L.nodes(resolution)
-    fvals = f(L.points(u))
+    fvals = f.ambient(L.points(u))
     sup = np.max(np.abs(fvals), axis=-1)
     degenerate = sup <= ZERO_FUNCTION
     if np.all(degenerate):
         return EigenResidual(np.zeros_like(sup), degenerate, sup)
-    lap = extrinsic_laplacian(L, f, u)
+    lap = extrinsic_laplacian(L, f.quadratic_form, u)
     worst = np.max(np.abs(lap - eigenvalue * fvals), axis=-1)
     res = np.where(degenerate, 0.0, worst / np.where(degenerate, 1.0, sup))
     return EigenResidual(res, degenerate, sup)
@@ -94,22 +123,24 @@ def eigen_residual(L, f, eigenvalue, resolution=None):
 def rayleigh_quotient(L, f, resolution=None):
     """Quadrature Rayleigh quotient: integral |grad f|^2 / integral f^2.
 
-    The gradient is taken in chart coordinates with the inverse induced
-    metric; an eigensolver-free check of the eigenvalue.
+    ``f`` is a family of quadratic forms, as for :func:`eigen_residual`.
+    The gradient is exact: the chart derivatives of the unit points are
+    tangent to the sphere, so ``d_a f = 2 (Q x) . d_a x``, raised with the
+    inverse induced metric.  An eigensolver-free check of the eigenvalue;
+    a zero function (sup norm at most ``ZERO_FUNCTION``) has none and
+    gives nan.
     """
     u, _ = L.nodes(resolution)
-    dim = u.shape[-1]
-    fvals = f(L.points(u))
-    grad = np.empty(fvals.shape + (dim,))
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = FD_FIELD
-        grad[..., a] = (f(L.points(u + e)) - f(L.points(u - e))) / (2.0 * FD_FIELD)
+    x = L.points(u)
+    fvals = f.ambient(x)
+    qx = np.einsum("...ab,nb->...na", f.quadratic_form, x)
+    grad = 2.0 * np.einsum("...na,nai->...ni", qx, L.jacobian_at(u))
     ginv = np.linalg.inv(L.induced_metric(u))
     sq = np.einsum("...a,...ab,...b->...", grad, ginv, grad)
     num = L.integrate(sq, resolution)
     den = L.integrate(fvals**2, resolution)
-    return num / den
+    zero = np.max(np.abs(fvals), axis=-1) <= ZERO_FUNCTION
+    return np.where(zero, np.nan, num / np.where(zero, 1.0, den))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import nomizu as nz
 from . import reporting as rp
 from . import sasaki as sk
 from . import spectral as spc
-from .config import DEFAULT_TOLERANCES, ZERO_FUNCTION, Tolerances
+from .config import DEFAULT_TOLERANCES, STENCIL_AGREEMENT, ZERO_FUNCTION, Tolerances
 from .errors import PreconditionError, UnsupportedError
 
 CANONICAL_IMMERSIONS = (
@@ -91,9 +91,15 @@ class SuiteConfig:
             raise UnsupportedError(f"no shipped immersion has n={self.n}")
         if self.resolution is not None and self.suite != "sasaki-axioms":
             for L in self.selected_immersions():
-                # the spectrum suite reads --resolution as each discretizer's mesh level
+                # the spectrum suite reads --resolution as each discretizer's
+                # mesh level only, the other suites as a quadrature resolution
                 if L.discretizer is not None and self.suite in ("spectrum", "all"):
                     spc.mesh_resolution(L.discretizer, self.resolution)
+                if self.suite == "spectrum":
+                    if L.discretizer is None:
+                        raise UnsupportedError(f"'{L.name}' has no mesh, so the spectrum "
+                                               "suite's --resolution selects nothing")
+                    continue
                 count = L.domain.node_count(self.resolution)
                 if count > MAX_NODES:
                     raise UnsupportedError(f"resolution {self.resolution} gives '{L.name}' "
@@ -280,7 +286,7 @@ def moment_family_records(cfg):
         algebra = mo.stack_fields(basis, "u(n+1)")
         f = cfg.moment_function(L, algebra, cfg.resolution)
         try:
-            res = spc.eigen_residual(L, f.ambient, target, cfg.resolution)
+            res = spc.eigen_residual(L, f, target, cfg.resolution)
         except PreconditionError as exc:
             res = exc
         mean_resid = np.abs(L.integrate(f.on_chart, cfg.resolution)) / vol
@@ -308,7 +314,24 @@ def moment_family_records(cfg):
             )
         if L.totally_geodesic:
             records.append(_kernel_rank_record(L, algebra, cfg.resolution))
+        records.append(_stencil_record(cfg, L, algebra))
     return records
+
+
+def _stencil_record(cfg, L, algebra):
+    """The closed-form family Laplacian against the five-point stencil, on
+    the stacked family at the default resolution whatever --resolution is:
+    the one check of the closed form that does not share its algebra."""
+    name = f"{L.name}: closed-form Laplacian vs five-point stencil"
+    f = cfg.moment_function(L, algebra)
+    u, _ = L.nodes()
+    try:
+        closed = spc.extrinsic_laplacian(L, f.quadratic_form, u)
+    except PreconditionError as exc:
+        return _inconclusive(name, "closed-form-laplacian", exc)
+    stencil = spc.stencil_laplacian(L, f.ambient, u)
+    value = np.max(np.abs(closed - stencil)) / np.max(np.abs(f.values()))
+    return rp.residual_record(name, "closed-form-laplacian", value, STENCIL_AGREEMENT)
 
 
 def _normal_rank(L, algebra, resolution):
@@ -376,7 +399,7 @@ def nomizu_family_records(cfg):
                 for idx in range(len(basis))
             )
             continue
-        res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target, cfg.resolution)
+        res = spc.eigen_residual(L, nz.nomizu_function(K), target, cfg.resolution)
         for idx, X in enumerate(basis):
             records.append(
                 rp.residual_record(
@@ -450,7 +473,7 @@ def spectrum_records(cfg):
         report = cfg.mesh_spectrum(L)
         basis = mo.algebra_basis(L.n)
         f = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"))
-        er = spc.eigen_residual(L, f.ambient, report.target)
+        er = spc.eigen_residual(L, f, report.target)
         residuals = {
             f"basis[{idx}] {X.label}": float(er.residual[idx])
             for idx, X in enumerate(basis)
@@ -520,7 +543,7 @@ def spectrum_records(cfg):
                 f = cfg.moment_function(L, algebra, r2)
                 fv = f.on_chart(u2)
                 keep = np.max(np.abs(fv), axis=-1) > ZERO_FUNCTION
-                ext_vals = spc.extrinsic_laplacian(L, f.ambient, u2)[keep]
+                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form[keep], u2)
                 grid = fv[keep].reshape((-1,) + L.domain.grid_shape(r2))
                 mesh_vals = spc.apply_mesh_operator(L, grid).reshape(ext_vals.shape)
                 worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)
@@ -550,7 +573,7 @@ def spectrum_records(cfg):
         # integrate at the default quadrature like the eigen-residuals above
         f = cfg.moment_function(L, algebra)
         keep = np.max(np.abs(f.values()), axis=-1) > ZERO_FUNCTION
-        q = spc.rayleigh_quotient(L, lambda y: f.ambient(y)[keep])
+        q = spc.rayleigh_quotient(L, f)[keep]
         records.append(
             rp.residual_record(
                 f"{L.name}: Rayleigh quotients",

@@ -90,7 +90,7 @@ def test_criterion_3_moment_family():
         degenerate = 0
         for X in mo.algebra_basis(L.n):
             f = mo.moment_function(L, X)
-            res = spc.eigen_residual(L, f.ambient, target)
+            res = spc.eigen_residual(L, f, target)
             if res.degenerate:
                 degenerate += 1
             else:
@@ -117,7 +117,7 @@ def test_criterion_4_nomizu_family():
             crit.check(f"{name} operator-trace", alg["j_trace"], 1e-8)
             frame_sum = nz.operator_identity_residuals(K, L)
             crit.check(f"{name} frame-sum", frame_sum, 1e-7)
-            res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target)
+            res = spc.eigen_residual(L, nz.nomizu_function(K), target)
             if not res.degenerate:
                 crit.check(f"{name} eigen-residual", res.residual, 1e-5)
     crit.finish()
@@ -179,7 +179,7 @@ def test_criterion_7_cross_pipeline():
                 if np.max(np.abs(fv)) <= 1e-12:
                     continue
                 mesh_vals = spc.apply_mesh_operator(L, fv.reshape(L.domain.grid_shape(r2)))
-                ext_vals = spc.extrinsic_laplacian(L, f.ambient, u2).reshape(
+                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form, u2).reshape(
                     L.domain.grid_shape(r2)
                 )
                 worst = max(
@@ -202,6 +202,6 @@ def test_criterion_7_cross_pipeline():
             f = mo.moment_function(L, X)
             if np.max(np.abs(f.values())) <= 1e-12:
                 continue
-            q = spc.rayleigh_quotient(L, f.ambient)
+            q = spc.rayleigh_quotient(L, f)
             crit.check(f"{name} rayleigh", abs(q - target) / target, 0.01)
     crit.finish()

@@ -124,6 +124,17 @@ class TestUsageErrors:
             with pytest.raises(UnsupportedError):
                 SuiteConfig(suite="relation", immersion=immersion, resolution=resolution)
 
+    @pytest.mark.parametrize("resolution", [5, 41])
+    def test_spectrum_resolution_without_a_mesh_exits_64(self, resolution, capsys):
+        # spectrum reads --resolution as a mesh level only and S^3 has no
+        # mesh: the value selects nothing, within the quadrature cap (5) or
+        # beyond it (41, which no spectrum record would integrate at)
+        argv = ["--suite", "spectrum", "--immersion", "geodesic-sphere-n3",
+                "--resolution", str(resolution)]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert "selects nothing" in err and "quadrature nodes" not in err
+
     def test_sasaki_axioms_ignore_the_quadrature_cap(self):
         SuiteConfig(suite="sasaki-axioms", resolution=1000)
 
@@ -315,10 +326,33 @@ class TestSharedWork:
         cfg = SuiteConfig(
             suite="moment-family", immersion="clifford-torus-s5", resolution=8, fmt="csv"
         )
-        text = _moment_fields_csv(cfg)
+        buf = io.StringIO()
+        _moment_fields_csv(cfg, buf)
+        text = buf.getvalue()
         assert text == _per_row_moment_csv(cfg)
         assert '"i*E[1,1]"' in text
         assert text.count("\r\n") == 1 + 9 * 8 * 8
+
+    def test_moment_csv_keeps_every_bit_pattern(self, monkeypatch):
+        # formatted once per distinct bit pattern: -0.0 keeps its sign next
+        # to 0.0, which a np.unique over float values would merge
+        special = [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+        on_chart = mo.MomentFunction.on_chart
+
+        def with_special_values(f, u):
+            vals = on_chart(f, u).copy()
+            vals[..., : len(special)] = special
+            return vals
+
+        monkeypatch.setattr(mo.MomentFunction, "on_chart", with_special_values)
+        cfg = SuiteConfig(
+            suite="moment-family", immersion="clifford-torus-s5", resolution=8, fmt="csv"
+        )
+        buf = io.StringIO()
+        _moment_fields_csv(cfg, buf)
+        text = buf.getvalue()
+        assert text == _per_row_moment_csv(cfg)
+        assert ",0,0.0\r\n" in text and ",1,-0.0\r\n" in text and ",4,nan\r\n" in text
 
     def test_moment_family_evaluates_sqrt_det_g_once(self, monkeypatch, tmp_path):
         calls = _count_calls(

@@ -8,6 +8,7 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import nomizu as nz
 from legspec import sasaki as sk
+from legspec import spectral as spc
 from legspec.errors import InvalidFieldError, PreconditionError
 from legspec.reporting import FAIL
 from legspec.suites import SuiteConfig, run_suite
@@ -234,3 +235,73 @@ class TestSeededDefects:
         ambient = nz.NomizuFunction.ambient
         monkeypatch.setattr(nz.NomizuFunction, "ambient", lambda f, y: -ambient(f, y))
         assert "frame-sum-identity" in self.failing_anchors()
+
+
+def closed_form(coefficient=lambda n: n, factor=2.0, projector=True):
+    """``spectral.extrinsic_laplacian`` rebuilt with one term swappable:
+    ``factor * tr(Q (coefficient(n) x x^T - P))``, with the identity for
+    ``P`` when ``projector`` is false."""
+
+    def laplacian(L, Q, u):
+        x = L.points(u)
+        frame = L.frames(u)
+        P = np.swapaxes(frame, -1, -2) @ frame if projector else np.eye(x.shape[-1])
+        weights = coefficient(L.n) * x[:, :, None] * x[:, None, :] - P
+        return factor * np.einsum("...ab,nab->...n", Q, weights)
+
+    return laplacian
+
+
+class TestClosedFormDefects:
+    """Each defect in the closed-form Laplacian fails the stencil cross-check
+    and the eigen-residuals of both families at the default resolution."""
+
+    ANCHORS = {"closed-form-laplacian", "moment-family-eigenvalue", "cone-family-eigenvalue"}
+
+    @staticmethod
+    def failing_anchors():
+        failing = set()
+        for suite in ("moment-family", "nomizu-family"):
+            report = run_suite(SuiteConfig(suite=suite, n=2))
+            failing |= {r.anchor for r in report.records if r.status == FAIL}
+        return failing
+
+    def test_rebuilt_closed_form_passes(self, monkeypatch):
+        monkeypatch.setattr(spc, "extrinsic_laplacian", closed_form())
+        assert self.failing_anchors() == set()
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            closed_form(coefficient=lambda n: n + 1),  # 2n + 2 for 2n
+            closed_form(factor=1.0),  # a dropped factor 2
+            closed_form(projector=False),  # the identity for P
+        ],
+        ids=["2n+2", "dropped-2", "identity-projector"],
+    )
+    def test_defect_fails(self, monkeypatch, defect):
+        monkeypatch.setattr(spc, "extrinsic_laplacian", defect)
+        assert self.ANCHORS <= self.failing_anchors()
+
+    @pytest.mark.parametrize(
+        "suite,resolution,expected",
+        [
+            ("nomizu-family", None, {}),
+            ("moment-family", None, {"geodesic-sphere-n2": 24 * 48, "clifford-torus-s5": 48 * 48}),
+            # --resolution does not reach the cross-check
+            ("moment-family", 16, {"geodesic-sphere-n2": 24 * 48, "clifford-torus-s5": 48 * 48}),
+        ],
+    )
+    def test_stencil_runs_once_per_immersion_in_moment_family(
+        self, monkeypatch, suite, resolution, expected
+    ):
+        calls = []
+        stencil = spc.stencil_laplacian
+
+        def counted(L, F, u):
+            calls.append((L.name, len(u)))
+            return stencil(L, F, u)
+
+        monkeypatch.setattr(spc, "stencil_laplacian", counted)
+        assert run_suite(SuiteConfig(suite=suite, n=2, resolution=resolution)).exit_code() == 0
+        assert sorted(calls) == sorted(expected.items())

@@ -21,7 +21,8 @@ class TestExtrinsicLaplacian:
     def test_constants_are_harmonic(self):
         L = im.clifford_torus()
         u, _ = L.nodes()
-        vals = spc.extrinsic_laplacian(L, lambda y: np.ones(y.shape[:-1]), u)
+        # the constant 1 is |x|^2 on the unit sphere: the identity form
+        vals = spc.extrinsic_laplacian(L, np.eye(2 * L.n + 2), u)
         assert np.max(np.abs(vals)) <= 1e-10
 
     def test_degree_two_harmonic_on_geodesic_sphere(self):
@@ -29,7 +30,7 @@ class TestExtrinsicLaplacian:
         L = im.geodesic_sphere(2)
         f = mo.moment_function(L, diag_field(2, [1.0, -1.0, 0.0]))
         u, _ = L.nodes()
-        lap = spc.extrinsic_laplacian(L, f.ambient, u)
+        lap = spc.extrinsic_laplacian(L, f.quadratic_form, u)
         fv = f.on_chart(u)
         assert np.max(np.abs(lap - 6.0 * fv)) / np.max(np.abs(fv)) <= 1e-6
 
@@ -41,20 +42,20 @@ class TestExtrinsicLaplacian:
             fv = f.on_chart(u)
             if np.max(np.abs(fv)) <= 1e-12:
                 continue
-            lap = spc.extrinsic_laplacian(L, f.ambient, u)
+            lap = spc.extrinsic_laplacian(L, f.quadratic_form, u)
             assert np.max(np.abs(lap - 6.0 * fv)) / np.max(np.abs(fv)) <= 1e-6
 
     def test_minimality_precheck_can_fail(self):
         bad = _latitude_circle(0.5)
         with pytest.raises(PreconditionError):
-            spc.extrinsic_laplacian(bad, lambda y: y[..., 0], bad.nodes()[0])
+            spc.extrinsic_laplacian(bad, np.eye(4), bad.nodes()[0])
 
 
 class TestEigenResidual:
     def test_zero_function_flagged_degenerate(self):
         L = im.clifford_torus()
         res = spc.eigen_residual(
-            L, mo.moment_function(L, mo.reeb_generator(2)).ambient, 6.0
+            L, mo.moment_function(L, mo.reeb_generator(2)), 6.0
         )
         assert res.degenerate
         assert res.residual == 0.0
@@ -62,7 +63,7 @@ class TestEigenResidual:
     def test_circle_diag_difference(self):
         L = im.great_circle()
         f = mo.moment_function(L, diag_field(1, [1.0, -1.0]))
-        res = spc.eigen_residual(L, f.ambient, 4.0)
+        res = spc.eigen_residual(L, f, 4.0)
         assert not res.degenerate
         assert res.residual <= 1e-6
 
@@ -70,7 +71,7 @@ class TestEigenResidual:
         L = im.clifford_torus()
         for X in mo.traceless_basis(2):
             f = mo.moment_function(L, X)
-            res = spc.eigen_residual(L, f.ambient, 6.0)
+            res = spc.eigen_residual(L, f, 6.0)
             if not res.degenerate:
                 assert res.residual <= 1e-6, X.label
 
@@ -79,8 +80,8 @@ class TestEigenResidual:
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         L = im.geodesic_sphere(2)
         f = mo.moment_function(L, diag_field(2, [1.0, -1.0, 0.0]))
-        a = spc.eigen_residual(L, f.ambient, 6.0).residual
-        b = spc.eigen_residual(L.with_frame_mixer(Q), f.ambient, 6.0).residual
+        a = spc.eigen_residual(L, f, 6.0).residual
+        b = spc.eigen_residual(L.with_frame_mixer(Q), f, 6.0).residual
         assert abs(a - b) <= 1e-8
 
 
@@ -190,7 +191,7 @@ class TestPipelineAgreement:
             if np.max(np.abs(fv)) <= 1e-12:
                 continue
             mesh_vals = spc.apply_mesh_operator(L, fv.reshape(shape))
-            ext_vals = spc.extrinsic_laplacian(L, f.ambient, u).reshape(shape)
+            ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form, u).reshape(shape)
             rel = np.max(np.abs(mesh_vals - ext_vals)) / np.max(np.abs(ext_vals))
             assert rel <= 0.02, X.label
 
@@ -203,7 +204,7 @@ class TestPipelineAgreement:
             u, _ = L.nodes(res)
             grid = f.on_chart(u).reshape(res, res)
             mesh_vals = spc.apply_mesh_operator(L, grid)
-            ext_vals = spc.extrinsic_laplacian(L, f.ambient, u).reshape(res, res)
+            ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form, u).reshape(res, res)
             errs.append(np.max(np.abs(mesh_vals - ext_vals)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
@@ -220,7 +221,7 @@ class TestRayleigh:
             f = mo.moment_function(L, X)
             if np.max(np.abs(f.values())) <= 1e-12:
                 continue
-            q = spc.rayleigh_quotient(L, f.ambient)
+            q = spc.rayleigh_quotient(L, f)
             assert abs(q - target) <= 0.01 * target, X.label
 
 

@@ -48,8 +48,8 @@ def test_integrate(case):
 def test_moment_eigen_residual(case):
     L, basis, algebra = case
     target = 2.0 * L.n + 2.0
-    res = spc.eigen_residual(L, mo.moment_function(L, algebra).ambient, target)
-    singles = [spc.eigen_residual(L, mo.moment_function(L, X).ambient, target) for X in basis]
+    res = spc.eigen_residual(L, mo.moment_function(L, algebra), target)
+    singles = [spc.eigen_residual(L, mo.moment_function(L, X), target) for X in basis]
     same_bits(res.residual, [r.residual for r in singles])
     same_bits(res.degenerate, [r.degenerate for r in singles])
     same_bits(res.sup_norm, [r.sup_norm for r in singles])
@@ -60,8 +60,8 @@ def test_cone_eigen_residual_and_operator_identities(case):
     target = 2.0 * L.n + 2.0
     K = nz.ConeField.from_automorphism(algebra)
     cones = [nz.ConeField.from_automorphism(X) for X in basis]
-    res = spc.eigen_residual(L, nz.nomizu_function(K).ambient, target)
-    singles = [spc.eigen_residual(L, nz.nomizu_function(C).ambient, target) for C in cones]
+    res = spc.eigen_residual(L, nz.nomizu_function(K), target)
+    singles = [spc.eigen_residual(L, nz.nomizu_function(C), target) for C in cones]
     same_bits(res.residual, [r.residual for r in singles])
     same_bits(nz.operator_identity_residuals(K, L),
               [nz.operator_identity_residuals(C, L) for C in cones])
