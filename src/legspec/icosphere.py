@@ -3,11 +3,18 @@
 Subdividing the icosahedron ``level`` times and projecting to the sphere
 gives ``10 * 4^level + 2`` vertices.  The cotangent-weight stiffness
 matrix with barycentric lumped mass is the standard piecewise-linear
-finite-element Laplacian on the induced round metric;
-:func:`nested_dissection` orders its vertices for a sparse factorization.
+finite-element Laplacian on the induced round metric.  The mesh maps
+onto itself bit for bit under each coordinate reflection ``x_i -> -x_i``,
+since negating a coordinate is exact in floating point, and both matrices
+commute with these vertex permutations up to the rounding of their sums;
+:func:`reflection_sectors` splits the vertex space into the eight
+sign-character sectors of the reflection group, which the two matrices
+therefore leave invariant.
 """
 
 import numpy as np
+
+from .errors import PreconditionError
 
 
 def icosahedron():
@@ -66,50 +73,6 @@ def icosphere(level, radius=1.0):
     return radius * verts, faces
 
 
-# subsets this small are not dissected further; at level 6 the factor has
-# 4.25 M nonzeros at 32, 4.04 M at 8 for four times the recursion, 5.44 M
-# at 256
-_DISSECTION_LEAF = 32
-
-
-def nested_dissection(verts, faces):
-    """Fill-reducing elimination order for matrices on the mesh graph.
-
-    The vertex set is bisected along its widest coordinate axis; the
-    left-side vertices with a right-side neighbour form the separator,
-    which is ordered after both halves, and each half is dissected
-    recursively.  Returns a permutation of ``range(len(verts))``.
-    """
-    nv = len(verts)
-    # neighbour table, one row per vertex, listing each neighbour once per
-    # shared face and padded with nv, whose on_right entry stays False
-    pairs = faces[:, [0, 1, 1, 2, 2, 0, 1, 0, 2, 1, 0, 2]].reshape(-1, 2)
-    src, dst = pairs[np.argsort(pairs[:, 0], kind="stable")].T
-    slot = np.arange(len(src)) - np.searchsorted(src, src)
-    neighbours = np.full((nv, slot.max() + 1), nv)
-    neighbours[src, slot] = dst
-    on_right = np.zeros(nv + 1, dtype=bool)
-    order = []
-
-    def dissect(idx):
-        if len(idx) <= _DISSECTION_LEAF:
-            order.append(idx)
-            return
-        x = verts[idx]
-        axis = np.argmax(x.max(axis=0) - x.min(axis=0))
-        idx = idx[np.argsort(x[:, axis], kind="stable")]
-        left, right = idx[: len(idx) // 2], idx[len(idx) // 2:]
-        on_right[right] = True
-        cut = on_right[neighbours[left]].any(axis=1)
-        on_right[right] = False
-        dissect(left[~cut])
-        dissect(right)
-        order.append(left[cut])
-
-    dissect(np.arange(nv))
-    return np.concatenate(order)
-
-
 def cotangent_laplacian(verts, faces):
     """Stiffness matrix (cotangent weights) and lumped mass diagonal.
 
@@ -145,3 +108,49 @@ def cotangent_laplacian(verts, faces):
     mass = np.zeros(nv)
     np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))
     return stiffness.tocsr(), sp.diags(mass).tocsr()
+
+
+def reflection_sectors(verts):
+    """Bases of the eight sign-character sectors of the coordinate
+    reflections ``x_i -> -x_i``.
+
+    Each reflection must map the vertex set onto itself exactly; a vertex
+    without an exact mirror image raises ``PreconditionError``.  A column
+    of the basis of character ``chi`` is ``sum_g chi(g) e_{g(v)}`` over the
+    orbit of one vertex ``v``, with entries +-1 (orbits on which ``chi``
+    cancels give none).  The columns of the eight sparse ``(nv, m)`` bases
+    are pairwise orthogonal and number ``nv`` in all.
+    """
+    # imported here for cold start, as in cotangent_laplacian
+    import scipy.sparse as sp
+
+    nv = len(verts)
+    order = np.lexsort(verts.T[::-1])
+    # images[g] maps each vertex to its image under group element g, and
+    # characters[g, s] is the sign of g in sector s
+    images, characters = [np.arange(nv)], np.ones((1, 1))
+    for axis in range(3):
+        flipped = verts * np.where(np.arange(3) == axis, -1.0, 1.0)
+        flipped_order = np.lexsort(flipped.T[::-1])
+        if not np.array_equal(verts[order], flipped[flipped_order]):
+            raise PreconditionError(
+                f"a vertex has no exact mirror image under x{axis} -> -x{axis}"
+            )
+        mirror = np.empty(nv, dtype=int)
+        mirror[flipped_order] = order
+        images = [image for g in images for image in (g, mirror[g])]
+        characters = np.kron(characters, [[1.0, 1.0], [1.0, -1.0]])
+    # one column per orbit, keyed by its smallest vertex
+    orbits = np.flatnonzero(np.min(images, axis=0) == np.arange(nv))
+    rows = np.array(images)[:, orbits].ravel()
+    cols = np.tile(np.arange(len(orbits)), 8)
+    bases = []
+    for chi in characters.T:
+        # duplicate entries (orbits of fewer than 8 vertices) are summed
+        basis = sp.csc_matrix((np.repeat(chi, len(orbits)), (rows, cols)),
+                              shape=(nv, len(orbits)))
+        basis.eliminate_zeros()
+        basis = basis[:, np.diff(basis.indptr) > 0]
+        basis.data = np.sign(basis.data)
+        bases.append(basis)
+    return bases

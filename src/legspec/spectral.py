@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import FD_LAPLACIAN, ZERO_FUNCTION
 from .errors import PreconditionError, UnsupportedError
-from .icosphere import cotangent_laplacian, icosphere, nested_dissection
+from .icosphere import cotangent_laplacian, icosphere, reflection_sectors
 
 
 # ---------------------------------------------------------------------------
@@ -279,38 +279,22 @@ def apply_mesh_operator(L, grid_values):
     raise UnsupportedError("stencil application covers circle and torus grids")
 
 
-def _ordered_inverse(matrix, perm):
-    """``x -> matrix^-1 x`` for a sparse positive-definite ``matrix``.
-
-    The matrix is factored once, symmetrically permuted into the
-    fill-reducing elimination order ``perm``; positive definiteness lets
-    the LU skip pivoting, so it keeps that order.
-    """
-    # imported here, not at module level, so processes that never build an
-    # icosphere spectrum start without loading scipy (cold start)
-    import scipy.sparse.linalg as spla
-
-    lu = spla.splu(matrix.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
-        return x
-
-    return spla.LinearOperator(matrix.shape, matvec=solve, dtype=float)
-
-
 def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     """Discrete Laplace-Beltrami spectrum of the induced metric.
 
     circle/torus: the spectrum of the second-order periodic stencil,
     evaluated exactly through its Fourier symbol (all modes).  Round
     2-sphere: cotangent finite elements with lumped mass on the
-    icosphere at subdivision ``resolution``; the ``num_modes`` smallest
-    eigenvalues are extracted by shift-invert Lanczos.  The default 16
-    is the complete round-sphere clusters l <= 3: it ends one cluster
-    above the ``2n + 2 = 6`` target (l = 2) without splitting one.
+    icosphere at subdivision ``resolution``.  The problem splits into
+    the eight reflection sectors of ``icosphere.reflection_sectors``;
+    shift-invert Lanczos takes ``ceil(num_modes / 8) + 2`` eigenvalues of
+    each, and the report holds the ``num_modes`` smallest of their union
+    that lie at or below the smallest sector maximum, up to which every
+    sector's spectrum is complete (fewer when the sectors cover less; a
+    non-finite value keeps the whole union, for :func:`bound_check` to
+    reject).  The default 16 is the complete round-sphere clusters
+    l <= 3: it ends one cluster above the ``2n + 2 = 6`` target (l = 2)
+    without splitting one.
     """
     kind = _intrinsic_kind(L)
     resolution = mesh_resolution(kind, resolution)
@@ -325,29 +309,35 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
         ev = _fd_symbol_torus(L, resolution)
         method = "periodic-fd-symbol"
     else:
-        # local import for cold start, as in _ordered_inverse; eigsh is looked
-        # up on the module at call time, so a wrapper set on
-        # scipy.sparse.linalg.eigsh (perfbench/tracer.py) sees the solve
+        # imported here, not at module level, so processes that never build
+        # an icosphere spectrum start without loading scipy (cold start);
+        # eigsh is looked up on the module at call time, so a wrapper set on
+        # scipy.sparse.linalg.eigsh (perfbench/tracer.py) sees each solve
         import scipy.sparse.linalg as spla
 
         verts, faces = icosphere(resolution)
         stiffness, mass = cotangent_laplacian(verts, faces)
-        # a negative shift keeps stiffness - shift * mass positive definite
-        shift = -0.5
-        opinv = _ordered_inverse(stiffness - shift * mass, nested_dissection(verts, faces))
-        # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
-        # ARPACK would otherwise draw one from OS entropy
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, stiffness.shape[0])
-        ev = spla.eigsh(
-            stiffness,
-            k=num_modes,
-            M=mass,
-            sigma=shift,
-            which="LM",
-            v0=v0,
-            OPinv=opinv,
-            return_eigenvectors=False,
-        )
+        parts = []
+        for basis in reflection_sectors(verts):
+            # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
+            # ARPACK would otherwise draw one from OS entropy
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, basis.shape[1])
+            parts.append(spla.eigsh(
+                basis.T @ stiffness @ basis,
+                # ceil(num_modes / 8) and two spare modes, since the sectors'
+                # shares of the lowest num_modes are uneven
+                k=-(-num_modes // 8) + 2,
+                M=basis.T @ mass @ basis,
+                # a negative shift keeps stiffness - shift * mass positive definite
+                sigma=-0.5,
+                which="LM",
+                v0=v0,
+                return_eigenvectors=False,
+            ))
+        ev = np.concatenate(parts)
+        # a non-finite value keeps the whole union, for bound_check to reject
+        if np.all(np.isfinite(ev)):
+            ev = np.sort(ev[ev <= min(p.max() for p in parts)])[:num_modes]
         method = "icosphere-fem"
     return SpectralReport(ev, resolution, method, target, window, bound)
 

@@ -1,9 +1,11 @@
-"""Icosphere mesh build and its elimination order."""
+"""Icosphere mesh build and its reflection sectors."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from legspec import icosphere as ic
+from legspec.errors import PreconditionError
 
 
 def _reference_subdivide(verts, faces):
@@ -51,8 +53,47 @@ def test_mesh_is_a_closed_outward_oriented_sphere(level):
     assert np.all(np.einsum("ij,ij->i", normals, tri.sum(axis=1)) > 0.0)
 
 
-@pytest.mark.parametrize("level", [0, 2, 4])
-def test_nested_dissection_is_a_permutation(level):
+@pytest.mark.parametrize("level", range(7))
+def test_reflections_map_the_mesh_onto_itself_exactly(level):
+    verts, _ = ic.icosphere(level)
+    # python floats hash and compare -0.0 equal to 0.0
+    points = set(map(tuple, verts.tolist()))
+    assert len(points) == len(verts)
+    for axis in range(3):
+        flipped = verts.copy()
+        flipped[:, axis] = -flipped[:, axis]
+        assert set(map(tuple, flipped.tolist())) == points
+
+
+@pytest.mark.parametrize("level", [0, 3, 5])
+def test_sector_bases_are_orthogonal_and_complete(level):
+    verts, _ = ic.icosphere(level)
+    bases = ic.reflection_sectors(verts)
+    assert len(bases) == 8
+    # nv nonzero, pairwise orthogonal columns: a basis of the vertex space
+    assert sum(b.shape[1] for b in bases) == len(verts)
+    stacked = sp.hstack(bases).tocsc()
+    gram = (stacked.T @ stacked).tocoo()
+    off = gram.row != gram.col
+    assert not np.any(gram.data[off])
+    assert np.all(gram.diagonal() > 0)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_sectors_are_invariant_under_stiffness_and_mass(level):
     verts, faces = ic.icosphere(level)
-    perm = ic.nested_dissection(verts, faces)
-    assert np.array_equal(np.sort(perm), np.arange(len(verts)))
+    stiffness, mass = ic.cotangent_laplacian(verts, faces)
+    for basis in ic.reflection_sectors(verts):
+        # the columns are orthogonal, so B (B^T B)^-1 B^T projects onto their span
+        inv_gram = sp.diags(1.0 / (basis.T @ basis).diagonal())
+        for matrix in (stiffness, mass):
+            image = matrix @ basis
+            outside = image - basis @ (inv_gram @ (basis.T @ image))
+            assert abs(outside).max() <= 1e-14 * abs(matrix).max()
+
+
+def test_a_vertex_off_its_mirror_image_raises():
+    verts, _ = ic.icosphere(3)
+    verts[17, 0] = np.nextafter(verts[17, 0], 2.0)
+    with pytest.raises(PreconditionError, match="no exact mirror image"):
+        ic.reflection_sectors(verts)

@@ -1,5 +1,7 @@
 """Laplacian pipelines: pointwise values, mesh spectra, bounds."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -8,6 +10,7 @@ from legspec import icosphere as ic
 from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
+from legspec.cli import main
 from legspec.errors import PreconditionError, UnsupportedError
 
 
@@ -115,19 +118,11 @@ class TestMeshSpectrum:
         b = spc.mesh_spectrum(im.geodesic_sphere(2), 3).eigenvalues
         assert a.tobytes() == b.tobytes()
 
-    def test_ordered_inverse_matches_plain_lu(self):
-        verts, faces = ic.icosphere(4)
-        stiffness, mass = ic.cotangent_laplacian(verts, faces)
-        shifted = (stiffness + 0.5 * mass).tocsc()
-        opinv = spc._ordered_inverse(shifted, ic.nested_dissection(verts, faces))
-        plain = spla.splu(shifted)
-        for b in np.random.default_rng(3).standard_normal((4, len(verts))):
-            x, ref = opinv.matvec(b), plain.solve(b)
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_icosphere_modes_match_arpack_internal_lu(self):
-        rep = spc.mesh_spectrum(im.geodesic_sphere(2), 4)
-        stiffness, mass = ic.cotangent_laplacian(*ic.icosphere(4))
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_icosphere_modes_match_arpack_internal_lu(self, level):
+        # the sector solves against one full-size solve
+        rep = spc.mesh_spectrum(im.geodesic_sphere(2), level)
+        stiffness, mass = ic.cotangent_laplacian(*ic.icosphere(level))
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, stiffness.shape[0])
         ref = np.sort(spla.eigsh(stiffness, k=16, M=mass, sigma=-0.5, which="LM",
                                  v0=v0, return_eigenvectors=False))
@@ -141,6 +136,38 @@ class TestMeshSpectrum:
         assert cut.inconclusive and not cut.passed
         full = spc.bound_check(spc.mesh_spectrum(L, 3, num_modes=16))
         assert full.passed and full.equality and not full.inconclusive
+
+    @pytest.mark.parametrize("per_sector", [1, 2, 3])
+    def test_sectors_that_miss_the_window_are_inconclusive(self, monkeypatch, per_sector):
+        # too few modes a sector: the spectrum known complete ends inside
+        # the target window
+        original = spla.eigsh
+        monkeypatch.setattr(spla, "eigsh", lambda *a, **kw: original(*a, **dict(kw, k=per_sector)))
+        rep = spc.mesh_spectrum(im.geodesic_sphere(2), 3)
+        assert rep.eigenvalues[-1] <= rep.target * (1.0 + rep.window)
+        verdict = spc.bound_check(rep)
+        assert verdict.inconclusive and not verdict.passed
+
+    def test_nan_in_one_sector_is_inconclusive(self, monkeypatch, tmp_path):
+        original = spla.eigsh
+        calls = []
+
+        def third_sector_nan(*args, **kwargs):
+            ev = original(*args, **kwargs)
+            calls.append(1)
+            if len(calls) % 8 == 3:
+                ev[0] = np.nan
+            return ev
+
+        monkeypatch.setattr(spla, "eigsh", third_sector_nan)
+        L = im.geodesic_sphere(2)
+        verdict = spc.bound_check(spc.mesh_spectrum(L, 3))
+        assert verdict.inconclusive and not verdict.passed
+        out = tmp_path / "spectrum.json"
+        argv = ["--suite", "spectrum", "--immersion", L.name, "--resolution", "3"]
+        assert main(argv + ["--output", str(out)]) != 0
+        status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert status[f"{L.name}: multiplicity >= algebra bound"] == "inconclusive"
 
     def test_non_finite_eigenvalue_is_inconclusive(self):
         ev = [0.0, 2.0, 2.0, 2.0, 6.0, 6.0, 6.0, 6.0, 6.0, 12.0, np.nan]
