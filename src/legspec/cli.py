@@ -102,13 +102,13 @@ def _moment_fields_csv(cfg, out):
     own strings."""
     csv.writer(out).writerow(["immersion", "basis_index", "generator", "node", "value"])
     for L in cfg.selected_immersions():
-        u, _ = L.nodes(cfg.resolution)
         basis = mo.algebra_basis(L.n)
-        values = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution).on_chart(u)
+        f = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution)
+        values = f.values(cfg.resolution)
         bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
         # one repr of the list formats every float as repr(float) does
         text = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
-        nodes = [f",{node}," for node in range(len(u))]
+        nodes = [f",{node}," for node in range(values.shape[-1])]
         for idx, (X, row) in enumerate(zip(basis, inverse.reshape(values.shape))):
             fixed = io.StringIO()
             csv.writer(fixed).writerow([L.name, idx, X.label])

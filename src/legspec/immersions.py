@@ -15,9 +15,13 @@ these fields, never the name.
 Quadrature follows the domain: uniform (trapezoid) grids on periodic
 boxes, Gauss-Legendre x trapezoid products on polar sphere charts.  The
 Gauss nodes are interior, so polar singularities are never evaluated.
+
+The per-node tensors every check reads live in one :class:`NodeGeometry`
+per immersion and resolution, each built on first read and kept.
 """
 
 import copy
+from functools import cached_property
 
 import numpy as np
 
@@ -93,17 +97,15 @@ class LegendrianImmersion:
 
     ``chart_map``, ``jacobian`` and ``chart_hessian`` are vectorized over
     leading axes, the Jacobian having shape ``(..., 2n+2, n)`` and the
-    Hessian ``(..., 2n+2, n, n)``.  ``frame_mixer`` optionally
-    rotates Jacobian columns before orthonormalization; every scalar
-    output must be invariant under it.
+    Hessian ``(..., 2n+2, n, n)``.
 
     ``multiplicity`` is the dimension of the ``2n + 2`` eigenspace and
     ``discretizer`` a ``spectral.MESH_RESOLUTIONS`` key (``None``: none).
     """
 
     def __init__(self, name, n, chart_map, jacobian, domain, default_resolution,
-                 chart_hessian, frame_mixer=None, totally_geodesic=False,
-                 multiplicity=None, discretizer=None):
+                 chart_hessian, totally_geodesic=False, multiplicity=None,
+                 discretizer=None):
         self.name = name
         self.n = n
         self.ambient = SphereSasaki(n)
@@ -112,36 +114,36 @@ class LegendrianImmersion:
         self.chart_hessian = chart_hessian
         self.domain = domain
         self.default_resolution = default_resolution
-        self.frame_mixer = frame_mixer
         self.totally_geodesic = totally_geodesic
         self.multiplicity = multiplicity
         self.discretizer = discretizer
-        self._node_cache = {}
+        self._geometries = {}
 
     def with_frame_mixer(self, mixer):
-        """A copy with rotated Jacobian columns and empty caches."""
+        """A copy, with no node geometry yet, whose chart derivatives are taken
+        along the columns of ``mixer``; every scalar output must be
+        invariant under this rotation of the Jacobian columns."""
+        M = np.asarray(mixer, dtype=float)
         mixed = copy.copy(self)
-        mixed.frame_mixer = np.asarray(mixer, dtype=float)
-        mixed._node_cache = {}
+        mixed.jacobian = lambda u: self.jacobian(u) @ M
+        mixed.chart_hessian = lambda u: M.T @ self.chart_hessian(u) @ M
+        mixed._geometries = {}
         return mixed
 
     def resolve_resolution(self, resolution=None):
         return self.default_resolution if resolution is None else int(resolution)
 
-    def nodes(self, resolution=None):
+    def node_geometry(self, resolution=None):
+        """The :class:`NodeGeometry` of the quadrature at ``resolution``,
+        one per resolution for the life of the immersion."""
         res = self.resolve_resolution(resolution)
-        if res not in self._node_cache:
-            self._node_cache[res] = self.domain.nodes_weights(res)
-        return self._node_cache[res]
+        if res not in self._geometries:
+            self._geometries[res] = NodeGeometry(self, *self.domain.nodes_weights(res))
+        return self._geometries[res]
 
-    def mean_curvature_residual(self, resolution=None):
-        """max |H| over quadrature nodes, cached per resolution."""
-        res = self.resolve_resolution(resolution)
-        key = ("mean_h", res)
-        if key not in self._node_cache:
-            u, _ = self.nodes(res)
-            self._node_cache[key] = shape_operator(self, u).mean_curvature_norm()
-        return self._node_cache[key]
+    def nodes(self, resolution=None):
+        geo = self.node_geometry(resolution)
+        return geo.u, geo.w
 
     # -- induced geometry --------------------------------------------------
 
@@ -149,10 +151,7 @@ class LegendrianImmersion:
         return self.chart_map(np.asarray(u, dtype=float))
 
     def jacobian_at(self, u):
-        jac = self.jacobian(np.asarray(u, dtype=float))
-        if self.frame_mixer is not None:
-            jac = jac @ self.frame_mixer
-        return jac
+        return self.jacobian(np.asarray(u, dtype=float))
 
     def induced_metric(self, u):
         jac = self.jacobian_at(u)
@@ -176,20 +175,6 @@ class LegendrianImmersion:
             frame.append(v / norms[..., None])
         return np.stack(frame, axis=-2)
 
-    def legendrian_residual(self, resolution=None):
-        """max |eta(d_i map)| over quadrature nodes, cached per resolution."""
-        res = self.resolve_resolution(resolution)
-        key = ("legendrian", res)
-        if key not in self._node_cache:
-            u, _ = self.nodes(res)
-            x = self.points(u)
-            jac = self.jacobian_at(u)
-            jx = self.ambient.apply_J(x)
-            self._node_cache[key] = float(
-                np.max(np.abs(np.einsum("...a,...ai->...i", jx, jac)))
-            )
-        return self._node_cache[key]
-
     def sqrt_det_metric(self, u):
         g = self.induced_metric(u)
         det = np.linalg.det(g)
@@ -199,26 +184,94 @@ class LegendrianImmersion:
 
     def integrate(self, f, resolution=None):
         """Quadrature of a scalar field given on chart coordinates, over the
-        last (node) axis: values ``(k, N)`` give ``k`` integrals.
-        ``sqrt det g`` at the nodes is cached per resolution."""
-        res = self.resolve_resolution(resolution)
-        u, w = self.nodes(res)
-        vals = np.asarray(f(u) if callable(f) else f, dtype=float)
-        vals = np.broadcast_to(vals, vals.shape[:-1] + (len(u),))
+        last (node) axis: values ``(k, N)`` give ``k`` integrals."""
+        geo = self.node_geometry(resolution)
+        vals = np.asarray(f(geo.u) if callable(f) else f, dtype=float)
+        vals = np.broadcast_to(vals, vals.shape[:-1] + (len(geo.u),))
         if not np.all(np.isfinite(vals)):
             raise EvaluationError(f"{self.name}: non-finite integrand at a node")
-        key = ("sqrt_g", res)
-        if key not in self._node_cache:
-            self._node_cache[key] = self.sqrt_det_metric(u)
-        # the weights stay out of the cache: vals * (sqrt_g * w) rounds
+        # the weights stay a separate factor: vals * (sqrt_g * w) rounds
         # differently from vals * sqrt_g * w
-        return np.sum(vals * self._node_cache[key] * w, axis=-1)
+        return np.sum(vals * geo.sqrt_g * geo.w, axis=-1)
 
     def volume(self, resolution=None):
         vol = self.integrate(lambda u: np.ones(len(u)), resolution)
         if vol <= 0.0:
             raise QuadratureError(f"{self.name}: non-positive volume")
         return vol
+
+
+class NodeGeometry:
+    """The per-node tensors of an immersion at chart points ``u`` with
+    quadrature weights ``w`` (``None`` off a quadrature), each built on
+    first read from the immersion's evaluators and kept: unit points ``x``,
+    ``jacobian``, orthonormal ``frame``, induced ``metric``, ``sqrt_g``
+    (``sqrt det g``), the :class:`ShapeData` ``shape`` and two residuals.
+    """
+
+    def __init__(self, immersion, u, w=None):
+        self.immersion = immersion
+        self.u = np.asarray(u, dtype=float)
+        self.w = w
+
+    def __getitem__(self, index):
+        """The nodes ``index`` selects, with their points, Jacobian and
+        frame sliced from this node set's instead of evaluated again."""
+        part = NodeGeometry(self.immersion, self.u[index])
+        part.x, part.jacobian, part.frame = self.x[index], self.jacobian[index], self.frame[index]
+        return part
+
+    @cached_property
+    def x(self):
+        return self.immersion.points(self.u)
+
+    @cached_property
+    def jacobian(self):
+        return self.immersion.jacobian_at(self.u)
+
+    @cached_property
+    def frame(self):
+        return self.immersion.frames(self.u)
+
+    @cached_property
+    def metric(self):
+        return np.einsum("...ai,...aj->...ij", self.jacobian, self.jacobian)
+
+    @cached_property
+    def sqrt_g(self):
+        return self.immersion.sqrt_det_metric(self.u)
+
+    @cached_property
+    def shape(self):
+        return shape_operator(self)
+
+    @cached_property
+    def legendrian_residual(self):
+        """max |eta(d_i map)| over the nodes."""
+        jx = self.immersion.ambient.apply_J(self.x)
+        return float(np.max(np.abs(np.einsum("...a,...ai->...i", jx, self.jacobian))))
+
+    @cached_property
+    def mean_curvature_residual(self):
+        """max |H| over the nodes."""
+        return self.shape.mean_curvature_norm()
+
+    def projector_trace(self, A, radial):
+        """``tr(A (radial x x^T - P))`` at each node, ``P = sum_i e_i e_i^T``
+        the tangent projector, for a ``(d, d)`` matrix or a ``(k, d, d)``
+        stack ``A``; the ``(N, d, d)`` weights are formed in 4096-node
+        blocks to bound memory."""
+        x, frame = self.x, self.frame
+        out = np.empty(np.shape(A)[:-2] + (len(x),))
+        for start in range(0, len(x), 4096):
+            block = slice(start, start + 4096)
+            weights = radial * x[block, :, None] * x[block, None, :]
+            weights -= np.einsum("nia,nib->nab", frame[block], frame[block])
+            # each output row reads only its own A, so a stacked row equals,
+            # bit for bit, the value of that matrix alone (a product over
+            # the stack may not)
+            out[..., block] = np.einsum("...ab,nab->...n", A, weights)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +503,14 @@ def get_immersion(name):
 
 
 class ShapeData:
-    """Frame, second fundamental form and mean curvature at chart points.
+    """Second fundamental form and mean curvature at chart points.
 
-    ``frame`` has shape (..., n, 2n+2); ``second_fundamental`` has shape
-    (..., n, n, 2n+2) with values normal to the immersion inside the
-    sphere; ``mean_curvature`` is its frame trace.
+    ``second_fundamental`` has shape (..., n, n, 2n+2) with values normal
+    to the immersion inside the sphere; ``mean_curvature`` is its frame
+    trace.
     """
 
-    def __init__(self, frame, second_fundamental, mean_curvature):
-        self.frame = frame
+    def __init__(self, second_fundamental, mean_curvature):
         self.second_fundamental = second_fundamental
         self.mean_curvature = mean_curvature
 
@@ -469,8 +521,10 @@ class ShapeData:
         return float(np.max(np.linalg.norm(self.second_fundamental, axis=-1)))
 
 
-def shape_operator(L, u):
-    """Second fundamental form of ``L`` inside the sphere at ``u``.
+def shape_operator(geo):
+    """Second fundamental form of ``geo.immersion`` inside the sphere at the
+    nodes of the :class:`NodeGeometry` ``geo``, from its points, frame,
+    Jacobian and metric.
 
     Tensorial route: the sphere covariant derivative of coordinate fields
     is ``d_a d_b x + g_ab x``; contracting with the frame coefficients and
@@ -478,16 +532,12 @@ def shape_operator(L, u):
     form.  The chart Hessians are analytic, which keeps the computation
     roundoff-limited near polar chart nodes.
     """
-    u = np.asarray(u, dtype=float)
-    x = L.points(u)
-    frame = L.frames(u)
-    raw_jac = L.jacobian(u)
-    gram = np.einsum("...ai,...aj->...ij", raw_jac, raw_jac)
+    x, frame, gram = geo.x, geo.frame, geo.metric
     gram_inv = np.linalg.inv(gram)
     # chart coefficients of each frame vector: solve jac @ c = e_k
-    coeff = np.einsum("...ij,...aj,...ka->...ki", gram_inv, raw_jac, frame)
+    coeff = np.einsum("...ij,...aj,...ka->...ki", gram_inv, geo.jacobian, frame)
 
-    hess = L.chart_hessian(u)  # (..., 2n+2, k, k)
+    hess = geo.immersion.chart_hessian(geo.u)  # (..., 2n+2, k, k)
     cov = hess + x[..., None, None] * gram[..., None, :, :]
     second = np.einsum("...iab,...Aa,...Bb->...ABi", cov, coeff, coeff)
     # remove the part tangent to L
@@ -498,7 +548,7 @@ def shape_operator(L, u):
     )
     second = second - tangential
     mean = np.einsum("...iia->...a", second)
-    return ShapeData(frame, second, mean)
+    return ShapeData(second, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -520,42 +570,37 @@ class NormalSplit:
         self.one_form = one_form
 
 
-def normal_split(L, X, u):
-    """Split ``X`` along ``L`` into tangent and normal parts at ``u``.
+def normal_split(geo, X):
+    """Split ``X`` along the immersion into tangent and normal parts at the
+    nodes of the :class:`NodeGeometry` ``geo``.
 
     ``X`` maps ambient points to ambient vectors (vectorized; a stacked
     field adds a leading generator axis to every part).  Returns a
     :class:`NormalSplit`; the 1-form uses the pointwise identity
     ``d eta(V, W) = <JV, W>`` valid for vectors tangent to the sphere.
     """
-    u = np.asarray(u, dtype=float)
-    x = L.points(u)
-    frame = L.frames(u)
+    x, frame = geo.x, geo.frame
     vals = X(x)
     coeffs = np.einsum("...a,...ka->...k", vals, frame)
     tangent = np.einsum("...k,...ka->...a", coeffs, frame)
     normal = vals - tangent
-    S = L.ambient
+    S = geo.immersion.ambient
     reeb_component = S.eta(x, normal)
-    jac = L.jacobian_at(u)
     jnormal = S.apply_J(normal)
-    one_form = -0.5 * np.einsum("...a,...ai->...i", jnormal, jac)
+    one_form = -0.5 * np.einsum("...a,...ai->...i", jnormal, geo.jacobian)
     return NormalSplit(tangent, normal, reeb_component, one_form)
 
 
-def normal_from_split(L, u, reeb_component, one_form):
-    """Reconstruct the normal field from its split data.
+def normal_from_split(geo, reeb_component, one_form):
+    """Reconstruct the normal field from its split data at the nodes of
+    ``geo``.
 
     Inverts the encoding: the normal bundle of a Legendrian is spanned by
     the Reeb vector and J of the tangent space, and ``one_form`` has
     components ``(1/2) <W, d_a>`` for the tangential potential ``W``.
     """
-    u = np.asarray(u, dtype=float)
-    x = L.points(u)
-    jac = L.jacobian_at(u)
-    gram = np.einsum("...ai,...aj->...ij", jac, jac)
-    w_coeff = 2.0 * np.einsum("...ij,...j->...i", np.linalg.inv(gram), one_form)
-    W = np.einsum("...i,...ai->...a", w_coeff, jac)
-    S = L.ambient
-    xi = S.reeb(x)
+    w_coeff = 2.0 * np.einsum("...ij,...j->...i", np.linalg.inv(geo.metric), one_form)
+    W = np.einsum("...i,...ai->...a", w_coeff, geo.jacobian)
+    S = geo.immersion.ambient
+    xi = S.reeb(geo.x)
     return np.asarray(reeb_component)[..., None] * xi + S.apply_J(W)

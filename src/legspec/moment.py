@@ -130,7 +130,8 @@ class MomentFunction:
     """The mean-free moment-map function of a generator along an immersion.
 
     ``ambient`` evaluates the radially constant extension at arbitrary
-    nonzero ambient points; ``on_chart`` evaluates at chart coordinates.
+    nonzero ambient points; ``on_chart`` evaluates at chart coordinates and
+    ``node_values`` at the nodes of a ``NodeGeometry``, once per node set.
     ``mean_value`` is the quadrature mean that was subtracted, one per
     generator of a stacked field.  On unit points the function is
     ``x^T Q x - mean_value`` with ``Q = quadratic_form``.
@@ -140,6 +141,7 @@ class MomentFunction:
         self.immersion = immersion
         self.generator = generator
         self.mean_value = mean_value
+        self._node_values = {}
 
     def ambient(self, y):
         y = np.asarray(y, dtype=float)
@@ -155,15 +157,21 @@ class MomentFunction:
     def on_chart(self, u):
         return self.ambient(self.immersion.points(u))
 
+    def node_values(self, geo):
+        """Values at the nodes of ``geo``, through :meth:`ambient`; kept, so
+        every reader of one node set shares one evaluation."""
+        if geo not in self._node_values:
+            self._node_values[geo] = self.ambient(geo.x)
+        return self._node_values[geo]
+
     def values(self, resolution=None):
-        u, _ = self.immersion.nodes(resolution)
-        return self.on_chart(u)
+        return self.node_values(self.immersion.node_geometry(resolution))
 
 
 def moment_function(L, X, resolution=None):
     """Moment-map function on ``L`` with its quadrature mean removed."""
     vol = L.volume(resolution)
-    raw = lambda u: moment(L.points(u), X)
+    raw = moment(L.node_geometry(resolution).x, X)
     mean = L.integrate(raw, resolution) / vol
     return MomentFunction(L, X, mean)
 

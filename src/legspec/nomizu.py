@@ -21,7 +21,7 @@ leading axis.
 import numpy as np
 
 from .errors import InvalidFieldError, PreconditionError
-from .moment import moment_function, pairing_form
+from .moment import pairing_form
 from .sasaki import complex_structure
 
 
@@ -114,6 +114,10 @@ class NomizuFunction:
         op_x = xhat @ np.swapaxes(self.operator.matrix, -1, -2)
         return np.einsum("...i,...i->...", op_x, jx)
 
+    def node_values(self, geo):
+        """Values at the nodes of a ``NodeGeometry``."""
+        return self.ambient(geo.x)
+
     def __call__(self, x, r=1.0):
         return self.ambient(float(r) * np.asarray(x, dtype=float))
 
@@ -135,24 +139,21 @@ def operator_identity_residuals(K, L, resolution=None, legendrian_tol=1e-8):
     Legendrian ``L``, which is checked first (``PreconditionError``
     otherwise).
     """
-    if L.legendrian_residual(resolution) > legendrian_tol:
+    geo = L.node_geometry(resolution)
+    if geo.legendrian_residual > legendrian_tol:
         raise PreconditionError(
             f"{L.name} is not Legendrian at tolerance {legendrian_tol}"
         )
-    u, _ = L.nodes(resolution)
     f = nomizu_function(K)
-    # f first: its (k, N, d) temporaries are freed before the projector
-    fvals = f.ambient(L.points(u))
-    frames = L.frames(u)
-    projector = np.einsum("nia,nib->nab", frames, frames)
     op_j = np.swapaxes(f.operator.matrix, -1, -2) @ K.J
-    sums = np.einsum("...ab,nab->...n", op_j, projector)
-    return np.max(np.abs(sums + fvals), axis=-1)
+    sums = -geo.projector_trace(op_j, 0)
+    return np.max(np.abs(sums + f.node_values(geo)), axis=-1)
 
 
-def family_coincidence_residuals(X, L, resolution=None):
-    """Pointwise comparison of the two function families for a sphere
-    automorphism ``X`` along ``L``.
+def family_coincidence_residuals(f_mom, resolution=None):
+    """Pointwise comparison of the two function families for the sphere
+    automorphism ``X`` of the moment function ``f_mom`` along its
+    immersion ``L``.
 
     Returns the max over quadrature nodes, per generator of a stacked
     field, of
@@ -160,16 +161,15 @@ def family_coincidence_residuals(X, L, resolution=None):
     * ``vs_contact_plus_trace`` -- |f - eta(X) - div(JX)/(2n+2)|;
     * ``vs_moment_family``      -- |f - (eta(X) - mean eta(X))|.
     """
-    K = ConeField.from_automorphism(X)
-    f_cone = nomizu_function(K)
-    u, _ = L.nodes(resolution)
-    pts = L.points(u)
-    cone_vals = f_cone.ambient(pts)
+    X, L = f_mom.generator, f_mom.immersion
+    f_cone = nomizu_function(ConeField.from_automorphism(X))
+    geo = L.node_geometry(resolution)
+    pts = geo.x
+    cone_vals = f_cone.node_values(geo)
 
     eta_vals = L.ambient.eta(pts, X(pts))
     trace_term = np.expand_dims(f_cone.operator.div_jk / (2.0 * L.n + 2.0), -1)
     resid_a = np.max(np.abs(cone_vals - eta_vals - trace_term), axis=-1)
 
-    f_mom = moment_function(L, X, resolution)
-    resid_b = np.max(np.abs(cone_vals - f_mom.on_chart(u)), axis=-1)
+    resid_b = np.max(np.abs(cone_vals - f_mom.node_values(geo)), axis=-1)
     return {"vs_contact_plus_trace": resid_a, "vs_moment_family": resid_b}

@@ -59,9 +59,14 @@ def residual_record(name, anchor, value, threshold, degenerate=False, details=No
     return CheckRecord(name, anchor, "residual", float(value), float(threshold), status, details)
 
 
-def count_record(name, anchor, value, expected, details=None):
+def count_record(name, anchor, value, expected, details=None, verdict=None):
+    """A count against its expected value, ``inconclusive`` (with the
+    diagnostics in ``details``) when the bound ``verdict`` it rests on is."""
     status = PASS if value == expected else FAIL
     det = dict(details or {}, expected=expected)
+    if verdict is not None and verdict.inconclusive:
+        status = INCONCLUSIVE
+        det.update(verdict.diagnostics)
     return CheckRecord(name, anchor, "count", int(value), None, status, det)
 
 

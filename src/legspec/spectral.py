@@ -28,52 +28,41 @@ from .icosphere import cotangent_laplacian, icosphere, reflection_sectors
 # pointwise extrinsic pipeline
 
 
-def extrinsic_laplacian(L, Q, u):
-    """Laplacian along ``L`` at chart points of the quadratic forms ``Q``.
+def extrinsic_laplacian(L, Q, resolution=None):
+    """Laplacian along ``L`` of the quadratic forms ``Q`` at the quadrature
+    nodes of ``resolution``.
 
     ``Q`` is symmetric, ``(d, d)`` or a ``(k, d, d)`` stack, and stands for
     ``f(x) = x^T Q x`` on the unit sphere (a constant added to ``f`` does
     not change the value).  ``L`` must be minimal, with mean-curvature
-    residual at most 1e-6 (checked first).  Then, with unit points ``x``
-    and tangent projector ``P = sum_i e_i e_i^T``, the value is exact:
+    residual at most 1e-6 at its default nodes (checked first).  Then, with
+    unit points ``x`` and tangent projector ``P = sum_i e_i e_i^T``, the
+    value is exact:
 
         Lap f = 2 tr(Q (n x x^T - P)),
 
     since along a unit ``e`` orthogonal to ``x`` the radially constant
     extension of ``f`` has second derivative ``2 e^T Q e - 2 x^T Q x``.
     """
-    u = np.asarray(u, dtype=float)
-    worst = L.mean_curvature_residual()
+    worst = L.node_geometry().mean_curvature_residual
     if worst > 1e-6:
         raise PreconditionError(
             f"{L.name}: mean-curvature residual {worst:.2e} exceeds 1.0e-06; "
             "the frame-trace Laplacian holds only for minimal immersions"
         )
-    x = L.points(u)
-    frame = L.frames(u)
-    lap = np.empty(np.shape(Q)[:-2] + (len(x),))
-    # (N, d, d) weights in 4096-node blocks to bound memory
-    for start in range(0, len(x), 4096):
-        block = slice(start, start + 4096)
-        weights = L.n * x[block, :, None] * x[block, None, :]
-        weights -= np.swapaxes(frame[block], -1, -2) @ frame[block]
-        # each output row reads only its own Q, so a stacked row equals, bit
-        # for bit, the value of that form alone (a product over the stack
-        # may not)
-        lap[..., block] = np.einsum("...ab,nab->...n", Q, weights)
-    return 2.0 * lap
+    return 2.0 * L.node_geometry(resolution).projector_trace(Q, L.n)
 
 
-def stencil_laplacian(L, F, u):
+def stencil_laplacian(L, F):
     """Five-point stencil of ``-sum_i Hess F(e_i, e_i)`` along straight
     ambient lines through each orthonormal frame direction ``e_i`` of ``L``
-    at chart points ``u``: the Laplacian of an ambient scalar field ``F``
-    that does not depend on the radius, on a minimal ``L``, up to the
-    stencil's ``FD_LAPLACIAN^4`` truncation.  It cross-checks
+    at its default quadrature nodes: the Laplacian of an ambient scalar
+    field ``F`` that does not depend on the radius, on a minimal ``L``, up
+    to the stencil's ``FD_LAPLACIAN^4`` truncation.  It cross-checks
     :func:`extrinsic_laplacian` without sharing its algebra.
     """
-    x = L.points(u)
-    frame = L.frames(u)
+    geo = L.node_geometry()
+    x, frame = geo.x, geo.frame
     h = FD_LAPLACIAN
     total = np.zeros(x.shape[:-1])
     for i in range(L.n):
@@ -102,19 +91,18 @@ def eigen_residual(L, f, eigenvalue, resolution=None):
     """max |Lap f - lambda f| / max |f| over quadrature nodes.
 
     ``f`` is a family of quadratic forms (``moment.MomentFunction`` or
-    ``nomizu.NomizuFunction``): its values come from ``f.ambient`` and its
-    Laplacian from ``f.quadratic_form`` in closed form.  A zero function
+    ``nomizu.NomizuFunction``): its values come from ``f.node_values`` and
+    its Laplacian from ``f.quadratic_form`` in closed form.  A zero function
     (sup norm at most ``ZERO_FUNCTION``) is reported as residual 0 with
     ``degenerate`` set; the Laplacian is skipped only when every function
     is zero.
     """
-    u, _ = L.nodes(resolution)
-    fvals = f.ambient(L.points(u))
+    fvals = f.node_values(L.node_geometry(resolution))
     sup = np.max(np.abs(fvals), axis=-1)
     degenerate = sup <= ZERO_FUNCTION
     if np.all(degenerate):
         return EigenResidual(np.zeros_like(sup), degenerate, sup)
-    lap = extrinsic_laplacian(L, f.quadratic_form, u)
+    lap = extrinsic_laplacian(L, f.quadratic_form, resolution)
     worst = np.max(np.abs(lap - eigenvalue * fvals), axis=-1)
     res = np.where(degenerate, 0.0, worst / np.where(degenerate, 1.0, sup))
     return EigenResidual(res, degenerate, sup)
@@ -130,12 +118,11 @@ def rayleigh_quotient(L, f, resolution=None):
     a zero function (sup norm at most ``ZERO_FUNCTION``) has none and
     gives nan.
     """
-    u, _ = L.nodes(resolution)
-    x = L.points(u)
-    fvals = f.ambient(x)
-    qx = np.einsum("...ab,nb->...na", f.quadratic_form, x)
-    grad = 2.0 * np.einsum("...na,nai->...ni", qx, L.jacobian_at(u))
-    ginv = np.linalg.inv(L.induced_metric(u))
+    geo = L.node_geometry(resolution)
+    fvals = f.node_values(geo)
+    qx = np.einsum("...ab,nb->...na", f.quadratic_form, geo.x)
+    grad = 2.0 * np.einsum("...na,nai->...ni", qx, geo.jacobian)
+    ginv = np.linalg.inv(geo.metric)
     sq = np.einsum("...a,...ab,...b->...", grad, ginv, grad)
     num = L.integrate(sq, resolution)
     den = L.integrate(fvals**2, resolution)

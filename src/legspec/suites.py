@@ -62,8 +62,9 @@ class SuiteConfig:
     # the defaults with tolerance_overrides applied
     tolerances: Tolerances = field(init=False)
     # built on first use and shared by every suite and exporter of this
-    # config, so per-resolution caches on the immersions, the mesh
-    # spectra and the moment functions are computed once per report
+    # config, so each immersion's node geometry per resolution (and the
+    # tensors it keeps), each mesh spectrum and each moment function with
+    # its node values are computed once per report
     _immersions: list | None = field(default=None, init=False, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -194,16 +195,16 @@ def legendrian_geometry_records(cfg):
     tol = cfg.tolerances
     records = []
     for L in cfg.selected_immersions():
-        u, _ = L.nodes(cfg.resolution)
+        geo = L.node_geometry(cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: contact form pullback",
                 "legendrian-pullback-vanishes",
-                L.legendrian_residual(cfg.resolution),
+                geo.legendrian_residual,
                 tol.legendrian,
             )
         )
-        sd = im.shape_operator(L, u)
+        sd = geo.shape
         records.append(
             rp.residual_record(
                 f"{L.name}: mean curvature",
@@ -233,7 +234,7 @@ def legendrian_geometry_records(cfg):
                     status,
                 )
             )
-        gram = np.einsum("...ia,...ja->...ij", sd.frame, sd.frame)
+        gram = np.einsum("...ia,...ja->...ij", geo.frame, geo.frame)
         records.append(
             rp.residual_record(
                 f"{L.name}: frame orthonormality",
@@ -243,8 +244,8 @@ def legendrian_geometry_records(cfg):
             )
         )
         first = mo.stack_fields(mo.algebra_basis(L.n)[: L.n + 2], "u(n+1)[:n+2]")
-        split = im.normal_split(L, first, u)
-        rebuilt = im.normal_from_split(L, u, split.reeb_component, split.one_form)
+        split = im.normal_split(geo, first)
+        rebuilt = im.normal_from_split(geo, split.reeb_component, split.one_form)
         records.append(
             rp.residual_record(
                 f"{L.name}: normal-split roundtrip",
@@ -289,7 +290,7 @@ def moment_family_records(cfg):
             res = spc.eigen_residual(L, f, target, cfg.resolution)
         except PreconditionError as exc:
             res = exc
-        mean_resid = np.abs(L.integrate(f.on_chart, cfg.resolution)) / vol
+        mean_resid = np.abs(L.integrate(f.values(cfg.resolution), cfg.resolution)) / vol
         for idx, X in enumerate(basis):
             name = f"{L.name}: eigen-residual basis[{idx}] {X.label}"
             if isinstance(res, PreconditionError):
@@ -324,12 +325,11 @@ def _stencil_record(cfg, L, algebra):
     the one check of the closed form that does not share its algebra."""
     name = f"{L.name}: closed-form Laplacian vs five-point stencil"
     f = cfg.moment_function(L, algebra)
-    u, _ = L.nodes()
     try:
-        closed = spc.extrinsic_laplacian(L, f.quadratic_form, u)
+        closed = spc.extrinsic_laplacian(L, f.quadratic_form)
     except PreconditionError as exc:
         return _inconclusive(name, "closed-form-laplacian", exc)
-    stencil = spc.stencil_laplacian(L, f.ambient, u)
+    stencil = spc.stencil_laplacian(L, f.ambient)
     value = np.max(np.abs(closed - stencil)) / np.max(np.abs(f.values()))
     return rp.residual_record(name, "closed-form-laplacian", value, STENCIL_AGREEMENT)
 
@@ -338,11 +338,12 @@ def _normal_rank(L, algebra, resolution):
     """Numerical rank of the normal parts of the stacked generators over
     every quadrature node, in 1024-node blocks to bound memory: a running
     QR's R factor keeps their singular values."""
-    u, _ = L.nodes(resolution)
+    geo = L.node_geometry(resolution)
+    count = len(geo.u)
     k = len(algebra.generator)
     r = np.empty((0, k))
-    for block in np.array_split(u, -(-len(u) // 1024)):
-        normal = im.normal_split(L, algebra, block).normal
+    for block in np.array_split(np.arange(count), -(-count // 1024)):
+        normal = im.normal_split(geo[block], algebra).normal
         r = np.linalg.qr(np.vstack([r, normal.reshape(k, -1).T]), mode="r")
     svals = np.linalg.svd(r, compute_uv=False)
     return int(np.sum(svals > 1e-8 * svals[0]))
@@ -426,8 +427,8 @@ def relation_records(cfg):
     records = []
     for L in cfg.selected_immersions():
         vol = L.volume(cfg.resolution)
-        algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
-        res = nz.family_coincidence_residuals(algebra, L, cfg.resolution)
+        f = cfg.moment_function(L, mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)"), cfg.resolution)
+        res = nz.family_coincidence_residuals(f, cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: cone function vs contact pairing + trace term",
@@ -445,7 +446,8 @@ def relation_records(cfg):
             )
         )
         traceless = mo.stack_fields(mo.traceless_basis(L.n), "su(n+1)")
-        integrals = L.integrate(lambda u: mo.moment(L.points(u), traceless), cfg.resolution)
+        x = L.node_geometry(cfg.resolution).x
+        integrals = L.integrate(mo.moment(x, traceless), cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: traceless contact integrals",
@@ -487,6 +489,7 @@ def spectrum_records(cfg):
                 report.multiplicity,
                 L.multiplicity,
                 details=dict(report.summary(), eigen_residuals=residuals),
+                verdict=verdict,
             )
         )
         records.append(
@@ -502,6 +505,7 @@ def spectrum_records(cfg):
                 "equality-case-totally-geodesic",
                 int(verdict.equality),
                 int(L.totally_geodesic),
+                verdict=verdict,
             )
         )
         records.append(
@@ -539,11 +543,10 @@ def spectrum_records(cfg):
             res = 256 if L.n == 1 else 64
 
             def family_disagreement(r2):
-                u2, _ = L.nodes(r2)
                 f = cfg.moment_function(L, algebra, r2)
-                fv = f.on_chart(u2)
+                fv = f.values(r2)
                 keep = np.max(np.abs(fv), axis=-1) > ZERO_FUNCTION
-                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form[keep], u2)
+                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form[keep], r2)
                 grid = fv[keep].reshape((-1,) + L.domain.grid_shape(r2))
                 mesh_vals = spc.apply_mesh_operator(L, grid).reshape(ext_vals.shape)
                 worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)

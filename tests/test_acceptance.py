@@ -70,9 +70,8 @@ def test_criterion_2_minimality_legendrianity():
     crit = _Criterion(2, "minimal Legendrian geometry", limit_s=20.0)
     for name in BUILTINS:
         L = im.get_immersion(name)
-        crit.check(f"{name} legendrian", L.legendrian_residual(), 1e-8)
-        u, _ = L.nodes()
-        sd = im.shape_operator(L, u)
+        crit.check(f"{name} legendrian", L.node_geometry().legendrian_residual, 1e-8)
+        sd = im.shape_operator(L.node_geometry())
         crit.check(f"{name} mean-curvature", sd.mean_curvature_norm(), 1e-6)
         if "sphere" in name or "circle" in name:
             crit.check(
@@ -129,7 +128,7 @@ def test_criterion_5_family_coincidence():
         L = im.get_immersion(name)
         vol = L.volume()
         for X in mo.algebra_basis(L.n):
-            res = nz.family_coincidence_residuals(X, L)
+            res = nz.family_coincidence_residuals(mo.moment_function(L, X))
             crit.check(f"{name} |f_cone - f_moment|", res["vs_moment_family"], 1e-8)
         for X in mo.traceless_basis(L.n):
             val = abs(L.integrate(lambda u: mo.moment(L.points(u), X)))
@@ -179,7 +178,7 @@ def test_criterion_7_cross_pipeline():
                 if np.max(np.abs(fv)) <= 1e-12:
                     continue
                 mesh_vals = spc.apply_mesh_operator(L, fv.reshape(L.domain.grid_shape(r2)))
-                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form, u2).reshape(
+                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form, r2).reshape(
                     L.domain.grid_shape(r2)
                 )
                 worst = max(

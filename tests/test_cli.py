@@ -213,6 +213,19 @@ class TestReports:
         # a wide window also breaks the multiplicity count: exit 1 wins
         assert report.exit_code() in (1, 2)
 
+    def test_inconclusive_bound_leaves_its_counts_inconclusive(self, tmp_path):
+        # a separation demand the torus cluster cannot meet: the counts read
+        # off the same spectrum may not pass beside the inconclusive bound
+        out = tmp_path / "spectrum.json"
+        argv = ["--suite", "spectrum", "--immersion", "clifford-torus-s5",
+                "--tolerance", "cluster_separation=7", "--output", str(out)]
+        assert main(argv) != 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("multiplicity at target", "multiplicity >= algebra bound", "equality case"):
+            check = checks[f"clifford-torus-s5: {name}"]
+            assert check["status"] == "inconclusive", name
+            assert check["details"]["separation_ratio"] < 7
+
     def test_precondition_failure_surfaces_as_inconclusive(self):
         # an impossible Legendrian tolerance turns the identity checks
         # into inconclusive records instead of crashing the suite
@@ -303,7 +316,7 @@ def _per_row_moment_csv(cfg):
     for L in cfg.selected_immersions():
         u, _ = L.nodes(cfg.resolution)
         for idx, X in enumerate(mo.algebra_basis(L.n)):
-            vals = mo.moment_function(L, X, cfg.resolution).on_chart(u)
+            vals = mo.moment_function(L, X, cfg.resolution).values(cfg.resolution)
             for node, val in enumerate(vals):
                 writer.writerow([L.name, idx, X.label, node, repr(float(val))])
     return buf.getvalue()
@@ -337,14 +350,14 @@ class TestSharedWork:
         # formatted once per distinct bit pattern: -0.0 keeps its sign next
         # to 0.0, which a np.unique over float values would merge
         special = [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
-        on_chart = mo.MomentFunction.on_chart
+        node_values = mo.MomentFunction.node_values
 
-        def with_special_values(f, u):
-            vals = on_chart(f, u).copy()
+        def with_special_values(f, geo):
+            vals = node_values(f, geo).copy()
             vals[..., : len(special)] = special
             return vals
 
-        monkeypatch.setattr(mo.MomentFunction, "on_chart", with_special_values)
+        monkeypatch.setattr(mo.MomentFunction, "node_values", with_special_values)
         cfg = SuiteConfig(
             suite="moment-family", immersion="clifford-torus-s5", resolution=8, fmt="csv"
         )
@@ -384,6 +397,7 @@ class TestSharedWork:
             ["--suite", "spectrum", "--immersion", "great-circle-s3"],
             ["--suite", "moment-family", "--immersion", "clifford-torus-s5",
              "--resolution", "16", "--format", "csv"],
+            ["--suite", "all", "--n", "2"],
         ],
     )
     def test_builds_each_moment_function_once(self, monkeypatch, tmp_path, argv):
@@ -395,28 +409,44 @@ class TestSharedWork:
         assert built and set(built.values()) == {1}
 
     def test_nomizu_family_checks_legendrian_once_per_immersion(self, monkeypatch):
-        # count the Jacobian evaluations made by the Legendrian check
-        # itself, not by the frames of the same nodes
+        # the Legendrian check reads the node geometry's Jacobian, the one
+        # evaluation outside those made inside frames and sqrt det g
         calls = _count_calls(
             monkeypatch, im.LegendrianImmersion, "jacobian_at",
             lambda L, u: (L.name, sys._getframe(2).f_code.co_name),
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
-        evaluations = {
-            name: count for (name, caller), count in calls.items()
-            if caller == "legendrian_residual"
-        }
+        evaluations = Counter()
+        for (name, caller), count in calls.items():
+            if caller not in ("frames", "induced_metric"):
+                evaluations[name] += count
         assert evaluations == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
 
     def test_nomizu_family_takes_frames_once_per_pass(self, monkeypatch):
-        # per immersion: the minimality precheck's shape operator, the
-        # frame-sum identity and the eigen-residual, each over the whole
-        # algebra at once
+        # per immersion, one node geometry serves the minimality precheck's
+        # shape operator, the frame-sum identity and the eigen-residual
         calls = _count_calls(
             monkeypatch, im.LegendrianImmersion, "frames", lambda L, u: L.name
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
-        assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 3)
+        assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
+
+    def test_all_evaluates_each_node_set_once(self, monkeypatch):
+        # every call of each evaluator has its own (immersion, node count)
+        calls = {
+            method: _count_calls(monkeypatch, im.LegendrianImmersion, method,
+                                 lambda L, u: (L.name, len(u)))
+            for method in ("frames", "points", "sqrt_det_metric")
+        }
+        calls["shape_operator"] = _count_calls(
+            monkeypatch, im, "shape_operator", lambda geo: (geo.immersion.name, len(geo.u))
+        )
+        assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
+        assert set(calls["shape_operator"]) == {
+            (name, len(im.get_immersion(name).nodes()[0])) for name in CANONICAL_IMMERSIONS
+        }
+        for method, counted in calls.items():
+            assert counted and set(counted.values()) == {1}, (method, counted)
 
     def test_moment_builds_no_sasaki_structure(self, monkeypatch):
         L = im.clifford_torus()

@@ -25,7 +25,7 @@ class TestBuiltins:
             im.get_immersion("mystery-immersion")
 
     def test_legendrian_residual(self, immersion):
-        assert immersion.legendrian_residual() <= 1e-8
+        assert immersion.node_geometry().legendrian_residual <= 1e-8
 
     def test_jacobian_full_rank_and_metric_positive(self, immersion):
         u, _ = immersion.nodes()
@@ -106,8 +106,7 @@ class TestShapeOperator:
     def test_geodesic_spheres_are_totally_geodesic(self):
         for name in ("great-circle-s3", "geodesic-sphere-n2", "geodesic-sphere-n3"):
             L = im.get_immersion(name)
-            u, _ = L.nodes()
-            sd = im.shape_operator(L, u)
+            sd = im.shape_operator(L.node_geometry())
             assert sd.mean_curvature_norm() <= 1e-6, name
             assert sd.second_fundamental_norm() <= 1e-6, name
 
@@ -115,21 +114,20 @@ class TestShapeOperator:
         torus = im.clifford_torus()
         rng = np.random.default_rng(4)
         u = rng.uniform(0, 2 * np.pi, size=(100, 2))
-        sd = im.shape_operator(torus, u)
+        sd = im.shape_operator(im.NodeGeometry(torus, u))
         assert sd.mean_curvature_norm() <= 1e-6
         assert sd.second_fundamental_norm() >= 0.1
 
     def test_frame_orthonormality_and_symmetry(self, immersion):
-        u, _ = immersion.nodes()
-        sd = im.shape_operator(immersion, u)
-        gram = np.einsum("...ia,...ja->...ij", sd.frame, sd.frame)
+        geo = immersion.node_geometry()
+        sd = im.shape_operator(geo)
+        gram = np.einsum("...ia,...ja->...ij", geo.frame, geo.frame)
         assert np.max(np.abs(gram - np.eye(immersion.n))) <= 1e-10
         sym = sd.second_fundamental - np.swapaxes(sd.second_fundamental, -3, -2)
         assert np.max(np.abs(sym)) <= 1e-8
 
     def test_mean_curvature_traces_second_fundamental(self, immersion):
-        u, _ = immersion.nodes()
-        sd = im.shape_operator(immersion, u)
+        sd = im.shape_operator(immersion.node_geometry())
         trace = np.einsum("...iia->...a", sd.second_fundamental)
         assert_allclose(sd.mean_curvature, trace, atol=0.0)
 
@@ -139,17 +137,15 @@ class TestShapeOperator:
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         for name in ("geodesic-sphere-n2", "clifford-torus-s5"):
             L = im.get_immersion(name)
-            u, _ = L.nodes()
-            a = im.shape_operator(L, u)
-            b = im.shape_operator(L.with_frame_mixer(Q), u)
+            a = im.shape_operator(L.node_geometry())
+            b = im.shape_operator(L.with_frame_mixer(Q).node_geometry())
             assert abs(a.mean_curvature_norm() - b.mean_curvature_norm()) <= 1e-8
             assert abs(a.second_fundamental_norm() - b.second_fundamental_norm()) <= 1e-8
 
 
 def _totally_geodesic_agrees(L):
     """The flag matches the measured second fundamental form."""
-    u, _ = L.nodes()
-    norm = im.shape_operator(L, u).second_fundamental_norm()
+    norm = im.shape_operator(L.node_geometry()).second_fundamental_norm()
     if L.totally_geodesic:
         return norm <= DEFAULT_TOLERANCES.totally_geodesic
     return norm >= 0.1
@@ -205,10 +201,12 @@ class TestDescriptor:
     def test_frame_mixer_keeps_descriptor(self, name):
         L = im.get_immersion(name)
         Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((L.n, L.n)))
+        geometry = L.node_geometry()
         mixed = L.with_frame_mixer(Q)
         fields = ("name", "totally_geodesic", "multiplicity", "discretizer")
         assert [getattr(mixed, f) for f in fields] == [getattr(L, f) for f in fields]
-        assert mixed._node_cache is not L._node_cache
+        assert mixed.node_geometry() is not geometry
+        assert L.node_geometry() is geometry
 
     def test_alias_is_the_great_circle_renamed(self):
         alias, circle = im.geodesic_sphere(1), im.great_circle()
@@ -264,25 +262,22 @@ class TestNormalSplit:
     def test_real_skew_fields_are_tangent_on_geodesic_spheres(self):
         for n in (1, 2, 3):
             L = im.geodesic_sphere(n)
-            u, _ = L.nodes()
             # real skew pairs sit between the diagonals and imaginary pairs
             m = n + 1
             for X in mo.algebra_basis(n)[m : m + m * (m - 1) // 2]:
-                split = im.normal_split(L, X, u)
+                split = im.normal_split(L.node_geometry(), X)
                 assert np.max(np.linalg.norm(split.normal, axis=-1)) <= 1e-10
 
     def test_reeb_field_is_normal_with_unit_component(self):
         L = im.geodesic_sphere(2)
-        u, _ = L.nodes()
-        split = im.normal_split(L, mo.reeb_generator(2), u)
+        split = im.normal_split(L.node_geometry(), mo.reeb_generator(2))
         assert np.max(np.linalg.norm(split.tangent, axis=-1)) <= 1e-10
         assert_allclose(split.reeb_component, 1.0, atol=1e-10)
 
     def test_zero_field_splits_to_zero(self):
         L = im.clifford_torus()
-        u, _ = L.nodes()
         zero = lambda pts: np.zeros_like(pts)
-        split = im.normal_split(L, zero, u)
+        split = im.normal_split(L.node_geometry(), zero)
         assert np.max(np.abs(split.tangent)) == 0.0
         assert np.max(np.abs(split.normal)) == 0.0
         assert np.max(np.abs(split.reeb_component)) == 0.0
@@ -290,9 +285,8 @@ class TestNormalSplit:
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_roundtrip_reconstructs_normal_part(self, name):
-        L = im.get_immersion(name)
-        u, _ = L.nodes()
-        for X in mo.algebra_basis(L.n)[:: max(1, L.n)]:
-            split = im.normal_split(L, X, u)
-            rebuilt = im.normal_from_split(L, u, split.reeb_component, split.one_form)
+        geo = im.get_immersion(name).node_geometry()
+        for X in mo.algebra_basis(geo.immersion.n)[:: max(1, geo.immersion.n)]:
+            split = im.normal_split(geo, X)
+            rebuilt = im.normal_from_split(geo, split.reeb_component, split.one_form)
             assert np.max(np.linalg.norm(rebuilt - split.normal, axis=-1)) <= 1e-8

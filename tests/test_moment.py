@@ -143,12 +143,11 @@ class TestMomentFunction:
         # rotation subalgebra: rank of sampled normal parts is
         # (n+1)^2 - n(n+1)/2
         for n in (1, 2, 3):
-            L = im.geodesic_sphere(n)
-            u, _ = L.nodes()
-            sel = u[:: max(1, len(u) // 40)]
+            geo = im.geodesic_sphere(n).node_geometry()
+            sel = geo[:: max(1, len(geo.u) // 40)]
             rows = []
             for X in mo.algebra_basis(n):
-                split = im.normal_split(L, X, sel)
+                split = im.normal_split(sel, X)
                 rows.append(split.normal.ravel())
             mat = np.array(rows)
             svals = np.linalg.svd(mat, compute_uv=False)
@@ -185,8 +184,8 @@ class TestMomentFunction:
         # included, so a low resolution cannot turn the defect inconclusive
         split = im.normal_split
 
-        def defective(L, X, u):
-            out = split(L, X, u)
+        def defective(geo, X):
+            out = split(geo, X)
             out.normal[0] = 0.0
             return out
 

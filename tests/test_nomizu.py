@@ -172,7 +172,7 @@ class TestOperatorIdentities:
             "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128,
             chart_hessian,
         )
-        assert bad.legendrian_residual() > 1e-3
+        assert bad.node_geometry().legendrian_residual > 1e-3
         K = nz.ConeField.from_automorphism(mo.algebra_basis(1)[0])
         with pytest.raises(PreconditionError):
             nz.operator_identity_residuals(K, bad)
@@ -185,7 +185,7 @@ class TestFamilyCoincidence:
     def test_families_agree_pointwise(self, name):
         L = im.get_immersion(name)
         for X in mo.algebra_basis(L.n):
-            res = nz.family_coincidence_residuals(X, L)
+            res = nz.family_coincidence_residuals(mo.moment_function(L, X))
             assert res["vs_contact_plus_trace"] <= 1e-8, X.label
             assert res["vs_moment_family"] <= 1e-8, X.label
 
@@ -242,9 +242,9 @@ def closed_form(coefficient=lambda n: n, factor=2.0, projector=True):
     ``factor * tr(Q (coefficient(n) x x^T - P))``, with the identity for
     ``P`` when ``projector`` is false."""
 
-    def laplacian(L, Q, u):
-        x = L.points(u)
-        frame = L.frames(u)
+    def laplacian(L, Q, resolution=None):
+        geo = L.node_geometry(resolution)
+        x, frame = geo.x, geo.frame
         P = np.swapaxes(frame, -1, -2) @ frame if projector else np.eye(x.shape[-1])
         weights = coefficient(L.n) * x[:, :, None] * x[:, None, :] - P
         return factor * np.einsum("...ab,nab->...n", Q, weights)
@@ -298,9 +298,9 @@ class TestClosedFormDefects:
         calls = []
         stencil = spc.stencil_laplacian
 
-        def counted(L, F, u):
-            calls.append((L.name, len(u)))
-            return stencil(L, F, u)
+        def counted(L, F):
+            calls.append((L.name, len(L.nodes()[0])))
+            return stencil(L, F)
 
         monkeypatch.setattr(spc, "stencil_laplacian", counted)
         assert run_suite(SuiteConfig(suite=suite, n=2, resolution=resolution)).exit_code() == 0

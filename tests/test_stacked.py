@@ -69,19 +69,19 @@ def test_cone_eigen_residual_and_operator_identities(case):
 
 def test_family_coincidence(case):
     L, basis, algebra = case
-    res = nz.family_coincidence_residuals(algebra, L)
-    singles = [nz.family_coincidence_residuals(X, L) for X in basis]
+    res = nz.family_coincidence_residuals(mo.moment_function(L, algebra))
+    singles = [nz.family_coincidence_residuals(mo.moment_function(L, X)) for X in basis]
     for key in res:
         same_bits(res[key], [r[key] for r in singles])
 
 
 def test_normal_split(case):
     L, basis, algebra = case
-    u = L.nodes()[0][::7]
-    split = im.normal_split(L, algebra, u)
-    singles = [im.normal_split(L, X, u) for X in basis]
+    geo = L.node_geometry()[::7]
+    split = im.normal_split(geo, algebra)
+    singles = [im.normal_split(geo, X) for X in basis]
     for part in ("tangent", "normal", "reeb_component", "one_form"):
         same_bits(getattr(split, part), [getattr(s, part) for s in singles])
-    rebuilt = im.normal_from_split(L, u, split.reeb_component, split.one_form)
-    same_bits(rebuilt, [im.normal_from_split(L, u, s.reeb_component, s.one_form)
+    rebuilt = im.normal_from_split(geo, split.reeb_component, split.one_form)
+    same_bits(rebuilt, [im.normal_from_split(geo, s.reeb_component, s.one_form)
                         for s in singles])

@@ -7,6 +7,7 @@ no binding is replaced here.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,31 @@ def test_method_binding_resolves(module_name, cls_name, method):
     cls = getattr(importlib.import_module(f"legspec.{module_name}"), cls_name, None)
     assert cls is not None
     assert callable(getattr(cls, method, None))
+
+
+# The arguments each keyed span's key function reads, in order; the first
+# is the immersion (``self`` on a method).
+KEYED_ARGUMENTS = {
+    "immersions.frames": ("L", "u"),
+    "immersions.sqrt_det_metric": ("L", "u"),
+    "moment.moment_function": ("L", "X", "resolution"),
+    "spectral.mesh_spectrum": ("L", "resolution"),
+}
+
+KEYED = [(f"{m}.{n}", importlib.import_module(f"legspec.{m}"), n, key)
+         for m, n, key in tracer.FUNCTIONS if key is not None]
+KEYED += [(span, getattr(importlib.import_module(f"legspec.{m}"), c), f, key)
+          for m, c, f, span, key in tracer.METHODS if key is not None]
+
+
+@pytest.mark.parametrize("span,owner,name,key", KEYED, ids=[k[0] for k in KEYED])
+def test_key_binds_the_live_signature(span, owner, name, key):
+    # a renamed or reordered parameter would otherwise surface only as a
+    # TypeError, or a wrong key, under --trace 1
+    first, *rest = KEYED_ARGUMENTS[span]
+    for signature in (inspect.signature(getattr(owner, name)), inspect.signature(key)):
+        signature.bind(first, *rest)
+        signature.bind(first, **{arg: arg for arg in rest})
 
 
 def test_eigsh_is_looked_up_on_scipy_at_call_time(monkeypatch):
