@@ -5,11 +5,15 @@ gives ``10 * 4^level + 2`` vertices.  The cotangent-weight stiffness
 matrix with barycentric lumped mass is the standard piecewise-linear
 finite-element Laplacian on the induced round metric.  The mesh maps
 onto itself bit for bit under each coordinate reflection ``x_i -> -x_i``,
-since negating a coordinate is exact in floating point, and both matrices
-commute with these vertex permutations up to the rounding of their sums;
-:func:`reflection_sectors` splits the vertex space into the eight
-sign-character sectors of the reflection group, which the two matrices
-therefore leave invariant.
+since negating a coordinate is exact in floating point, and under the
+rotation ``(x, y, z) -> (y, z, x)`` of the icosahedron's orientation,
+since midpoints are normalized by a norm that does not depend on the
+order of the coordinates.  Both matrices commute with these vertex
+permutations up to the rounding of their sums; :func:`reflection_sectors`
+splits the vertex space into the eight sign-character sectors of the
+reflection group, which the two matrices therefore leave invariant, and
+the rotation permutes the sectors that are odd in equally many
+coordinates, so those share one spectrum.
 """
 
 import numpy as np
@@ -58,7 +62,10 @@ def _subdivide(verts, faces):
     mid = (nv + rank[inverse]).reshape(-1, 3)
     i, j = np.divmod(keys[order], nv)
     p = verts[i] + verts[j]
-    p /= np.linalg.norm(p, axis=1)[:, None]
+    # the squares are summed in sorted order, so permuting the coordinates
+    # permutes the midpoint exactly (a sum in coordinate order, as in
+    # np.linalg.norm, can round differently after a permutation)
+    p /= np.sqrt(np.sort(p * p, axis=1).sum(axis=1))[:, None]
     a, b, c = faces.T
     ab, bc, ca = mid.T
     out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
@@ -112,34 +119,44 @@ def cotangent_laplacian(verts, faces):
 
 def reflection_sectors(verts):
     """Bases of the eight sign-character sectors of the coordinate
-    reflections ``x_i -> -x_i``.
+    reflections ``x_i -> -x_i``, sector ``s`` odd in coordinate ``i``
+    when bit ``2 - i`` of ``s`` is set.
 
-    Each reflection must map the vertex set onto itself exactly; a vertex
-    without an exact mirror image raises ``PreconditionError``.  A column
-    of the basis of character ``chi`` is ``sum_g chi(g) e_{g(v)}`` over the
-    orbit of one vertex ``v``, with entries +-1 (orbits on which ``chi``
-    cancels give none).  The columns of the eight sparse ``(nv, m)`` bases
-    are pairwise orthogonal and number ``nv`` in all.
+    Each reflection, and the rotation ``(x, y, z) -> (y, z, x)``, must map
+    the vertex set onto itself exactly; a vertex without an exact image
+    raises ``PreconditionError``.  The rotation maps each sector onto the
+    sectors odd in as many coordinates, so sectors 1, 2, 4 share one
+    spectrum, and so do 3, 5, 6.  A column of the basis of character
+    ``chi`` is ``sum_g chi(g) e_{g(v)}`` over the reflection orbit of one
+    vertex ``v``, with entries +-1 (orbits on which ``chi`` cancels give
+    none).  The columns of the eight sparse ``(nv, m)`` bases are
+    pairwise orthogonal and number ``nv`` in all.
     """
     # imported here for cold start, as in cotangent_laplacian
     import scipy.sparse as sp
 
     nv = len(verts)
     order = np.lexsort(verts.T[::-1])
+
+    def permutation(moved, what):
+        """The vertex permutation taking each vertex to its image, the
+        same row of ``moved``, if the two sets agree exactly."""
+        moved_order = np.lexsort(moved.T[::-1])
+        if not np.array_equal(verts[order], moved[moved_order]):
+            raise PreconditionError(f"a vertex has no exact {what}")
+        out = np.empty(nv, dtype=int)
+        out[moved_order] = order
+        return out
+
     # images[g] maps each vertex to its image under group element g, and
     # characters[g, s] is the sign of g in sector s
     images, characters = [np.arange(nv)], np.ones((1, 1))
     for axis in range(3):
         flipped = verts * np.where(np.arange(3) == axis, -1.0, 1.0)
-        flipped_order = np.lexsort(flipped.T[::-1])
-        if not np.array_equal(verts[order], flipped[flipped_order]):
-            raise PreconditionError(
-                f"a vertex has no exact mirror image under x{axis} -> -x{axis}"
-            )
-        mirror = np.empty(nv, dtype=int)
-        mirror[flipped_order] = order
+        mirror = permutation(flipped, f"mirror image under x{axis} -> -x{axis}")
         images = [image for g in images for image in (g, mirror[g])]
         characters = np.kron(characters, [[1.0, 1.0], [1.0, -1.0]])
+    permutation(verts[:, [1, 2, 0]], "image under (x, y, z) -> (y, z, x)")
     # one column per orbit, keyed by its smallest vertex
     orbits = np.flatnonzero(np.min(images, axis=0) == np.arange(nv))
     rows = np.array(images)[:, orbits].ravel()

@@ -195,10 +195,7 @@ class LegendrianImmersion:
         return np.sum(vals * geo.sqrt_g * geo.w, axis=-1)
 
     def volume(self, resolution=None):
-        vol = self.integrate(lambda u: np.ones(len(u)), resolution)
-        if vol <= 0.0:
-            raise QuadratureError(f"{self.name}: non-positive volume")
-        return vol
+        return self.node_geometry(resolution).volume
 
 
 class NodeGeometry:
@@ -206,7 +203,8 @@ class NodeGeometry:
     quadrature weights ``w`` (``None`` off a quadrature), each built on
     first read from the immersion's evaluators and kept: unit points ``x``,
     ``jacobian``, orthonormal ``frame``, induced ``metric``, ``sqrt_g``
-    (``sqrt det g``), the :class:`ShapeData` ``shape`` and two residuals.
+    (``sqrt det g``), the :class:`ShapeData` ``shape``, the quadrature
+    ``volume`` and two residuals.
     """
 
     def __init__(self, immersion, u, w=None):
@@ -244,6 +242,15 @@ class NodeGeometry:
     @cached_property
     def shape(self):
         return shape_operator(self)
+
+    @cached_property
+    def volume(self):
+        """Quadrature of the constant 1: the same sum as ``integrate`` of
+        ones, since ``1.0 * sqrt_g`` is exact."""
+        vol = np.sum(self.sqrt_g * self.w, axis=-1)
+        if vol <= 0.0:
+            raise QuadratureError(f"{self.immersion.name}: non-positive volume")
+        return vol
 
     @cached_property
     def legendrian_residual(self):

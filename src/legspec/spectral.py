@@ -17,6 +17,8 @@ The pointwise functions accept a function family stacked over a leading
 axis (values ``(k, N)``, see ``moment``) and reduce over nodes only.
 """
 
+import math
+
 import numpy as np
 
 from .config import FD_LAPLACIAN, ZERO_FUNCTION
@@ -273,15 +275,19 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     evaluated exactly through its Fourier symbol (all modes).  Round
     2-sphere: cotangent finite elements with lumped mass on the
     icosphere at subdivision ``resolution``.  The problem splits into
-    the eight reflection sectors of ``icosphere.reflection_sectors``;
-    shift-invert Lanczos takes ``ceil(num_modes / 8) + 2`` eigenvalues of
-    each, and the report holds the ``num_modes`` smallest of their union
-    that lie at or below the smallest sector maximum, up to which every
-    sector's spectrum is complete (fewer when the sectors cover less; a
-    non-finite value keeps the whole union, for :func:`bound_check` to
-    reject).  The default 16 is the complete round-sphere clusters
-    l <= 3: it ends one cluster above the ``2n + 2 = 6`` target (l = 2)
-    without splitting one.
+    the eight reflection sectors of ``icosphere.reflection_sectors``,
+    which also checks that the rotation ``(x, y, z) -> (y, z, x)`` maps the
+    mesh onto itself; that rotation permutes the sectors odd in one
+    coordinate, and those odd in two, so four sector eigensolves, one per
+    orbit, give all eight spectra.  Shift-invert Lanczos takes
+    ``ceil(num_modes / 8) + 2`` eigenvalues of each, whose values count
+    once per sector of the orbit, and the report holds the ``num_modes``
+    smallest of their union that lie at or below the smallest sector
+    maximum, up to which every sector's spectrum is complete (fewer when
+    the sectors cover less; a non-finite value keeps the whole union, for
+    :func:`bound_check` to reject).  The default 16 is the complete
+    round-sphere clusters l <= 3: it ends one cluster above the
+    ``2n + 2 = 6`` target (l = 2) without splitting one.
     """
     kind = _intrinsic_kind(L)
     resolution = mesh_resolution(kind, resolution)
@@ -304,12 +310,18 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
 
         verts, faces = icosphere(resolution)
         stiffness, mass = cotangent_laplacian(verts, faces)
+        bases = reflection_sectors(verts)
         parts = []
-        for basis in reflection_sectors(verts):
+        for odd in range(4):
+            # sector 2^odd - 1 is odd in the last ``odd`` coordinates; the
+            # rotation (x, y, z) -> (y, z, x), checked by reflection_sectors,
+            # maps it onto the comb(3, odd) sectors odd in as many, which
+            # share its spectrum, so it is solved once and counted for each
+            basis = bases[2**odd - 1]
             # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
             # ARPACK would otherwise draw one from OS entropy
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, basis.shape[1])
-            parts.append(spla.eigsh(
+            sector = spla.eigsh(
                 basis.T @ stiffness @ basis,
                 # ceil(num_modes / 8) and two spare modes, since the sectors'
                 # shares of the lowest num_modes are uneven
@@ -320,7 +332,8 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
                 which="LM",
                 v0=v0,
                 return_eigenvectors=False,
-            ))
+            )
+            parts += [sector] * math.comb(3, odd)
         ev = np.concatenate(parts)
         # a non-finite value keeps the whole union, for bound_check to reject
         if np.all(np.isfinite(ev)):

@@ -65,6 +65,13 @@ def test_reflections_map_the_mesh_onto_itself_exactly(level):
         assert set(map(tuple, flipped.tolist())) == points
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_rotation_maps_the_mesh_onto_itself_exactly(level):
+    verts, _ = ic.icosphere(level)
+    points = set(map(tuple, verts.tolist()))
+    assert set(map(tuple, verts[:, [1, 2, 0]].tolist())) == points
+
+
 @pytest.mark.parametrize("level", [0, 3, 5])
 def test_sector_bases_are_orthogonal_and_complete(level):
     verts, _ = ic.icosphere(level)
@@ -96,4 +103,18 @@ def test_a_vertex_off_its_mirror_image_raises():
     verts, _ = ic.icosphere(3)
     verts[17, 0] = np.nextafter(verts[17, 0], 2.0)
     with pytest.raises(PreconditionError, match="no exact mirror image"):
+        ic.reflection_sectors(verts)
+
+
+def test_a_vertex_off_its_rotated_image_raises():
+    verts, _ = ic.icosphere(3)
+    # move x outward on a whole reflection orbit, whose mirror images all
+    # stay exact, of a vertex with three distinct nonzero |coordinates|
+    a = np.abs(verts)
+    v = np.flatnonzero((a.min(axis=1) > 0) & (a[:, 0] != a[:, 1])
+                       & (a[:, 1] != a[:, 2]) & (a[:, 0] != a[:, 2]))[0]
+    orbit = np.all(a == a[v], axis=1)
+    assert orbit.sum() == 8
+    verts[orbit, 0] = np.nextafter(verts[orbit, 0], 2.0 * verts[orbit, 0])
+    with pytest.raises(PreconditionError, match=r"no exact image under \(x, y, z\)"):
         ic.reflection_sectors(verts)

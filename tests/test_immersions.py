@@ -257,6 +257,14 @@ class TestQuadrature:
             assert L.integrate(lambda v: mo.moment(L.points(v), X), res) == expected
             assert L.integrate(vals, res) == expected
 
+    def test_volume_is_the_integral_of_one_kept_per_geometry(self, immersion):
+        L = immersion
+        for res in (None, 16):
+            vol = L.volume(res)
+            # bit for bit the quadrature of ones, and evaluated once
+            assert vol == L.integrate(lambda u: np.ones(len(u)), res)
+            assert L.volume(res) is vol is L.node_geometry(res).volume
+
 
 class TestNormalSplit:
     def test_real_skew_fields_are_tangent_on_geodesic_spheres(self):

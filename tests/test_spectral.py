@@ -128,6 +128,28 @@ class TestMeshSpectrum:
         assert len(rep.eigenvalues) == 16
         assert np.max(np.abs(rep.eigenvalues - ref)) <= 1e-12 * ref[-1]
 
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_rotation_orbits_replicate_all_eight_sectors(self, level):
+        # each sector solved on its own: the three sectors of an orbit agree,
+        # and their union makes the spectrum of the four replicated solves
+        verts, faces = ic.icosphere(level)
+        stiffness, mass = ic.cotangent_laplacian(verts, faces)
+        parts = []
+        for basis in ic.reflection_sectors(verts):
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, basis.shape[1])
+            parts.append(np.sort(spla.eigsh(
+                basis.T @ stiffness @ basis, k=4, M=basis.T @ mass @ basis,
+                sigma=-0.5, which="LM", v0=v0, return_eigenvectors=False)))
+        scale = max(p.max() for p in parts)
+        for orbit in ([1, 2, 4], [3, 5, 6]):
+            for s in orbit[1:]:
+                assert np.max(np.abs(parts[s] - parts[orbit[0]])) <= 1e-12 * scale
+        ev = np.concatenate(parts)
+        ev = np.sort(ev[ev <= min(p.max() for p in parts)])[:16]
+        rep = spc.mesh_spectrum(im.geodesic_sphere(2), level)
+        assert len(rep.eigenvalues) == len(ev) == 16
+        assert np.max(np.abs(rep.eigenvalues - ev)) <= 1e-12 * scale
+
     def test_truncated_spectrum_is_inconclusive(self):
         # nine modes end at the l = 2 cluster, so it may continue past them
         L = im.geodesic_sphere(2)
@@ -148,17 +170,24 @@ class TestMeshSpectrum:
         assert verdict.inconclusive and not verdict.passed
 
     def test_nan_in_one_sector_is_inconclusive(self, monkeypatch, tmp_path):
-        original = spla.eigsh
-        calls = []
+        original, original_spectrum = spla.eigsh, spc.mesh_spectrum
+        calls, injected = [], []
 
         def third_sector_nan(*args, **kwargs):
             ev = original(*args, **kwargs)
             calls.append(1)
-            if len(calls) % 8 == 3:
+            if len(calls) == 3:
                 ev[0] = np.nan
+                injected.append(1)
             return ev
 
+        def counting_from_zero(*args, **kwargs):
+            # the third solve of each spectrum, whatever its number of solves
+            calls.clear()
+            return original_spectrum(*args, **kwargs)
+
         monkeypatch.setattr(spla, "eigsh", third_sector_nan)
+        monkeypatch.setattr(spc, "mesh_spectrum", counting_from_zero)
         L = im.geodesic_sphere(2)
         verdict = spc.bound_check(spc.mesh_spectrum(L, 3))
         assert verdict.inconclusive and not verdict.passed
@@ -169,6 +198,7 @@ class TestMeshSpectrum:
         assert status[f"{L.name}: multiplicity >= algebra bound"] == "inconclusive"
         assert status[f"{L.name}: multiplicity at target"] == "inconclusive"
         assert status[f"{L.name}: equality case"] == "inconclusive"
+        assert len(injected) == 2
 
     def test_non_finite_eigenvalue_is_inconclusive(self):
         ev = [0.0, 2.0, 2.0, 2.0, 6.0, 6.0, 6.0, 6.0, 6.0, 12.0, np.nan]

@@ -86,5 +86,5 @@ def test_eigsh_is_looked_up_on_scipy_at_call_time(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", counting)
     spectral.mesh_spectrum(get_immersion("geodesic-sphere-n2"), 3)
-    # one solve per reflection sector
-    assert len(calls) == 8
+    # one solve per orbit of the rotation on the reflection sectors
+    assert len(calls) == 4
