@@ -5,8 +5,10 @@ overrides.  Suites always report the measured residual next to the
 threshold, never a bare pass/fail.
 """
 
+import math
 from dataclasses import dataclass, fields
 
+from .errors import UnsupportedError
 
 # Central-difference step sizes.
 FD_SECOND = 1e-3      # Christoffel differences of the curvature stencil
@@ -46,11 +48,21 @@ class Tolerances:
     cluster_separation: float = 3.0
 
     def override(self, updates):
-        """Return a copy with ``updates`` (name -> value) applied."""
+        """Return a copy with ``updates`` (name -> value) applied; an unknown
+        name raises ``KeyError``, a value that is not a positive finite
+        number ``UnsupportedError``."""
         known = {f.name for f in fields(self)}
         bad = set(updates) - known
         if bad:
             raise KeyError(f"unknown tolerance name(s): {sorted(bad)}")
+        # every tolerance is a positive threshold: nan or inf would pass or
+        # fail each check it governs (and is not valid JSON in the report
+        # echo), and cluster_window = 0 would divide by zero
+        for name, value in updates.items():
+            if not (math.isfinite(value) and value > 0):
+                raise UnsupportedError(
+                    f"tolerance {name} must be a positive finite number, got {value}"
+                )
         merged = {f.name: getattr(self, f.name) for f in fields(self)}
         merged.update(updates)
         return Tolerances(**merged)

@@ -40,7 +40,9 @@ from .sasaki import SphereSasaki
 
 class PeriodicGridDomain:
     """Uniform tensor grid on [0, 2 pi)^k; trapezoid weights are exact
-    (spectrally accurate) for smooth periodic integrands."""
+    (spectrally accurate) for smooth periodic integrands.  ``periodic``
+    selects the finite-difference stencil of
+    ``spectral.apply_mesh_operator`` as the intrinsic operator."""
 
     def __init__(self, k):
         self.k = k

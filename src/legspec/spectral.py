@@ -7,8 +7,10 @@ Two independent routes to the same operator:
   discretization of the manifold); :func:`stencil_laplacian` checks it
   with a five-point stencil of the flat-cone Hessian;
 * :func:`mesh_spectrum` diagonalizes an intrinsic discretization of
-  the induced metric (periodic finite differences on the circle and
-  torus, cotangent finite elements on the icosphere).
+  the induced metric: on periodic grids (circle, torus) the
+  finite-difference stencil of :func:`apply_mesh_operator`, whose
+  spectrum is the DFT of its impulse response since the stencil is
+  circulant; on the icosphere, cotangent finite elements.
 
 Both use the nonnegative sign convention: the spectrum of the round
 circle is ``k^2``, of the round 2-sphere ``l (l + 1)``.
@@ -211,68 +213,39 @@ class SpectralReport:
         }
 
 
-def _intrinsic_kind(L):
-    if L.discretizer is None:
-        raise UnsupportedError(
-            f"no intrinsic discretizer for '{L.name}' (pointwise pipeline still applies)"
-        )
-    return L.discretizer
-
-
-def _fd_symbol_circle(L, N):
-    # second-order periodic stencil on the arclength grid
-    g = L.induced_metric(np.zeros(1))[0, 0]
-    h = 2.0 * np.pi / N * np.sqrt(g)
-    k = np.arange(N)
-    return (2.0 - 2.0 * np.cos(2.0 * np.pi * k / N)) / h**2
-
-
-def _fd_symbol_torus(L, N):
-    # constant-coefficient stencil from the inverse induced metric
-    ginv = np.linalg.inv(L.induced_metric(np.zeros(2)))
-    a, b, c = ginv[0, 0], ginv[1, 1], ginv[0, 1]
-    h = 2.0 * np.pi / N
-    k = np.fft.fftfreq(N, d=1.0 / N)  # integer modes
-    kp = k[:, None] * h
-    kq = k[None, :] * h
-    sym = (
-        a * (2.0 - 2.0 * np.cos(kp))
-        + b * (2.0 - 2.0 * np.cos(kq))
-        + 2.0 * c * np.sin(kp) * np.sin(kq)
-    ) / h**2
-    return sym.ravel()
-
-
 def apply_mesh_operator(L, grid_values):
-    """Apply the intrinsic stencil to sampled grid values (circle/torus),
-    the grid being the trailing one (circle) or two (torus) axes."""
-    kind = _intrinsic_kind(L)
+    """Apply the second-order periodic stencil ``-sum_ij g^ij D_ij`` of the
+    induced metric at the chart origin (constant on the shipped flat
+    grids) to values sampled on the uniform grid of ``L.domain``, which
+    must be periodic.  The grid is the trailing ``L.n`` axes, square, of
+    spacing ``2 pi / N``; leading axes are a stack.  ``D_ii`` is the
+    three-point second difference and ``D_ij`` (``i < j``) the four-point
+    central cross difference, counted twice for ``g^ij = g^ji``."""
+    if not L.domain.periodic:
+        raise UnsupportedError(f"'{L.name}' has no periodic grid for the stencil")
+    ginv = np.linalg.inv(L.induced_metric(np.zeros(L.n)))
     v = np.asarray(grid_values, dtype=float)
-    if kind == "circle":
-        g = L.induced_metric(np.zeros(1))[0, 0]
-        h = 2.0 * np.pi / v.shape[-1] * np.sqrt(g)
-        return (2.0 * v - np.roll(v, 1, -1) - np.roll(v, -1, -1)) / h**2
-    if kind == "torus":
-        ginv = np.linalg.inv(L.induced_metric(np.zeros(2)))
-        a, b, c = ginv[0, 0], ginv[1, 1], ginv[0, 1]
-        h = 2.0 * np.pi / v.shape[-1]
-        d_uu = (np.roll(v, 1, -2) - 2.0 * v + np.roll(v, -1, -2)) / h**2
-        d_vv = (np.roll(v, 1, -1) - 2.0 * v + np.roll(v, -1, -1)) / h**2
-        d_uv = (
-            np.roll(np.roll(v, -1, -2), -1, -1)
-            - np.roll(np.roll(v, -1, -2), 1, -1)
-            - np.roll(np.roll(v, 1, -2), -1, -1)
-            + np.roll(np.roll(v, 1, -2), 1, -1)
-        ) / (4.0 * h**2)
-        return -(a * d_uu + 2.0 * c * d_uv + b * d_vv)
-    raise UnsupportedError("stencil application covers circle and torus grids")
+    h = 2.0 * np.pi / v.shape[-1]
+    k = L.n
+    terms = []
+    for i in range(k):
+        up, down = np.roll(v, -1, i - k), np.roll(v, 1, i - k)
+        terms.append(ginv[i, i] * ((down - 2.0 * v + up) / h**2))
+        for j in range(i + 1, k):
+            cross = (np.roll(up, -1, j - k) - np.roll(up, 1, j - k)
+                     - np.roll(down, -1, j - k) + np.roll(down, 1, j - k))
+            terms.append(2.0 * ginv[i, j] * (cross / (4.0 * h**2)))
+    return -sum(terms[1:], terms[0])
 
 
 def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     """Discrete Laplace-Beltrami spectrum of the induced metric.
 
-    circle/torus: the spectrum of the second-order periodic stencil,
-    evaluated exactly through its Fourier symbol (all modes).  Round
+    Periodic grid (circle, torus): every eigenvalue of the stencil of
+    :func:`apply_mesh_operator` on the ``resolution`` grid.  The stencil
+    has constant coefficients on a periodic grid, so its matrix is
+    circulant and its eigenvalues are the DFT of its response to a unit
+    impulse; that response is symmetric, so the DFT is real.  Round
     2-sphere: cotangent finite elements with lumped mass on the
     icosphere at subdivision ``resolution``.  The problem splits into
     the eight reflection sectors of ``icosphere.reflection_sectors``,
@@ -289,17 +262,19 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     round-sphere clusters l <= 3: it ends one cluster above the
     ``2n + 2 = 6`` target (l = 2) without splitting one.
     """
-    kind = _intrinsic_kind(L)
-    resolution = mesh_resolution(kind, resolution)
+    if L.discretizer is None:
+        raise UnsupportedError(
+            f"no intrinsic discretizer for '{L.name}' (pointwise pipeline still applies)"
+        )
+    resolution = mesh_resolution(L.discretizer, resolution)
     target = 2.0 * L.n + 2.0
     dim_g = (L.n + 1) ** 2
     bound = dim_g - L.n * (L.n + 1) // 2 - 1
 
-    if kind == "circle":
-        ev = _fd_symbol_circle(L, resolution)
-        method = "periodic-fd-symbol"
-    elif kind == "torus":
-        ev = _fd_symbol_torus(L, resolution)
+    if L.domain.periodic:
+        impulse = np.zeros(L.domain.grid_shape(resolution))
+        impulse.flat[0] = 1.0
+        ev = np.fft.fftn(apply_mesh_operator(L, impulse)).real.ravel()
         method = "periodic-fd-symbol"
     else:
         # imported here, not at module level, so processes that never build

@@ -78,6 +78,8 @@ class SuiteConfig:
             raise UnsupportedError(
                 f"unknown immersion '{self.immersion}'; shipped: {sorted(im.registry())}"
             )
+        if self.seed < 0:
+            raise UnsupportedError(f"seed must be non-negative, got {self.seed}")
         if self.resolution is not None and self.resolution <= 0:
             raise UnsupportedError(f"resolution must be positive, got {self.resolution}")
         if self.n is not None and self.n < 1:
@@ -539,7 +541,7 @@ def spectrum_records(cfg):
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
         algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
-        if L.discretizer in ("circle", "torus"):
+        if L.domain.periodic:
             res = 256 if L.n == 1 else 64
 
             def family_disagreement(r2):

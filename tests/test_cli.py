@@ -62,6 +62,25 @@ class TestUsageErrors:
     def test_malformed_tolerance_exits_64(self):
         assert main(["--suite", "relation", "--tolerance", "mean_zero"]) == 64
 
+    @pytest.mark.parametrize(
+        "pair",
+        ["mean_zero=inf", "eigen_residual=inf", "rayleigh=-inf", "cluster_window=nan",
+         "cluster_window=0", "cluster_separation=-0.0", "eigen_residual=-1e-3"],
+    )
+    def test_tolerance_that_is_not_positive_and_finite_exits_64(self, pair, monkeypatch, capsys):
+        monkeypatch.setattr("legspec.cli.run_suite", _refuse_compute)
+        assert main(["--suite", "relation", "--tolerance", pair]) == 64
+        assert "positive finite number" in capsys.readouterr().err
+        name, _, value = pair.partition("=")
+        with pytest.raises(UnsupportedError):
+            Tolerances().override({name: float(value)})
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_seed_exits_64(self, suite, monkeypatch, capsys):
+        monkeypatch.setattr("legspec.cli.run_suite", _refuse_compute)
+        assert main(["--suite", suite, "--seed", "-1"]) == 64
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_missing_suite_exits_64(self):
         assert main([]) == 64
 
@@ -320,6 +339,10 @@ def _per_row_moment_csv(cfg):
             for node, val in enumerate(vals):
                 writer.writerow([L.name, idx, X.label, node, repr(float(val))])
     return buf.getvalue()
+
+
+def _refuse_compute(cfg):
+    raise AssertionError(f"{cfg.suite} ran although its config is a usage error")
 
 
 def _count_calls(monkeypatch, owner, name, key):

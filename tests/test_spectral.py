@@ -117,6 +117,31 @@ class TestMeshSpectrum:
         b = spc.mesh_spectrum(im.geodesic_sphere(2), 3).eigenvalues
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("name,N", [("great-circle-s3", 64), ("clifford-torus-s5", 32)])
+    def test_periodic_spectrum_is_the_stencil_spectrum(self, name, N):
+        # the dense matrix of the stencil, one grid impulse per leading index
+        L = im.get_immersion(name)
+        shape = L.domain.grid_shape(N)
+        size = L.domain.node_count(N)
+        A = spc.apply_mesh_operator(L, np.eye(size).reshape((size,) + shape)).reshape(size, size)
+        # exactly symmetric, so its DFT is real and dropping .imag loses nothing
+        assert np.array_equal(A, A.T)
+        ref = np.linalg.eigvalsh(A)
+        ev = spc.mesh_spectrum(L, N).eigenvalues
+        assert len(ev) == size
+        assert np.max(np.abs(ev - ref)) <= 1e-12 * ref[-1]
+
+    @pytest.mark.parametrize("name", ["great-circle-s3", "clifford-torus-s5"])
+    def test_periodic_spectrum_is_bitwise_reproducible(self, name):
+        L = im.get_immersion(name)
+        a = spc.mesh_spectrum(L).eigenvalues
+        assert a.tobytes() == spc.mesh_spectrum(L).eigenvalues.tobytes()
+
+    def test_stencil_needs_a_periodic_grid(self):
+        L = im.geodesic_sphere(2)
+        with pytest.raises(UnsupportedError):
+            spc.apply_mesh_operator(L, np.zeros(L.domain.node_count(3)))
+
     @pytest.mark.parametrize("level", [3, 4, 5])
     def test_icosphere_modes_match_arpack_internal_lu(self, level):
         # the sector solves against one full-size solve
