@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass (or are degenerate), 1 any check fails,
 import argparse
 import csv
 import io
+import os
 import sys
 
 import numpy as np
@@ -118,6 +119,15 @@ def _moment_fields_csv(cfg, out):
             out.write("\r\n")
 
 
+def _writable(path):
+    """Whether ``path`` can be opened for writing: a writable file that is
+    not a directory, or a new name in a writable directory."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -128,6 +138,11 @@ def main(argv=None):
     if args.suite is None:
         parser.print_usage(sys.stderr)
         print("legspec: error: --suite is required (or --list-targets)", file=sys.stderr)
+        return USAGE_EXIT
+
+    # checked before the suite runs, not found when the report is written
+    if args.output is not None and not _writable(args.output):
+        print(f"legspec: error: cannot write --output '{args.output}'", file=sys.stderr)
         return USAGE_EXIT
 
     try:

@@ -9,11 +9,13 @@ since negating a coordinate is exact in floating point, and under the
 rotation ``(x, y, z) -> (y, z, x)`` of the icosahedron's orientation,
 since midpoints are normalized by a norm that does not depend on the
 order of the coordinates.  Both matrices commute with these vertex
-permutations up to the rounding of their sums; :func:`reflection_sectors`
-splits the vertex space into the eight sign-character sectors of the
-reflection group, which the two matrices therefore leave invariant, and
-the rotation permutes the sectors that are odd in equally many
-coordinates, so those share one spectrum.
+permutations up to rounding, so they leave the eight sign-character
+sectors of the reflections invariant, and the rotation permutes the
+sectors odd in equally many coordinates, which share one spectrum.
+:func:`sector_operators` assembles each sector on the octant
+``x, y, z >= 0``, a fundamental domain of the reflections (A. Bossavit,
+"Symmetry, groups and boundary value problems", Comput. Methods Appl.
+Mech. Engrg. 56, 1986).
 """
 
 import numpy as np
@@ -81,11 +83,10 @@ def icosphere(level, radius=1.0):
 
 
 def cotangent_laplacian(verts, faces):
-    """Stiffness matrix (cotangent weights) and lumped mass diagonal.
-
-    Both CSR; the pair defines the generalized symmetric eigenproblem
-    ``stiffness v = lambda mass v`` whose eigenvalues approximate the
-    nonnegative Laplace-Beltrami spectrum.
+    """Stiffness matrix (cotangent weights) and lumped mass diagonal, both
+    CSR, assembled from ``faces``: a vertex's row is exact when every face
+    around it is given.  On the whole mesh ``stiffness v = lambda mass v``
+    has eigenvalues approximating the nonnegative Laplace-Beltrami spectrum.
     """
     # imported here, not at module level, so processes that never assemble
     # a mesh start without loading scipy (cold start)
@@ -94,7 +95,6 @@ def cotangent_laplacian(verts, faces):
     nv = len(verts)
     tri = verts[faces]
     rows, cols, vals = [], [], []
-    areas = None
     for k in range(3):
         i = faces[:, (k + 1) % 3]
         j = faces[:, (k + 2) % 3]
@@ -112,62 +112,69 @@ def cotangent_laplacian(verts, faces):
         shape=(nv, nv),
     )
     stiffness = stiffness - sp.diags(np.asarray(stiffness.sum(axis=1)).ravel())
-    mass = np.zeros(nv)
-    np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))
+    mass = np.bincount(faces.ravel(), np.repeat(areas / 3.0, 3), minlength=nv)
     return stiffness.tocsr(), sp.diags(mass).tocsr()
 
 
-def reflection_sectors(verts):
-    """Bases of the eight sign-character sectors of the coordinate
-    reflections ``x_i -> -x_i``, sector ``s`` odd in coordinate ``i``
-    when bit ``2 - i`` of ``s`` is set.
+def sector_operators(verts, faces, sectors=range(8)):
+    """Mass-scaled Laplacian of each reflection sector in ``sectors``, a
+    symmetric sparse matrix assembled on the octant ``x, y, z >= 0``.
 
-    Each reflection, and the rotation ``(x, y, z) -> (y, z, x)``, must map
-    the vertex set onto itself exactly; a vertex without an exact image
-    raises ``PreconditionError``.  The rotation maps each sector onto the
-    sectors odd in as many coordinates, so sectors 1, 2, 4 share one
-    spectrum, and so do 3, 5, 6.  A column of the basis of character
-    ``chi`` is ``sum_g chi(g) e_{g(v)}`` over the reflection orbit of one
-    vertex ``v``, with entries +-1 (orbits on which ``chi`` cancels give
-    none).  The columns of the eight sparse ``(nv, m)`` bases are
-    pairwise orthogonal and number ``nv`` in all.
+    Sector ``s`` is odd in coordinate ``i`` when bit ``2 - i`` of ``s`` is
+    set.  Its basis ``B`` has one column ``sum_j chi(j) e_j`` over the
+    ``s_q`` vertices of each reflection orbit ``q`` on which the character
+    ``chi`` does not cancel; with stiffness ``K`` and lumped mass ``m``,
+    ``D = B^T M B`` is ``diag(s_q m_q)`` and ``D^-1/2 B^T K B D^-1/2`` is
+    returned.  The reflections fix ``K``, so its entry ``(p, q)`` is
+    ``sum_{j in q} chi(j) K[r_p, j] sqrt(s_p / s_q) / sqrt(m_p m_q)``, with
+    ``r_p`` the vertex of orbit ``p`` in the octant: only the faces that
+    touch the octant are assembled.
+
+    Each orbit must hold ``2^k`` vertices with distinct sign patterns, ``k``
+    its nonzero coordinates, and the rotation ``(x, y, z) -> (y, z, x)`` must
+    map the orbits onto themselves; otherwise ``PreconditionError``.  The
+    rotation maps each sector onto those odd in as many coordinates, so
+    sectors 1, 2, 4 share one spectrum, and so do 3, 5, 6.
     """
     # imported here for cold start, as in cotangent_laplacian
     import scipy.sparse as sp
 
-    nv = len(verts)
-    order = np.lexsort(verts.T[::-1])
+    # one orbit per distinct row of |x|, numbered in sorted order
+    a = np.abs(verts)
+    order = np.lexsort(a.T[::-1])
+    first = np.r_[True, np.any(a[order[1:]] != a[order[:-1]], axis=1)]
+    rows = a[order[first]]
+    orbit = np.empty(len(a), dtype=int)
+    orbit[order] = np.cumsum(first) - 1
+    # bit 2 - i of a sign pattern is set when x_i < 0 (-0.0 is not)
+    bits = np.array([4, 2, 1])
+    sign = (verts < 0) @ bits
+    present = np.zeros((len(rows), 8), dtype=bool)
+    present[orbit, sign] = True
+    size = np.bincount(orbit)
+    if np.any(present.sum(axis=1) != size) or np.any(size != 2 ** np.sum(rows > 0, axis=1)):
+        raise PreconditionError("a vertex has no exact mirror image under x_i -> -x_i, "
+                                "or two vertices coincide")
+    turned = rows[:, [1, 2, 0]]
+    if not np.array_equal(rows, turned[np.lexsort(turned.T[::-1])]):
+        raise PreconditionError("a vertex has no exact image under (x, y, z) -> (y, z, x)")
 
-    def permutation(moved, what):
-        """The vertex permutation taking each vertex to its image, the
-        same row of ``moved``, if the two sets agree exactly."""
-        moved_order = np.lexsort(moved.T[::-1])
-        if not np.array_equal(verts[order], moved[moved_order]):
-            raise PreconditionError(f"a vertex has no exact {what}")
-        out = np.empty(nv, dtype=int)
-        out[moved_order] = order
-        return out
-
-    # images[g] maps each vertex to its image under group element g, and
-    # characters[g, s] is the sign of g in sector s
-    images, characters = [np.arange(nv)], np.ones((1, 1))
-    for axis in range(3):
-        flipped = verts * np.where(np.arange(3) == axis, -1.0, 1.0)
-        mirror = permutation(flipped, f"mirror image under x{axis} -> -x{axis}")
-        images = [image for g in images for image in (g, mirror[g])]
-        characters = np.kron(characters, [[1.0, 1.0], [1.0, -1.0]])
-    permutation(verts[:, [1, 2, 0]], "image under (x, y, z) -> (y, z, x)")
-    # one column per orbit, keyed by its smallest vertex
-    orbits = np.flatnonzero(np.min(images, axis=0) == np.arange(nv))
-    rows = np.array(images)[:, orbits].ravel()
-    cols = np.tile(np.arange(len(orbits)), 8)
-    bases = []
-    for chi in characters.T:
-        # duplicate entries (orbits of fewer than 8 vertices) are summed
-        basis = sp.csc_matrix((np.repeat(chi, len(orbits)), (rows, cols)),
-                              shape=(nv, len(orbits)))
-        basis.eliminate_zeros()
-        basis = basis[:, np.diff(basis.indptr) > 0]
-        basis.data = np.sign(basis.data)
-        bases.append(basis)
-    return bases
+    # the vertex of each orbit in the octant, and every face touching one
+    octant = sign == 0
+    rep = np.empty(len(rows), dtype=int)
+    rep[orbit[octant]] = np.flatnonzero(octant)
+    stiffness, mass = cotangent_laplacian(verts, faces[octant[faces].any(axis=1)])
+    k = stiffness[rep].tocoo()
+    m = mass.diagonal()[rep]
+    # chi in sector s of a sign pattern: -1 to the number of bits they share
+    parity = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    out = []
+    for s in sectors:
+        # chi cancels on an orbit with an odd coordinate zero
+        keep = ((rows > 0) @ bits & s) == s
+        folded = sp.csr_matrix((k.data * parity[sign[k.col] & s], (k.row, orbit[k.col])),
+                               shape=(len(rows),) * 2)[keep][:, keep]
+        sector = (sp.diags(np.sqrt(size[keep] / m[keep])) @ folded
+                  @ sp.diags(1.0 / np.sqrt(size[keep] * m[keep])))
+        out.append(((sector + sector.T) * 0.5).tocsr())
+    return out

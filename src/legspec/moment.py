@@ -16,6 +16,7 @@ shape ``(k, N)`` and node reductions run over ``axis=-1``; a single
 
 import numpy as np
 
+from . import spectral as spc
 from .errors import InvalidFieldError, InvalidPointError
 from .sasaki import _bracket, _extend, _fd_dir, complex_structure
 
@@ -126,7 +127,33 @@ def moment(x, X):
     return np.einsum("...i,...i->...", X(x), x @ complex_structure(X.n).T)
 
 
-class MomentFunction:
+class QuadraticFamily:
+    """Functions ``x^T Q x`` on unit points, each less a constant, of the
+    stacked symmetric ``quadratic_form`` ``Q``, evaluated by ``ambient``.
+    Values and closed-form Laplacians at the nodes of a ``NodeGeometry``
+    are kept, so every reader of one node set shares one evaluation; a
+    stacked row equals, bit for bit, the value of its form alone, so a
+    slice of the rows is exact."""
+
+    def __init__(self):
+        self._node_values, self._laplacians = {}, {}
+
+    def node_values(self, geo):
+        """Values at the nodes of ``geo``, through :meth:`ambient`."""
+        if geo not in self._node_values:
+            self._node_values[geo] = self.ambient(geo.x)
+        return self._node_values[geo]
+
+    def laplacian(self, L, resolution=None):
+        """``spectral.extrinsic_laplacian`` of ``quadratic_form`` along
+        ``L`` at the nodes of ``resolution``."""
+        geo = L.node_geometry(resolution)
+        if geo not in self._laplacians:
+            self._laplacians[geo] = spc.extrinsic_laplacian(L, self.quadratic_form, resolution)
+        return self._laplacians[geo]
+
+
+class MomentFunction(QuadraticFamily):
     """The mean-free moment-map function of a generator along an immersion.
 
     ``ambient`` evaluates the radially constant extension at arbitrary
@@ -138,10 +165,10 @@ class MomentFunction:
     """
 
     def __init__(self, immersion, generator, mean_value):
+        super().__init__()
         self.immersion = immersion
         self.generator = generator
         self.mean_value = mean_value
-        self._node_values = {}
 
     def ambient(self, y):
         y = np.asarray(y, dtype=float)
@@ -156,13 +183,6 @@ class MomentFunction:
 
     def on_chart(self, u):
         return self.ambient(self.immersion.points(u))
-
-    def node_values(self, geo):
-        """Values at the nodes of ``geo``, through :meth:`ambient`; kept, so
-        every reader of one node set shares one evaluation."""
-        if geo not in self._node_values:
-            self._node_values[geo] = self.ambient(geo.x)
-        return self._node_values[geo]
 
     def values(self, resolution=None):
         return self.node_values(self.immersion.node_geometry(resolution))

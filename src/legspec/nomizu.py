@@ -21,7 +21,7 @@ leading axis.
 import numpy as np
 
 from .errors import InvalidFieldError, PreconditionError
-from .moment import pairing_form
+from .moment import QuadraticFamily, pairing_form
 from .sasaki import complex_structure
 
 
@@ -91,7 +91,7 @@ def nomizu_operator(K):
     return NomizuOperator(matrix, div_jk)
 
 
-class NomizuFunction:
+class NomizuFunction(QuadraticFamily):
     """Radial pairing of the corrected operator: ambient scalar field.
 
     Values do not depend on the radius; ``ambient`` accepts any nonzero
@@ -100,6 +100,7 @@ class NomizuFunction:
     """
 
     def __init__(self, K, operator):
+        super().__init__()
         self.cone_field = K
         self.operator = operator
 
@@ -113,10 +114,6 @@ class NomizuFunction:
         jx = xhat @ self.cone_field.J.T
         op_x = xhat @ np.swapaxes(self.operator.matrix, -1, -2)
         return np.einsum("...i,...i->...", op_x, jx)
-
-    def node_values(self, geo):
-        """Values at the nodes of a ``NodeGeometry``."""
-        return self.ambient(geo.x)
 
     def __call__(self, x, r=1.0):
         return self.ambient(float(r) * np.asarray(x, dtype=float))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import FD_LAPLACIAN, ZERO_FUNCTION
 from .errors import PreconditionError, UnsupportedError
-from .icosphere import cotangent_laplacian, icosphere, reflection_sectors
+from .icosphere import icosphere, sector_operators
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,9 @@ class EigenResidual:
 def eigen_residual(L, f, eigenvalue, resolution=None):
     """max |Lap f - lambda f| / max |f| over quadrature nodes.
 
-    ``f`` is a family of quadratic forms (``moment.MomentFunction`` or
+    ``f`` is a ``moment.QuadraticFamily`` (``moment.MomentFunction`` or
     ``nomizu.NomizuFunction``): its values come from ``f.node_values`` and
-    its Laplacian from ``f.quadratic_form`` in closed form.  A zero function
+    its Laplacian from ``f.laplacian``, in closed form.  A zero function
     (sup norm at most ``ZERO_FUNCTION``) is reported as residual 0 with
     ``degenerate`` set; the Laplacian is skipped only when every function
     is zero.
@@ -106,7 +106,7 @@ def eigen_residual(L, f, eigenvalue, resolution=None):
     degenerate = sup <= ZERO_FUNCTION
     if np.all(degenerate):
         return EigenResidual(np.zeros_like(sup), degenerate, sup)
-    lap = extrinsic_laplacian(L, f.quadratic_form, resolution)
+    lap = f.laplacian(L, resolution)
     worst = np.max(np.abs(lap - eigenvalue * fvals), axis=-1)
     res = np.where(degenerate, 0.0, worst / np.where(degenerate, 1.0, sup))
     return EigenResidual(res, degenerate, sup)
@@ -247,20 +247,19 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     circulant and its eigenvalues are the DFT of its response to a unit
     impulse; that response is symmetric, so the DFT is real.  Round
     2-sphere: cotangent finite elements with lumped mass on the
-    icosphere at subdivision ``resolution``.  The problem splits into
-    the eight reflection sectors of ``icosphere.reflection_sectors``,
-    which also checks that the rotation ``(x, y, z) -> (y, z, x)`` maps the
-    mesh onto itself; that rotation permutes the sectors odd in one
-    coordinate, and those odd in two, so four sector eigensolves, one per
-    orbit, give all eight spectra.  Shift-invert Lanczos takes
-    ``ceil(num_modes / 8) + 2`` eigenvalues of each, whose values count
-    once per sector of the orbit, and the report holds the ``num_modes``
-    smallest of their union that lie at or below the smallest sector
-    maximum, up to which every sector's spectrum is complete (fewer when
-    the sectors cover less; a non-finite value keeps the whole union, for
-    :func:`bound_check` to reject).  The default 16 is the complete
-    round-sphere clusters l <= 3: it ends one cluster above the
-    ``2n + 2 = 6`` target (l = 2) without splitting one.
+    icosphere at subdivision ``resolution``, split into the eight
+    reflection sectors of ``icosphere.sector_operators``, each a standard
+    symmetric problem.  The rotation ``(x, y, z) -> (y, z, x)`` permutes
+    the sectors odd in one coordinate, and those odd in two, so four
+    sector eigensolves, one per orbit, give all eight spectra.
+    Shift-invert Lanczos takes ``ceil(num_modes / 8) + 2`` eigenvalues of
+    each, whose values count once per sector of the orbit, and the report
+    holds the ``num_modes`` smallest of their union that lie at or below
+    the smallest sector maximum, up to which every sector's spectrum is
+    complete (fewer when the sectors cover less; a non-finite value keeps
+    the whole union, for :func:`bound_check` to reject).  The default 16
+    is the complete round-sphere clusters l <= 3: it ends one cluster
+    above the ``2n + 2 = 6`` target (l = 2) without splitting one.
     """
     if L.discretizer is None:
         raise UnsupportedError(
@@ -283,32 +282,25 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
         # scipy.sparse.linalg.eigsh (perfbench/tracer.py) sees each solve
         import scipy.sparse.linalg as spla
 
-        verts, faces = icosphere(resolution)
-        stiffness, mass = cotangent_laplacian(verts, faces)
-        bases = reflection_sectors(verts)
         parts = []
-        for odd in range(4):
-            # sector 2^odd - 1 is odd in the last ``odd`` coordinates; the
-            # rotation (x, y, z) -> (y, z, x), checked by reflection_sectors,
-            # maps it onto the comb(3, odd) sectors odd in as many, which
-            # share its spectrum, so it is solved once and counted for each
-            basis = bases[2**odd - 1]
+        # sector 2^odd - 1, odd in the last ``odd`` coordinates, shares its
+        # spectrum with the comb(3, odd) sectors the rotation maps it onto
+        for odd, sector in enumerate(sector_operators(*icosphere(resolution), [0, 1, 3, 7])):
             # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
             # ARPACK would otherwise draw one from OS entropy
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, basis.shape[1])
-            sector = spla.eigsh(
-                basis.T @ stiffness @ basis,
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, sector.shape[0])
+            values = spla.eigsh(
+                sector,
                 # ceil(num_modes / 8) and two spare modes, since the sectors'
                 # shares of the lowest num_modes are uneven
                 k=-(-num_modes // 8) + 2,
-                M=basis.T @ mass @ basis,
-                # a negative shift keeps stiffness - shift * mass positive definite
+                # a negative shift keeps sector - shift * I positive definite
                 sigma=-0.5,
                 which="LM",
                 v0=v0,
                 return_eigenvectors=False,
             )
-            parts += [sector] * math.comb(3, odd)
+            parts += [values] * math.comb(3, odd)
         ev = np.concatenate(parts)
         # a non-finite value keeps the whole union, for bound_check to reject
         if np.all(np.isfinite(ev)):

@@ -328,7 +328,7 @@ def _stencil_record(cfg, L, algebra):
     name = f"{L.name}: closed-form Laplacian vs five-point stencil"
     f = cfg.moment_function(L, algebra)
     try:
-        closed = spc.extrinsic_laplacian(L, f.quadratic_form)
+        closed = f.laplacian(L)
     except PreconditionError as exc:
         return _inconclusive(name, "closed-form-laplacian", exc)
     stencil = spc.stencil_laplacian(L, f.ambient)
@@ -548,7 +548,7 @@ def spectrum_records(cfg):
                 f = cfg.moment_function(L, algebra, r2)
                 fv = f.values(r2)
                 keep = np.max(np.abs(fv), axis=-1) > ZERO_FUNCTION
-                ext_vals = spc.extrinsic_laplacian(L, f.quadratic_form[keep], r2)
+                ext_vals = f.laplacian(L, r2)[keep]
                 grid = fv[keep].reshape((-1,) + L.domain.grid_shape(r2))
                 mesh_vals = spc.apply_mesh_operator(L, grid).reshape(ext_vals.shape)
                 worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)

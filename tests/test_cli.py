@@ -84,6 +84,15 @@ class TestUsageErrors:
     def test_missing_suite_exits_64(self):
         assert main([]) == 64
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_64_before_compute(self, where, monkeypatch, capsys,
+                                                        tmp_path):
+        monkeypatch.setattr("legspec.cli.run_suite", _refuse_compute)
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        assert main(["--suite", "moment-family", "--output", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("legspec: error: cannot write --output") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -470,6 +479,18 @@ class TestSharedWork:
         }
         for method, counted in calls.items():
             assert counted and set(counted.values()) == {1}, (method, counted)
+
+    def test_all_contracts_each_closed_form_laplacian_once(self, monkeypatch):
+        # each family keeps its Laplacian per node set, shared by
+        # moment-family, the stencil record, spectrum and relation (a row
+        # slice); the cone family's frame sum is its own contraction
+        calls = _count_calls(
+            monkeypatch, im.NodeGeometry, "projector_trace",
+            lambda geo, A, radial: (geo.immersion.name, len(geo.u), radial, A.tobytes()),
+        )
+        assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
+        assert sum(calls.values()) == 17
+        assert set(calls.values()) == {1}
 
     def test_moment_builds_no_sasaki_structure(self, monkeypatch):
         L = im.clifford_torus()

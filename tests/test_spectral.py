@@ -157,14 +157,11 @@ class TestMeshSpectrum:
     def test_rotation_orbits_replicate_all_eight_sectors(self, level):
         # each sector solved on its own: the three sectors of an orbit agree,
         # and their union makes the spectrum of the four replicated solves
-        verts, faces = ic.icosphere(level)
-        stiffness, mass = ic.cotangent_laplacian(verts, faces)
         parts = []
-        for basis in ic.reflection_sectors(verts):
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, basis.shape[1])
-            parts.append(np.sort(spla.eigsh(
-                basis.T @ stiffness @ basis, k=4, M=basis.T @ mass @ basis,
-                sigma=-0.5, which="LM", v0=v0, return_eigenvectors=False)))
+        for sector in ic.sector_operators(*ic.icosphere(level)):
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, sector.shape[0])
+            parts.append(np.sort(spla.eigsh(sector, k=4, sigma=-0.5, which="LM", v0=v0,
+                                            return_eigenvectors=False)))
         scale = max(p.max() for p in parts)
         for orbit in ([1, 2, 4], [3, 5, 6]):
             for s in orbit[1:]:
@@ -174,6 +171,28 @@ class TestMeshSpectrum:
         rep = spc.mesh_spectrum(im.geodesic_sphere(2), level)
         assert len(rep.eigenvalues) == len(ev) == 16
         assert np.max(np.abs(rep.eigenvalues - ev)) <= 1e-12 * scale
+
+    def test_assembly_and_solves_stay_sector_sized(self, monkeypatch):
+        # level 4: 763 of the 5,120 faces touch the octant x, y, z >= 0, and
+        # each solve is a standard problem on the sector of one rotation
+        # orbit, odd in 0, 1, 2 and 3 coordinates (sizes sum to 2,562 with
+        # the three-fold ones counted thrice)
+        assembled, solved = [], []
+        cotangent, eigsh = ic.cotangent_laplacian, spla.eigsh
+
+        def counted_cotangent(verts, faces):
+            assembled.append(len(faces))
+            return cotangent(verts, faces)
+
+        def counted_eigsh(A, *args, **kwargs):
+            solved.append((A.shape, kwargs.get("M")))
+            return eigsh(A, *args, **kwargs)
+
+        monkeypatch.setattr(ic, "cotangent_laplacian", counted_cotangent)
+        monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+        spc.mesh_spectrum(im.geodesic_sphere(2), 4)
+        assert assembled == [763]
+        assert solved == [((n, n), None) for n in (345, 328, 312, 297)]
 
     def test_truncated_spectrum_is_inconclusive(self):
         # nine modes end at the l = 2 cluster, so it may continue past them
