@@ -1,16 +1,22 @@
-"""Chart-parameterized Legendrian immersions and their induced geometry.
+"""Legendrian immersions as orbits of u(n+1) generators, and their geometry.
 
-Shipped examples (registered by name for the CLI):
+An immersion is the orbit map ``x(u) = exp(u_n A_n) ... exp(u_1 A_1) x_0``
+of ``n`` generators through a unit base point.  Each also states whether
+it is totally geodesic, the dimension of its ``2n + 2`` eigenspace and its
+intrinsic mesh, if any; the suites read these fields, never the name.
+Shipped examples (registered by name for the CLI), generators in factor
+order, ``A_kl`` turning ``e_k`` toward ``e_l``:
 
-* ``great-circle-s3``      -- t -> (cos t, sin t) on the real circle in S^3
-  (alias ``geodesic-sphere-n1``);
-* ``geodesic-sphere-n2``   -- the real unit S^2 inside S^5;
-* ``geodesic-sphere-n3``   -- the real unit S^3 inside S^7;
-* ``clifford-torus-s5``    -- (u, v) -> (e^{iu}, e^{iv}, e^{-i(u+v)}) / sqrt(3).
-
-Each states whether it is totally geodesic, the dimension of its
-``2n + 2`` eigenspace and its intrinsic mesh, if any; the suites read
-these fields, never the name.
+* ``great-circle-s3`` (alias ``geodesic-sphere-n1``): ``A_12`` through
+  ``e_1``, the real circle t -> (cos t, sin t) in S^3;
+* ``geodesic-sphere-n2``: ``A_zx``, ``A_xy`` through ``e_z``, the real unit
+  S^2 (th, ph) -> (sin th cos ph, sin th sin ph, cos th) in S^5;
+* ``geodesic-sphere-n3``: ``A_12``, ``A_23``, ``A_34`` through ``e_1``, the
+  real unit S^3 (t1, t2, ph) -> (cos t1, sin t1 cos t2, sin t1 sin t2 cos ph,
+  sin t1 sin t2 sin ph) in S^7;
+* ``clifford-torus-s5``: ``i diag(1, 0, -1)``, ``i diag(0, 1, -1)`` through
+  (1, 1, 1) / sqrt(3), the torus (u, v) -> (e^{iu}, e^{iv}, e^{-i(u+v)}) /
+  sqrt(3) in S^5.
 
 Quadrature follows the domain: uniform (trapezoid) grids on periodic
 boxes, Gauss-Legendre x trapezoid products on polar sphere charts.  The
@@ -28,9 +34,12 @@ import numpy as np
 from .errors import (
     DegenerateImmersionError,
     EvaluationError,
+    InvalidFieldError,
+    InvalidPointError,
     QuadratureError,
     UnsupportedError,
 )
+from .moment import AutomorphismField, _real_form
 from .sasaki import SphereSasaki
 
 
@@ -39,40 +48,40 @@ from .sasaki import SphereSasaki
 
 
 class PeriodicGridDomain:
-    """Uniform tensor grid on [0, 2 pi)^k; trapezoid weights are exact
+    """Uniform tensor grid on [0, 2 pi)^dim; trapezoid weights are exact
     (spectrally accurate) for smooth periodic integrands.  ``periodic``
     selects the finite-difference stencil of
     ``spectral.apply_mesh_operator`` as the intrinsic operator."""
 
-    def __init__(self, k):
-        self.k = k
+    def __init__(self, dim):
+        self.dim = dim
         self.periodic = True
 
     def nodes_weights(self, resolution):
         ax = np.arange(resolution) * (2.0 * np.pi / resolution)
-        grids = np.meshgrid(*([ax] * self.k), indexing="ij")
+        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        w = np.full(len(nodes), (2.0 * np.pi / resolution) ** self.k)
+        w = np.full(len(nodes), (2.0 * np.pi / resolution) ** self.dim)
         return nodes, w
 
     def grid_shape(self, resolution):
-        return (resolution,) * self.k
+        return (resolution,) * self.dim
 
     def node_count(self, resolution):
-        return resolution**self.k
+        return resolution**self.dim
 
 
 class PolarSphereDomain:
-    """Polar chart of S^n: Gauss-Legendre on each polar angle in (0, pi),
+    """Polar chart of S^dim: Gauss-Legendre on each polar angle in (0, pi),
     trapezoid on the periodic azimuth."""
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, dim):
+        self.dim = dim
         self.periodic = False
 
     def nodes_weights(self, resolution):
         polar_axes = []
-        for _ in range(self.n - 1):
+        for _ in range(self.dim - 1):
             t, w = np.polynomial.legendre.leggauss(resolution)
             polar_axes.append(((t + 1.0) * (np.pi / 2.0), w * (np.pi / 2.0)))
         m = 2 * resolution
@@ -87,48 +96,66 @@ class PolarSphereDomain:
         return nodes, weights
 
     def node_count(self, resolution):
-        return 2 * resolution**self.n
+        return 2 * resolution**self.dim
 
 
 # ---------------------------------------------------------------------------
 # the immersion type
 
 
-class LegendrianImmersion:
-    """A parameterized immersion ``L^n -> S^{2n+1}`` with quadrature.
+def _turn(v, A, s, c):
+    """``exp(tA) v``, ``A v`` and ``A^2 v`` at ``s = sin t``, ``c = cos t`` for
+    ``A^3 = -A``, grouped so a component outside the plane of ``A`` is exact."""
+    av = A @ v
+    a2v = A @ av
+    return (v + a2v) + s * av - c * a2v, av, a2v
 
-    ``chart_map``, ``jacobian`` and ``chart_hessian`` are vectorized over
-    leading axes, the Jacobian having shape ``(..., 2n+2, n)`` and the
-    Hessian ``(..., 2n+2, n, n)``.
+
+class LegendrianImmersion:
+    """An immersion ``L^n -> S^{2n+1}``, the orbit map
+    ``x(u) = exp(u_n A_n) ... exp(u_1 A_1) x_0`` of its ``n`` generators
+    through the unit ``base_point``, with quadrature on ``domain``.
+
+    Each generator is a real ``(2n+2) x (2n+2)`` matrix of ``u(n+1)`` in
+    the stacked layout (``moment.AutomorphismField`` checks it) with
+    ``A^3 = -A``, so each factor is exact by Rodrigues' formula.  Points,
+    Jacobian ``(..., 2n+2, n)`` and Hessian ``(..., 2n+2, n, n)`` are
+    vectorized over leading axes of the chart points.
 
     ``multiplicity`` is the dimension of the ``2n + 2`` eigenspace and
     ``discretizer`` a ``spectral.MESH_RESOLUTIONS`` key (``None``: none).
     """
 
-    def __init__(self, name, n, chart_map, jacobian, domain, default_resolution,
-                 chart_hessian, totally_geodesic=False, multiplicity=None,
-                 discretizer=None):
+    def __init__(self, name, generators, base_point, domain, default_resolution,
+                 totally_geodesic=False, multiplicity=None, discretizer=None):
+        n = len(generators)
+        if n != domain.dim:
+            raise InvalidFieldError(f"{name}: {n} generators for a {domain.dim}-dimensional chart")
+        A = AutomorphismField(generators, n, name).generator
+        if np.max(np.abs(A @ A @ A + A)) > 1e-12:
+            raise InvalidFieldError(f"{name}: every generator must satisfy A^3 = -A")
+        x0 = np.asarray(base_point, dtype=float)
+        if x0.shape != (2 * n + 2,) or abs(np.linalg.norm(x0) - 1.0) > 1e-12:
+            raise InvalidPointError(f"{name}: base point must be a unit vector in R^{2 * n + 2}")
         self.name = name
         self.n = n
         self.ambient = SphereSasaki(n)
-        self.chart_map = chart_map
-        self.jacobian = jacobian
-        self.chart_hessian = chart_hessian
+        self.generators = A
+        self.base_point = x0
         self.domain = domain
         self.default_resolution = default_resolution
         self.totally_geodesic = totally_geodesic
         self.multiplicity = multiplicity
         self.discretizer = discretizer
+        self._mixer = None
         self._geometries = {}
 
     def with_frame_mixer(self, mixer):
         """A copy, with no node geometry yet, whose chart derivatives are taken
         along the columns of ``mixer``; every scalar output must be
         invariant under this rotation of the Jacobian columns."""
-        M = np.asarray(mixer, dtype=float)
         mixed = copy.copy(self)
-        mixed.jacobian = lambda u: self.jacobian(u) @ M
-        mixed.chart_hessian = lambda u: M.T @ self.chart_hessian(u) @ M
+        mixed._mixer = np.asarray(mixer, dtype=float) if self._mixer is None else self._mixer @ mixer
         mixed._geometries = {}
         return mixed
 
@@ -149,11 +176,47 @@ class LegendrianImmersion:
 
     # -- induced geometry --------------------------------------------------
 
+    def _orbit(self, u, order):
+        """Points, Jacobian columns (``order`` >= 1) and Hessian entries
+        ``(b, a)``, ``b <= a`` (``order`` 2) in one sweep, as ``(2n+2, N)``
+        arrays over the flattened nodes (faster than node-major rows).
+        Column ``a`` is ``A_a`` applied after factor ``a``, entry ``(b, a)`` is
+        ``A_a`` applied to column ``b`` after it and ``(a, a)`` is ``A_a^2``
+        applied to the point."""
+        nodes = np.asarray(u, dtype=float).reshape(-1, self.n)
+        x, cols, hess = self.base_point[:, None], [], {}
+        for a, A in enumerate(self.generators):
+            s, c = np.sin(nodes[:, a]), np.cos(nodes[:, a])
+            hess = {key: _turn(h, A, s, c)[0] for key, h in hess.items()}
+            for b, col in enumerate(cols):
+                cols[b], av, a2v = _turn(col, A, s, c)
+                if order == 2:
+                    hess[b, a] = c * av + s * a2v
+            x, ax, a2x = _turn(x, A, s, c)
+            if order >= 1:
+                cols.append(c * ax + s * a2x)
+            if order == 2:
+                hess[a, a] = c * a2x - s * ax
+        return x, cols, hess
+
+    @staticmethod
+    def _nodewise(u, vectors):
+        """The sweep's ``(..., 2n+2, N)`` vectors as C-ordered values per chart point."""
+        values = np.ascontiguousarray(np.array(vectors).T)
+        return values.reshape(np.shape(u)[:-1] + values.shape[1:])
+
     def points(self, u):
-        return self.chart_map(np.asarray(u, dtype=float))
+        return self._nodewise(u, self._orbit(u, 0)[0])
 
     def jacobian_at(self, u):
-        return self.jacobian(np.asarray(u, dtype=float))
+        jac = self._nodewise(u, self._orbit(u, 1)[1])
+        return jac if self._mixer is None else jac @ self._mixer
+
+    def hessian_at(self, u):
+        entries = self._orbit(u, 2)[2]
+        rows = [[entries[min(a, b), max(a, b)] for b in range(self.n)] for a in range(self.n)]
+        hess = self._nodewise(u, rows)
+        return hess if self._mixer is None else self._mixer.T @ hess @ self._mixer
 
     def induced_metric(self, u):
         jac = self.jacobian_at(u)
@@ -162,18 +225,13 @@ class LegendrianImmersion:
     def frames(self, u):
         """Orthonormal tangent frames by Gram-Schmidt on Jacobian columns
         in fixed index order; shape (..., n, 2n+2)."""
-        jac = self.jacobian_at(u)
-        cols = np.moveaxis(jac, -1, 0)  # (n, ..., 2n+2)
         frame = []
-        for i in range(self.n):
-            v = cols[i]
+        for v in np.moveaxis(self.jacobian_at(u), -1, 0):  # columns (..., 2n+2)
             for e in frame:
                 v = v - np.einsum("...i,...i->...", v, e)[..., None] * e
             norms = np.linalg.norm(v, axis=-1)
             if np.any(norms < 1e-10):
-                raise DegenerateImmersionError(
-                    f"{self.name}: rank-deficient Jacobian"
-                )
+                raise DegenerateImmersionError(f"{self.name}: rank-deficient Jacobian")
             frame.append(v / norms[..., None])
         return np.stack(frame, axis=-2)
 
@@ -206,7 +264,7 @@ class NodeGeometry:
     first read from the immersion's evaluators and kept: unit points ``x``,
     ``jacobian``, orthonormal ``frame``, induced ``metric``, ``sqrt_g``
     (``sqrt det g``), the :class:`ShapeData` ``shape``, the quadrature
-    ``volume`` and two residuals.
+    ``volume`` and the Legendrian residual.
     """
 
     def __init__(self, immersion, u, w=None):
@@ -260,11 +318,6 @@ class NodeGeometry:
         jx = self.immersion.ambient.apply_J(self.x)
         return float(np.max(np.abs(np.einsum("...a,...ai->...i", jx, self.jacobian))))
 
-    @cached_property
-    def mean_curvature_residual(self):
-        """max |H| over the nodes."""
-        return self.shape.mean_curvature_norm()
-
     def projector_trace(self, A, radial):
         """``tr(A (radial x x^T - P))`` at each node, ``P = sum_i e_i e_i^T``
         the tangent projector, for a ``(d, d)`` matrix or a ``(k, d, d)``
@@ -287,42 +340,24 @@ class NodeGeometry:
 # builtin examples
 
 
-def _stack_real(re, im):
-    return np.concatenate([re, im], axis=-1)
+def _rotation(m, k, l):
+    """``A_kl`` in ``u(m)``: the real rotation turning ``e_k`` toward ``e_l``
+    (1-based indices)."""
+    A = np.zeros((m, m))
+    A[l - 1, k - 1], A[k - 1, l - 1] = 1.0, -1.0
+    return _real_form(A, 0.0 * A)
 
 
-def _pack_hessian(rows):
-    """Nested [a][b] lists of (..., D) arrays -> (..., D, k, k)."""
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-1)
+def _phase(*diagonal):
+    """``i diag(diagonal)`` in ``u(m)``."""
+    return _real_form(np.zeros((len(diagonal),) * 2), np.diag(diagonal))
 
 
 def great_circle(name="great-circle-s3"):
     """Real unit circle in S^3: totally geodesic Legendrian."""
-
-    def chart_map(u):
-        t = u[..., 0]
-        z = np.zeros_like(t)
-        return _stack_real(
-            np.stack([np.cos(t), np.sin(t)], axis=-1),
-            np.stack([z, z], axis=-1),
-        )
-
-    def jacobian(u):
-        t = u[..., 0]
-        z = np.zeros_like(t)
-        col = _stack_real(
-            np.stack([-np.sin(t), np.cos(t)], axis=-1),
-            np.stack([z, z], axis=-1),
-        )
-        return col[..., None]
-
-    def chart_hessian(u):
-        return -chart_map(u)[..., None, None]
-
     return LegendrianImmersion(
-        name, 1, chart_map, jacobian, PeriodicGridDomain(1), 256,
-        chart_hessian=chart_hessian, totally_geodesic=True, multiplicity=2,
-        discretizer="circle",
+        name, [_rotation(2, 1, 2)], np.eye(4)[0], PeriodicGridDomain(1), 256,
+        totally_geodesic=True, multiplicity=2, discretizer="circle",
     )
 
 
@@ -330,164 +365,31 @@ def geodesic_sphere(n):
     """Real unit S^n inside S^{2n+1} (imaginary parts zero)."""
     if n == 1:
         return great_circle(name="geodesic-sphere-n1")
-    if n == 2:
-
-        def embed(u):
-            th, ph = u[..., 0], u[..., 1]
-            return np.stack(
-                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)],
-                axis=-1,
-            )
-
-        def dembed(u):
-            th, ph = u[..., 0], u[..., 1]
-            d_th = np.stack(
-                [np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)],
-                axis=-1,
-            )
-            d_ph = np.stack(
-                [-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros_like(th)],
-                axis=-1,
-            )
-            return np.stack([d_th, d_ph], axis=-1)
-
-        def d2embed(u):
-            th, ph = u[..., 0], u[..., 1]
-            st, ct = np.sin(th), np.cos(th)
-            sp, cp = np.sin(ph), np.cos(ph)
-            zeros = np.zeros_like(th)
-            d_tt = np.stack([-st * cp, -st * sp, -ct], axis=-1)
-            d_tp = np.stack([-ct * sp, ct * cp, zeros], axis=-1)
-            d_pp = np.stack([-st * cp, -st * sp, zeros], axis=-1)
-            return _pack_hessian([[d_tt, d_tp], [d_tp, d_pp]])
-
-        default_res, multiplicity, discretizer = 24, 5, "icosphere"
-    elif n == 3:
-
-        def embed(u):
-            t1, t2, ph = u[..., 0], u[..., 1], u[..., 2]
-            s1 = np.sin(t1)
-            return np.stack(
-                [
-                    np.cos(t1),
-                    s1 * np.cos(t2),
-                    s1 * np.sin(t2) * np.cos(ph),
-                    s1 * np.sin(t2) * np.sin(ph),
-                ],
-                axis=-1,
-            )
-
-        def dembed(u):
-            t1, t2, ph = u[..., 0], u[..., 1], u[..., 2]
-            s1, c1 = np.sin(t1), np.cos(t1)
-            s2, c2 = np.sin(t2), np.cos(t2)
-            sp, cp = np.sin(ph), np.cos(ph)
-            zeros = np.zeros_like(t1)
-            d1 = np.stack([-s1, c1 * c2, c1 * s2 * cp, c1 * s2 * sp], axis=-1)
-            d2 = np.stack([zeros, -s1 * s2, s1 * c2 * cp, s1 * c2 * sp], axis=-1)
-            d3 = np.stack([zeros, zeros, -s1 * s2 * sp, s1 * s2 * cp], axis=-1)
-            return np.stack([d1, d2, d3], axis=-1)
-
-        def d2embed(u):
-            t1, t2, ph = u[..., 0], u[..., 1], u[..., 2]
-            s1, c1 = np.sin(t1), np.cos(t1)
-            s2, c2 = np.sin(t2), np.cos(t2)
-            sp, cp = np.sin(ph), np.cos(ph)
-            zeros = np.zeros_like(t1)
-            d11 = np.stack([-c1, -s1 * c2, -s1 * s2 * cp, -s1 * s2 * sp], axis=-1)
-            d12 = np.stack([zeros, -c1 * s2, c1 * c2 * cp, c1 * c2 * sp], axis=-1)
-            d13 = np.stack([zeros, zeros, -c1 * s2 * sp, c1 * s2 * cp], axis=-1)
-            d22 = np.stack([zeros, -s1 * c2, -s1 * s2 * cp, -s1 * s2 * sp], axis=-1)
-            d23 = np.stack([zeros, zeros, -s1 * c2 * sp, s1 * c2 * cp], axis=-1)
-            d33 = np.stack([zeros, zeros, -s1 * s2 * cp, -s1 * s2 * sp], axis=-1)
-            return _pack_hessian([[d11, d12, d13], [d12, d22, d23], [d13, d23, d33]])
-
-        default_res, multiplicity, discretizer = 12, 9, None
+    if n == 2:  # A_zx, then A_xy, through e_z
+        row = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2], 24, 5, "icosphere"
+    elif n == 3:  # A_12, A_23, A_34 through e_1
+        row = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0], 12, 9, None
     else:
         raise UnsupportedError(f"no geodesic sphere shipped for n={n}")
-
-    def chart_map(u):
-        re = embed(u)
-        return _stack_real(re, np.zeros_like(re))
-
-    def jacobian(u):
-        dre = dembed(u)
-        return np.concatenate([dre, np.zeros_like(dre)], axis=-2)
-
-    def chart_hessian(u):
-        dre = d2embed(u)
-        return np.concatenate([dre, np.zeros_like(dre)], axis=-3)
-
+    generators, base, resolution, multiplicity, discretizer = row
     return LegendrianImmersion(
-        f"geodesic-sphere-n{n}", n, chart_map, jacobian, PolarSphereDomain(n),
-        default_res, chart_hessian=chart_hessian, totally_geodesic=True,
-        multiplicity=multiplicity, discretizer=discretizer,
+        f"geodesic-sphere-n{n}", generators, base, PolarSphereDomain(n), resolution,
+        totally_geodesic=True, multiplicity=multiplicity, discretizer=discretizer,
     )
 
 
 def clifford_torus():
     """Minimal Legendrian flat torus in S^5; induced metric
     (1/3) [[2, 1], [1, 2]] on the periodic (u, v) square."""
-    s = 1.0 / np.sqrt(3.0)
-
-    def chart_map(u):
-        a, b = u[..., 0], u[..., 1]
-        re = np.stack([np.cos(a), np.cos(b), np.cos(a + b)], axis=-1)
-        im = np.stack([np.sin(a), np.sin(b), -np.sin(a + b)], axis=-1)
-        return s * _stack_real(re, im)
-
-    def jacobian(u):
-        a, b = u[..., 0], u[..., 1]
-        zeros = np.zeros_like(a)
-        d_a = s * np.concatenate(
-            [
-                np.stack([-np.sin(a), zeros, -np.sin(a + b)], axis=-1),
-                np.stack([np.cos(a), zeros, -np.cos(a + b)], axis=-1),
-            ],
-            axis=-1,
-        )
-        d_b = s * np.concatenate(
-            [
-                np.stack([zeros, -np.sin(b), -np.sin(a + b)], axis=-1),
-                np.stack([zeros, np.cos(b), -np.cos(a + b)], axis=-1),
-            ],
-            axis=-1,
-        )
-        return np.stack([d_a, d_b], axis=-1)
-
-    def chart_hessian(u):
-        a, b = u[..., 0], u[..., 1]
-        zeros = np.zeros_like(a)
-        d_aa = s * np.concatenate(
-            [
-                np.stack([-np.cos(a), zeros, -np.cos(a + b)], axis=-1),
-                np.stack([-np.sin(a), zeros, np.sin(a + b)], axis=-1),
-            ],
-            axis=-1,
-        )
-        d_ab = s * np.concatenate(
-            [
-                np.stack([zeros, zeros, -np.cos(a + b)], axis=-1),
-                np.stack([zeros, zeros, np.sin(a + b)], axis=-1),
-            ],
-            axis=-1,
-        )
-        d_bb = s * np.concatenate(
-            [
-                np.stack([zeros, -np.cos(b), -np.cos(a + b)], axis=-1),
-                np.stack([zeros, -np.sin(b), np.sin(a + b)], axis=-1),
-            ],
-            axis=-1,
-        )
-        return _pack_hessian([[d_aa, d_ab], [d_ab, d_bb]])
-
     return LegendrianImmersion(
-        "clifford-torus-s5", 2, chart_map, jacobian, PeriodicGridDomain(2), 48,
-        chart_hessian=chart_hessian, multiplicity=6, discretizer="torus",
+        "clifford-torus-s5", [_phase(1, 0, -1), _phase(0, 1, -1)],
+        np.concatenate([np.full(3, 1.0 / np.sqrt(3.0)), np.zeros(3)]),
+        PeriodicGridDomain(2), 48, multiplicity=6, discretizer="torus",
     )
 
 
 def registry():
+
     """Name -> constructor for CLI addressing."""
     return {
         "great-circle-s3": great_circle,
@@ -538,7 +440,7 @@ def shape_operator(geo):
     Tensorial route: the sphere covariant derivative of coordinate fields
     is ``d_a d_b x + g_ab x``; contracting with the frame coefficients and
     removing the component tangent to ``L`` gives the second fundamental
-    form.  The chart Hessians are analytic, which keeps the computation
+    form.  The chart Hessians are exact, which keeps the computation
     roundoff-limited near polar chart nodes.
     """
     x, frame, gram = geo.x, geo.frame, geo.metric
@@ -546,16 +448,12 @@ def shape_operator(geo):
     # chart coefficients of each frame vector: solve jac @ c = e_k
     coeff = np.einsum("...ij,...aj,...ka->...ki", gram_inv, geo.jacobian, frame)
 
-    hess = geo.immersion.chart_hessian(geo.u)  # (..., 2n+2, k, k)
+    hess = geo.immersion.hessian_at(geo.u)  # (..., 2n+2, k, k)
     cov = hess + x[..., None, None] * gram[..., None, :, :]
     second = np.einsum("...iab,...Aa,...Bb->...ABi", cov, coeff, coeff)
     # remove the part tangent to L
-    tangential = np.einsum(
-        "...ABk,...ka->...ABa",
-        np.einsum("...ABa,...ka->...ABk", second, frame),
-        frame,
-    )
-    second = second - tangential
+    along = np.einsum("...ABa,...ka->...ABk", second, frame)
+    second = second - np.einsum("...ABk,...ka->...ABa", along, frame)
     mean = np.einsum("...iia->...a", second)
     return ShapeData(second, mean)
 

@@ -48,7 +48,7 @@ def extrinsic_laplacian(L, Q, resolution=None):
     since along a unit ``e`` orthogonal to ``x`` the radially constant
     extension of ``f`` has second derivative ``2 e^T Q e - 2 x^T Q x``.
     """
-    worst = L.node_geometry().mean_curvature_residual
+    worst = L.node_geometry().shape.mean_curvature_norm()
     if worst > 1e-6:
         raise PreconditionError(
             f"{L.name}: mean-curvature residual {worst:.2e} exceeds 1.0e-06; "

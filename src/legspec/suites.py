@@ -501,12 +501,14 @@ def spectrum_records(cfg):
                 verdict,
             )
         )
+        # measured, on the shape operator eigen_residual's minimality precheck built
+        flat = L.node_geometry().shape.second_fundamental_norm() <= tol.totally_geodesic
         records.append(
             rp.count_record(
                 f"{L.name}: equality case",
                 "equality-case-totally-geodesic",
                 int(verdict.equality),
-                int(L.totally_geodesic),
+                int(flat),
                 verdict=verdict,
             )
         )

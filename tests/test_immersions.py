@@ -8,7 +8,8 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.config import DEFAULT_TOLERANCES
-from legspec.errors import EvaluationError, UnsupportedError
+from legspec.errors import EvaluationError, InvalidFieldError, InvalidPointError, UnsupportedError
+from legspec.suites import CANONICAL_IMMERSIONS, SuiteConfig, legendrian_geometry_records
 
 
 ALL_BUILTINS = ["great-circle-s3", "geodesic-sphere-n2", "geodesic-sphere-n3", "clifford-torus-s5"]
@@ -71,35 +72,161 @@ def u_dim(L):
 
 @pytest.mark.parametrize("name", sorted(im.registry()))
 class TestChartDerivatives:
-    """Closed-form chart derivatives against finite-difference references
+    """Orbit-map chart derivatives against finite-difference references
     at 50 seeded chart points, polar angles kept off the poles."""
 
-    @staticmethod
-    def chart_points(L):
-        u = np.random.default_rng(31).uniform(0.1, np.pi - 0.1, size=(50, L.n))
-        u[:, -1] *= 2.0  # the last axis is periodic on every shipped chart
-        return u
-
-    def test_jacobian_matches_chart_map_differences(self, name):
+    def test_jacobian_matches_point_differences(self, name):
         L = im.get_immersion(name)
-        u = self.chart_points(L)
+        u = _chart_points(L)
         h = 1e-6
         fd = np.stack(
-            [(L.chart_map(u + h * e) - L.chart_map(u - h * e)) / (2 * h) for e in np.eye(L.n)],
+            [(L.points(u + h * e) - L.points(u - h * e)) / (2 * h) for e in np.eye(L.n)],
             axis=-1,
         )
-        assert np.max(np.abs(L.jacobian(u) - fd)) <= 1e-7
+        assert np.max(np.abs(L.jacobian_at(u) - fd)) <= 1e-7
 
-    def test_chart_hessian_matches_jacobian_differences(self, name):
+    def test_hessian_matches_jacobian_differences(self, name):
         L = im.get_immersion(name)
-        u = self.chart_points(L)
+        u = _chart_points(L)
         h = 1e-4
         reference = np.stack(
-            [(L.jacobian(u + h * e) - L.jacobian(u - h * e)) / (2 * h) for e in np.eye(L.n)],
+            [(L.jacobian_at(u + h * e) - L.jacobian_at(u - h * e)) / (2 * h) for e in np.eye(L.n)],
             axis=-1,
         )
         reference = 0.5 * (reference + np.swapaxes(reference, -1, -2))
-        assert np.max(np.abs(L.chart_hessian(u) - reference)) <= 1e-7
+        assert np.max(np.abs(L.hessian_at(u) - reference)) <= 1e-7
+
+
+def _chart_points(L):
+    """50 seeded chart points, polar angles kept off the poles."""
+    u = np.random.default_rng(31).uniform(0.1, np.pi - 0.1, size=(50, L.n))
+    u[:, -1] *= 2.0  # the last axis is periodic on every shipped chart
+    return u
+
+
+def _circle(t):
+    return [np.cos(t), np.sin(t)]
+
+
+# each shipped chart in closed form, as the module docstring writes it, in
+# complex coordinates
+CLOSED_FORMS = {
+    "great-circle-s3": _circle,
+    "geodesic-sphere-n1": _circle,
+    "geodesic-sphere-n2": lambda th, ph: [
+        np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th),
+    ],
+    "geodesic-sphere-n3": lambda t1, t2, ph: [
+        np.cos(t1), np.sin(t1) * np.cos(t2),
+        np.sin(t1) * np.sin(t2) * np.cos(ph), np.sin(t1) * np.sin(t2) * np.sin(ph),
+    ],
+    "clifford-torus-s5": lambda a, b: [
+        np.exp(1j * a) / np.sqrt(3.0), np.exp(1j * b) / np.sqrt(3.0),
+        np.exp(-1j * (a + b)) / np.sqrt(3.0),
+    ],
+}
+
+
+def _closed_form_error(L, name):
+    """max |points - closed form| over the 50 seeded chart points."""
+    u = _chart_points(L)
+    z = np.stack(CLOSED_FORMS[name](*u.T), axis=-1).astype(complex)
+    return np.max(np.abs(L.points(u) - np.concatenate([z.real, z.imag], axis=-1)))
+
+
+class TestChartReference:
+    @pytest.mark.parametrize("name", sorted(im.registry()))
+    def test_points_match_the_closed_form(self, name):
+        assert _closed_form_error(im.get_immersion(name), name) <= 1e-15
+
+    def test_negated_generator_is_caught(self):
+        # phi -> -phi: the same sphere, so every suite record still passes
+        L = im.geodesic_sphere(2)
+        A = L.generators
+        flipped = im.LegendrianImmersion(
+            L.name, [A[0], -A[1]], L.base_point, L.domain, L.default_resolution
+        )
+        assert _closed_form_error(flipped, L.name) > 0.1
+
+
+# E[1,2] - E[2,1] of u(2) and of u(3): rotations, with A^3 = -A
+ROTATION_N1 = mo.algebra_basis(1)[2].generator
+ROTATION_N2 = mo.algebra_basis(2)[3].generator
+
+
+class TestConstructorValidation:
+    @staticmethod
+    def build(generators, base_point=(1.0, 0.0, 0.0, 0.0), domain=None):
+        return im.LegendrianImmersion(
+            "candidate", generators, base_point, domain or im.PeriodicGridDomain(1), 16
+        )
+
+    def test_valid_row_builds(self):
+        L = self.build([ROTATION_N1])
+        assert L.n == 1 and L.volume() == pytest.approx(2 * np.pi)
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            ROTATION_N1 + 0.1 * np.eye(4),  # not skew
+            np.diag([1.0, 1.0, 0.0, 0.0]) @ ROTATION_N1,  # turns only real parts
+            2.0 * ROTATION_N1,  # A^3 = -4 A
+        ],
+        ids=["not-skew", "not-J-commuting", "doubled-rotation"],
+    )
+    def test_bad_generator_rejected(self, generator):
+        with pytest.raises(InvalidFieldError):
+            self.build([generator])
+
+    @pytest.mark.parametrize(
+        "base_point", [(2.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)],
+        ids=["non-unit", "wrong-length"],
+    )
+    def test_bad_base_point_rejected(self, base_point):
+        with pytest.raises(InvalidPointError):
+            self.build([ROTATION_N1], base_point)
+
+    def test_generator_count_must_match_the_domain(self):
+        with pytest.raises(InvalidFieldError):
+            self.build([ROTATION_N1], domain=im.PeriodicGridDomain(2))
+        with pytest.raises(InvalidFieldError):
+            self.build([ROTATION_N2, ROTATION_N2])
+
+
+def _conjugate(L, g):
+    """The orbit of ``g A g^-1`` through ``g x_0``: ``L`` moved by ``g``."""
+    return im.LegendrianImmersion(
+        L.name, g @ L.generators @ g.T, g @ L.base_point, L.domain, L.default_resolution,
+        totally_geodesic=L.totally_geodesic, multiplicity=L.multiplicity,
+        discretizer=L.discretizer,
+    )
+
+
+@pytest.mark.parametrize("name", CANONICAL_IMMERSIONS)
+def test_verdicts_invariant_under_unitary_conjugation(name):
+    L = im.get_immersion(name)
+    rng = np.random.default_rng(17)
+    m = L.n + 1
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    g = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    moved = _conjugate(L, g)
+    assert abs(moved.volume() - L.volume()) <= 1e-13 * L.volume()
+    a = L.node_geometry().shape.second_fundamental_norm()
+    b = moved.node_geometry().shape.second_fundamental_norm()
+    if L.totally_geodesic:
+        assert max(a, b) <= DEFAULT_TOLERANCES.totally_geodesic
+    else:
+        assert abs(a - b) <= 1e-12 and a == pytest.approx(np.sqrt(0.5))
+    cfg, moved_cfg = (SuiteConfig(suite="legendrian-geometry", immersion=name) for _ in range(2))
+    moved_cfg._immersions = [moved]
+    statuses = [[(r.name, r.status) for r in legendrian_geometry_records(c)]
+                for c in (cfg, moved_cfg)]
+    assert statuses[0] == statuses[1]
+    # conjugation makes zero moment functions non-zero, so only the
+    # worst residual of the non-degenerate ones is compared
+    algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
+    residual = spc.eigen_residual(moved, mo.moment_function(moved, algebra), 2.0 * L.n + 2.0)
+    assert np.max(residual.residual[~residual.degenerate]) <= DEFAULT_TOLERANCES.eigen_residual
 
 
 class TestShapeOperator:

@@ -146,31 +146,11 @@ class TestOperatorIdentities:
         assert abs(a - b) <= 1e-8
 
     def test_non_legendrian_input_rejected(self):
-        # latitude circle: an honest immersion that is not Legendrian
-        def chart_map(u):
-            t = u[..., 0]
-            c = np.cos(0.4)
-            s = np.sin(0.4)
-            return np.stack(
-                [c * np.cos(t), s * np.ones_like(t), c * np.sin(t), np.zeros_like(t)],
-                axis=-1,
-            )
-
-        def jacobian(u):
-            t = u[..., 0]
-            c = np.cos(0.4)
-            zeros = np.zeros_like(t)
-            return np.stack([-c * np.sin(t), zeros, c * np.cos(t), zeros], axis=-1)[..., None]
-
-        def chart_hessian(u):
-            t = u[..., 0]
-            c = np.cos(0.4)
-            zeros = np.zeros_like(t)
-            return np.stack([-c * np.cos(t), zeros, -c * np.sin(t), zeros], axis=-1)[..., None, None]
-
+        # latitude circle, the orbit of i E[1,1] through (cos 0.4, sin 0.4):
+        # an honest immersion that is not Legendrian
         bad = im.LegendrianImmersion(
-            "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128,
-            chart_hessian,
+            "latitude-circle", [mo.algebra_basis(1)[0].generator],
+            (np.cos(0.4), np.sin(0.4), 0.0, 0.0), im.PeriodicGridDomain(1), 128,
         )
         assert bad.node_geometry().legendrian_residual > 1e-3
         K = nz.ConeField.from_automorphism(mo.algebra_basis(1)[0])

@@ -12,6 +12,7 @@ from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.cli import main
 from legspec.errors import PreconditionError, UnsupportedError
+from legspec.suites import SuiteConfig, spectrum_records
 
 
 def diag_field(n, entries):
@@ -280,6 +281,37 @@ class TestMeshSpectrum:
         assert min(orders) >= 1.5
 
 
+def _torus_equality_record(patch):
+    """The torus's spectrum-suite equality-case record, after ``patch``
+    has changed its immersion."""
+    cfg = SuiteConfig(suite="spectrum", immersion="clifford-torus-s5", resolution=32)
+    L = cfg.selected_immersions()[0]
+    patch(L)
+    return next(r for r in spectrum_records(cfg) if r.name == f"{L.name}: equality case")
+
+
+class TestEqualityCase:
+    """The equality case is held to the measured second fundamental form,
+    not to the declared ``totally_geodesic`` flag."""
+
+    def test_default_torus_passes(self):
+        record = _torus_equality_record(lambda L: None)
+        assert (record.status, record.value, record.details["expected"]) == ("pass", 0, 0)
+
+    def test_flipped_flag_does_not_change_the_record(self):
+        record = _torus_equality_record(lambda L: setattr(L, "totally_geodesic", True))
+        assert (record.status, record.value, record.details["expected"]) == ("pass", 0, 0)
+
+    def test_vanishing_second_fundamental_form_fails(self):
+        def flatten(L):
+            geo = L.node_geometry()
+            nodes, d = len(geo.u), L.ambient.embed_dim
+            geo.shape = im.ShapeData(np.zeros((nodes, L.n, L.n, d)), np.zeros((nodes, d)))
+
+        record = _torus_equality_record(flatten)
+        assert (record.status, record.value, record.details["expected"]) == ("fail", 0, 1)
+
+
 class TestPipelineAgreement:
     @pytest.mark.parametrize("name,res", [("great-circle-s3", 256), ("clifford-torus-s5", 64)])
     def test_mesh_vs_pointwise(self, name, res):
@@ -348,27 +380,9 @@ class TestSpanAndNotes:
 
 
 def _latitude_circle(angle):
-    def chart_map(u):
-        t = u[..., 0]
-        c, s = np.cos(angle), np.sin(angle)
-        return np.stack(
-            [c * np.cos(t), s * np.ones_like(t), c * np.sin(t), np.zeros_like(t)],
-            axis=-1,
-        )
-
-    def jacobian(u):
-        t = u[..., 0]
-        c = np.cos(angle)
-        zeros = np.zeros_like(t)
-        return np.stack([-c * np.sin(t), zeros, c * np.cos(t), zeros], axis=-1)[..., None]
-
-    def chart_hessian(u):
-        t = u[..., 0]
-        c = np.cos(angle)
-        zeros = np.zeros_like(t)
-        return np.stack([-c * np.cos(t), zeros, -c * np.sin(t), zeros], axis=-1)[..., None, None]
-
+    # the orbit of i E[1,1] through (cos angle, sin angle): an honest
+    # immersion that is not Legendrian
     return im.LegendrianImmersion(
-        "latitude-circle", 1, chart_map, jacobian, im.PeriodicGridDomain(1), 128,
-        chart_hessian,
+        "latitude-circle", [mo.algebra_basis(1)[0].generator],
+        (np.cos(angle), np.sin(angle), 0.0, 0.0), im.PeriodicGridDomain(1), 128,
     )
