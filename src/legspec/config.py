@@ -1,4 +1,4 @@
-"""Numerical defaults: finite-difference steps and residual thresholds.
+"""Numerical defaults: the stencil cross-check's step and residual thresholds.
 
 Every threshold used by a suite lives here so that reports can echo
 overrides.  Suites always report the measured residual next to the
@@ -10,10 +10,10 @@ from dataclasses import dataclass, fields
 
 from .errors import UnsupportedError
 
-# Central-difference step sizes.
-FD_SECOND = 1e-3      # Christoffel differences of the curvature stencil
-FD_FIELD = 1e-5       # derivatives of analytic ambient fields
-FD_LAPLACIAN = 1e-2   # five-point second-derivative stencil on ambient lines
+# Step of the five-point second-derivative stencil on ambient lines, the
+# one difference scheme; every other derivative is a complex step
+# (``riemannian.derivative``) or a closed form
+FD_LAPLACIAN = 1e-2
 # Largest max|closed form - stencil| / sup|f| of the family Laplacians: the
 # stencil's own truncation at FD_LAPLACIAN is about 3e-7 of sup|f|
 STENCIL_AGREEMENT = 1e-6

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import spectral as spc
 from .errors import InvalidFieldError, InvalidPointError
-from .sasaki import _bracket, _extend, _fd_dir, complex_structure
+from .riemannian import derivative
+from .sasaki import _bracket, _extend, complex_structure
 
 
 class AutomorphismField:
@@ -203,8 +204,8 @@ def automorphism_residuals(S, X, samples):
         V, W = _extend(v, x), _extend(w, x)
         xv = _bracket(X, V, x)
         xw = _bracket(X, W, x)
-        dg = _fd_dir(lambda p: np.dot(V(p), W(p)), x, X(x))
+        dg = derivative(lambda p: np.dot(V(p), W(p)), x, X(x))
         killing = max(killing, abs(dg - np.dot(xv, w) - np.dot(v, xw)))
-        de = _fd_dir(lambda p: np.dot(S.apply_J(p), V(p)), x, X(x))
+        de = derivative(lambda p: np.dot(S.apply_J(p), V(p)), x, X(x))
         contact = max(contact, abs(de - np.dot(S.apply_J(x), xv)))
     return {"killing": killing, "contact_form": contact}

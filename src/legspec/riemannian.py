@@ -2,13 +2,19 @@
 
 A metric is a pair of callables: ``metric(u)`` returns the ``(dim, dim)``
 matrix ``g_ij`` and ``dmetric(u)`` the ``(dim, dim, dim)`` array of its
-analytic derivatives ``d_k g_ij``.  Curvature differences the Christoffel
-symbols centrally.  All outputs are plain numpy arrays at one point.
+analytic derivatives ``d_k g_ij``.  Both accept a complex point, so the
+curvature takes the derivatives of the Christoffel symbols by complex step
+(``derivative``).  All outputs are plain numpy arrays at one point.
 """
 
 import numpy as np
 
-from .config import FD_SECOND
+
+def derivative(F, x, v):
+    """Directional derivative ``dF(x) v`` at the real point ``x`` of a field
+    analytic in the point, by complex step: ``Im F(x + i h v) / h`` takes no
+    difference, so at ``h = 1e-30`` it is exact to roundoff."""
+    return np.imag(F(x + 1e-30j * v)) / 1e-30
 
 
 def christoffel(metric, dmetric, u):
@@ -22,22 +28,16 @@ def christoffel(metric, dmetric, u):
     return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
 
-def riemann_ricci(metric, dmetric, u, h2=FD_SECOND):
-    """Riemann (3,1)-tensor and Ricci tensor at ``u`` from Christoffel
-    differences of step ``h2``.
+def riemann_ricci(metric, dmetric, u):
+    """Riemann (3,1)-tensor and Ricci tensor at the real point ``u``.
 
     ``riemann[a, b, c, d]`` is the component of ``R(e_a, e_b) e_c`` along
     ``e_d``; ``ricci[i, j]`` contracts the first slot against the output.
     """
-    dim = len(u)
     gamma = christoffel(metric, dmetric, u)
-    dgamma = np.empty((dim, dim, dim, dim))  # [a, k, i, j] = d_a Gamma^k_ij
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = h2
-        dgamma[a] = (
-            christoffel(metric, dmetric, u + e) - christoffel(metric, dmetric, u - e)
-        ) / (2.0 * h2)
+    dgamma = np.stack([  # [a, k, i, j] = d_a Gamma^k_ij
+        derivative(lambda p: christoffel(metric, dmetric, p), u, e) for e in np.eye(len(u))
+    ])
     # R(e_a, e_b) e_c = (d_a Gamma^d_bc - d_b Gamma^d_ac
     #                    + Gamma^d_ae Gamma^e_bc - Gamma^d_be Gamma^e_ac) e_d
     riemann = (
@@ -56,12 +56,12 @@ def sphere_metric(dim):
     eye = np.eye(dim)
 
     def metric(u):
-        return eye + np.outer(u, u) / (1.0 - float(u @ u))
+        return eye + np.outer(u, u) / (1.0 - u @ u)
 
     def dmetric(u):
-        s2 = 1.0 - float(u @ u)
+        s2 = 1.0 - u @ u
         uu = np.outer(u, u)
-        dg = np.empty((dim, dim, dim))
+        dg = np.empty((dim, dim, dim), np.result_type(u, float))
         for k in range(dim):
             dg[k] = (np.outer(eye[k], u) + np.outer(u, eye[k])) / s2 + 2.0 * u[k] * uu / s2**2
         return dg
@@ -77,7 +77,7 @@ def cone_metric(metric, dmetric, defective=False):
     def cone(w):
         u, r = w[:-1], w[-1]
         m = len(u)
-        g = np.zeros((m + 1, m + 1))
+        g = np.zeros((m + 1, m + 1), np.result_type(w, float))
         g[:m, :m] = r**2 * metric(u)
         g[m, m] = r**2 if defective else 1.0
         return g
@@ -85,7 +85,7 @@ def cone_metric(metric, dmetric, defective=False):
     def dcone(w):
         u, r = w[:-1], w[-1]
         m = len(u)
-        dg = np.zeros((m + 1, m + 1, m + 1))
+        dg = np.zeros((m + 1, m + 1, m + 1), np.result_type(w, float))
         dg[:m, :m, :m] = r**2 * dmetric(u)
         dg[m, :m, :m] = 2.0 * r * metric(u)
         if defective:

@@ -20,7 +20,6 @@ Convention notes, pinned numerically on the sphere itself:
 import numpy as np
 
 from . import riemannian as rm
-from .config import FD_FIELD, FD_SECOND
 from .errors import InvalidSampleError
 
 
@@ -92,18 +91,14 @@ def _reeb_field(S):
     return lambda p: S.apply_J(p)
 
 
-def _fd_dir(F, x, u):
-    return (F(x + FD_FIELD * u) - F(x - FD_FIELD * u)) / (2.0 * FD_FIELD)
-
-
 def _bracket(V, W, x):
-    return _fd_dir(W, x, V(x)) - _fd_dir(V, x, W(x))
+    return rm.derivative(W, x, V(x)) - rm.derivative(V, x, W(x))
 
 
 def contact_two_form(S, V, W, x):
     """d eta (V, W) at x, with the 1/2 normalization."""
-    f1 = _fd_dir(lambda p: np.dot(S.apply_J(p), W(p)), x, V(x))
-    f2 = _fd_dir(lambda p: np.dot(S.apply_J(p), V(p)), x, W(x))
+    f1 = rm.derivative(lambda p: np.dot(S.apply_J(p), W(p)), x, V(x))
+    f2 = rm.derivative(lambda p: np.dot(S.apply_J(p), V(p)), x, W(x))
     lie = _bracket(V, W, x)
     return 0.5 * (f1 - f2 - np.dot(S.apply_J(x), lie))
 
@@ -117,7 +112,7 @@ def _phi_field(S, V):
 
 
 def nijenhuis(S, V, W, x):
-    """Torsion N_Phi(V, W) at x via finite differences on extended fields."""
+    """Torsion N_Phi(V, W) at x from brackets of the extended fields."""
     pv, pw = _phi_field(S, V), _phi_field(S, W)
     t1 = S.phi(x, S.phi(x, _bracket(V, W, x)))
     t2 = _bracket(pv, pw, x)
@@ -184,16 +179,17 @@ def verify_sasaki_axioms(S, samples):
     return res
 
 
-def eta_einstein_residual(S, constant=None):
-    """Entrywise residual of Ric = A g at the centre of the hemisphere
-    chart, where the chart metric is the identity.
+def eta_einstein_residual(S, u, constant=None):
+    """Entrywise residual ``max |g^-1 Ric - A I|`` of Ric = A g at the point
+    ``u`` of the hemisphere chart (``|u| < 1``).
 
     On the round sphere the eta-Einstein constant is ``A = 2n``, so the
     ``(2n - A) eta (x) eta`` term of the general identity vanishes.
     """
     A = S.einstein_constant if constant is None else float(constant)
-    _, ricci = rm.riemann_ricci(*rm.sphere_metric(S.dim), np.zeros(S.dim))
-    return float(np.max(np.abs(ricci - A * np.eye(S.dim))))
+    metric, dmetric = rm.sphere_metric(S.dim)
+    _, ricci = rm.riemann_ricci(metric, dmetric, u)
+    return float(np.max(np.abs(np.linalg.solve(metric(u), ricci) - A * np.eye(S.dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +211,20 @@ class SphereCone:
         self.base = base
 
     def ricci_via_chart(self, radii):
-        """Max Ricci norm of the cone chart at the chart centre and each
-        radius.  The finer second-derivative step keeps the truncation
-        error an order of magnitude under the 1e-5 tolerance down to
-        r = 0.5."""
-        return _cone_ricci(self.base, radii, defective=False, h2=1e-4)
+        """Max Ricci norm of the cone chart at the chart centre and each radius."""
+        return _cone_ricci(self.base, radii, defective=False)
 
 
 def defective_cone_ricci(S, radii):
     """Negative control: Ricci norm of the wrong metric r^2 g + r^2 dr^2."""
-    return _cone_ricci(S, radii, defective=True, h2=FD_SECOND)
+    return _cone_ricci(S, radii, defective=True)
 
 
-def _cone_ricci(S, radii, defective, h2):
+def _cone_ricci(S, radii, defective):
     metric, dmetric = rm.cone_metric(*rm.sphere_metric(S.dim), defective=defective)
     worst = 0.0
     for r in radii:
         u = np.concatenate([np.zeros(S.dim), [float(r)]])
-        _, ricci = rm.riemann_ricci(metric, dmetric, u, h2=h2)
+        _, ricci = rm.riemann_ricci(metric, dmetric, u)
         worst = max(worst, float(np.max(np.abs(ricci))))
     return worst

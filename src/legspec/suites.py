@@ -30,6 +30,8 @@ CANONICAL_IMMERSIONS = (
 # Largest quadrature a --resolution may ask of any selected immersion,
 # twice the 65,536 nodes of the finest shipped grid (torus at 256)
 MAX_NODES = 2**17
+# Largest --n: the curvature holds two (2n+1)^4 arrays, 9.5 MB each at 16
+MAX_N = 16
 
 SUITE_NAMES = (
     "sasaki-axioms",
@@ -82,8 +84,8 @@ class SuiteConfig:
             raise UnsupportedError(f"seed must be non-negative, got {self.seed}")
         if self.resolution is not None and self.resolution <= 0:
             raise UnsupportedError(f"resolution must be positive, got {self.resolution}")
-        if self.n is not None and self.n < 1:
-            raise UnsupportedError(f"n must be at least 1, got {self.n}")
+        if self.n is not None and not 1 <= self.n <= MAX_N:
+            raise UnsupportedError(f"n must be between 1 and {MAX_N}, got {self.n}")
         # an --n that selects no immersion would give an empty report;
         # sasaki-axioms takes any dimension unless an immersion fixes it
         if self.n is not None and self.immersion is not None:
@@ -173,15 +175,19 @@ def sasaki_axiom_records(cfg):
                     tol.sasaki_axioms,
                 )
             )
+        rng = np.random.default_rng(cfg.seed + 1)
+        radii = rng.uniform(0.5, 2.0, 2)
+        # a hemisphere chart point with |u| <= 0.5, where Gamma != 0
+        u = rng.standard_normal(S.dim)
+        u *= 0.5 * rng.uniform() / np.linalg.norm(u)
         records.append(
             rp.residual_record(
                 f"s{2*n+1}: curvature constant 2n",
                 "eta-einstein-constant",
-                sk.eta_einstein_residual(S),
+                sk.eta_einstein_residual(S, u),
                 tol.eta_einstein,
             )
         )
-        radii = np.random.default_rng(cfg.seed + 1).uniform(0.5, 2.0, 2)
         records.append(
             rp.residual_record(
                 f"s{2*n+1}: cone curvature flat (chart cross-check)",

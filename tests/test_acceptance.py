@@ -62,7 +62,8 @@ def test_criterion_1_sasaki_axioms():
         residuals = sk.verify_sasaki_axioms(S, sk.sample_tangent_triples(S, 100, seed=0))
         for axiom, value in residuals.items():
             crit.check(f"S^{2*n+1} {axiom}", value, 1e-7)
-        crit.check(f"S^{2*n+1} einstein-constant-2n", sk.eta_einstein_residual(S), 1e-5)
+        u = np.full(S.dim, 0.4 / np.sqrt(S.dim))  # a hemisphere chart point, |u| = 0.4
+        crit.check(f"S^{2*n+1} einstein-constant-2n", sk.eta_einstein_residual(S, u), 1e-5)
     crit.finish()
 
 

@@ -18,6 +18,7 @@ from legspec.cli import _moment_fields_csv, main
 from legspec.config import Tolerances
 from legspec.suites import (
     CANONICAL_IMMERSIONS,
+    MAX_N,
     MAX_NODES,
     SUITE_NAMES,
     SuiteConfig,
@@ -177,6 +178,14 @@ class TestUsageErrors:
 
     def test_sasaki_axioms_takes_any_dimension(self):
         assert SuiteConfig(suite="sasaki-axioms", n=5).selected_dimensions() == [5]
+
+    def test_dimension_cap_checked_before_compute(self, monkeypatch, capsys):
+        # the curvature at n holds two (2n+1)^4 arrays, 12 MB each at n = 17
+        # and growing as n^4
+        assert SuiteConfig(suite="sasaki-axioms", n=MAX_N).selected_dimensions() == [16]
+        monkeypatch.setattr("legspec.cli.run_suite", _refuse_compute)
+        assert main(["--suite", "sasaki-axioms", "--n", "17"]) == 64
+        assert "n must be between 1 and 16, got 17" in capsys.readouterr().err
 
     def test_sasaki_axioms_follow_the_selected_immersions(self):
         # geodesic-sphere-n3 is selected by default, so S^7 is checked too

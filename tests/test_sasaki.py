@@ -75,15 +75,23 @@ class TestPointwiseStructure:
         assert_allclose(sphere.J @ sphere.J, -np.eye(sphere.embed_dim), atol=0.0)
 
 
+def chart_points(dim):
+    """The hemisphere chart centre and two points off it, |u| <= 0.5."""
+    u = np.random.default_rng(8).standard_normal((2, dim))
+    return [np.zeros(dim), *(u * np.array([[0.2], [0.5]]) / np.linalg.norm(u, axis=1)[:, None])]
+
+
 class TestEtaEinstein:
     def test_round_spheres_have_constant_2n(self, sphere):
-        assert sk.eta_einstein_residual(sphere) <= 1e-5
+        for u in chart_points(sphere.dim):
+            assert sk.eta_einstein_residual(sphere, u) <= 1e-13
 
     def test_wrong_constant_is_detected(self, sphere):
-        # with A' = 2n + 1 the residual is max |Ric - (2n + 1) g|, and
-        # Ric = 2n g makes it exactly 1 up to discretization error
-        res = sk.eta_einstein_residual(sphere, constant=sphere.einstein_constant + 1)
-        assert_allclose(res, 1.0, atol=1e-5)
+        # with A' = 2n + 1 the residual is max |g^-1 Ric - (2n + 1) I|,
+        # and Ric = 2n g makes it exactly 1 up to roundoff
+        for u in chart_points(sphere.dim):
+            res = sk.eta_einstein_residual(sphere, u, constant=sphere.einstein_constant + 1)
+            assert_allclose(res, 1.0, atol=1e-13)
 
 
 class TestCone:
@@ -91,8 +99,7 @@ class TestCone:
         assert sk.SphereCone(sphere).ricci_via_chart([1.5]) <= 1e-5
 
     def test_chart_cross_check_at_sampled_radius_ends(self, sphere):
-        # the suite samples r in [0.5, 2.0]; the truncation error must stay
-        # under the threshold there
+        # the suite samples r in [0.5, 2.0]
         assert sk.SphereCone(sphere).ricci_via_chart([0.5, 0.5001, 2.0]) <= 1e-5
 
     @pytest.mark.parametrize("seed", [24, 33, 52, 55])
@@ -123,10 +130,9 @@ class _FlippedTerms:
 @pytest.mark.parametrize(
     "subscripts,failing",
     [
-        # Gamma vanishes at the hemisphere chart centre, so the
-        # eta-Einstein record cannot see the Gamma Gamma terms; the cone
-        # chart at radius r has Gamma != 0 there and must
-        (("dae,ebc->abcd", "dbe,eac->abcd"), {"cone-ricci-flat"}),
+        # both records sit where Gamma != 0: the eta-Einstein record off the
+        # hemisphere chart centre, the cone chart at radius r
+        (("dae,ebc->abcd", "dbe,eac->abcd"), {"cone-ricci-flat", "eta-einstein-constant"}),
         (("adbc->abcd", "bdac->abcd"), {"cone-ricci-flat", "eta-einstein-constant"}),
     ],
     ids=["gamma-gamma", "d-gamma"],
@@ -138,3 +144,24 @@ def test_seeded_stencil_defect_fails_the_curvature_records(monkeypatch, subscrip
     assert len(curvature) == 6  # n = 1, 2, 3
     assert {r.anchor for r in curvature if r.status == "fail"} == failing
     assert all(r.status == "pass" for r in curvature if r.anchor not in failing)
+
+
+@pytest.mark.parametrize(
+    "defect,failing",
+    [
+        ("doubled-deta", {"deta_phi", "normality"}),
+        ("negated-phi-field", {"normality"}),
+    ],
+)
+def test_seeded_derivative_defect_fails_the_axiom_records(monkeypatch, defect, failing):
+    if defect == "doubled-deta":
+        two_form = sk.contact_two_form
+        monkeypatch.setattr(sk, "contact_two_form", lambda *args: 2.0 * two_form(*args))
+    else:
+        phi_field = sk._phi_field
+        monkeypatch.setattr(sk, "_phi_field", lambda S, V: lambda p: -phi_field(S, V)(p))
+    report = run_suite(SuiteConfig(suite="sasaki-axioms"))
+    axioms = [r for r in report.records if r.anchor == "sasaki-structure-axioms"]
+    assert len(axioms) == 18  # six axioms on each of s3, s5, s7
+    failed = [r.name for r in axioms if r.status == "fail"]
+    assert sorted(failed) == sorted(f"s{d}: axiom {a}" for d in (3, 5, 7) for a in failing)
