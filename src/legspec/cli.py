@@ -104,7 +104,7 @@ def _moment_fields_csv(cfg, out):
     csv.writer(out).writerow(["immersion", "basis_index", "generator", "node", "value"])
     for L in cfg.selected_immersions():
         basis = mo.algebra_basis(L.n)
-        f = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution)
+        f = cfg.moment_function(L, cfg.resolution)
         values = f.values(cfg.resolution)
         bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
         # one repr of the list formats every float as repr(float) does

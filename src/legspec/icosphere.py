@@ -74,12 +74,12 @@ def _subdivide(verts, faces):
     return np.concatenate([verts, p]), out.reshape(-1, 3)
 
 
-def icosphere(level, radius=1.0):
+def icosphere(level):
     """Vertices and faces of the level-``level`` icosphere."""
     verts, faces = icosahedron()
     for _ in range(int(level)):
         verts, faces = _subdivide(verts, faces)
-    return radius * verts, faces
+    return verts, faces
 
 
 def cotangent_laplacian(verts, faces):

@@ -7,6 +7,10 @@ matrices commuting with ``J``.  The induced linear vector field
 form; the moment map pairs it with the Reeb direction,
 ``mu(x)(X) = <U x, J x> = eta_x(X_x)``.
 
+Both eigenfunction families are a ``QuadraticFamily`` ``<A x, J x> - c``:
+the moment family of the generators less their means along an immersion,
+the cone family (``nomizu``) of the corrected Nomizu operators.
+
 A field may also carry ``k`` generators at once, as a ``(k, d, d)``
 tensor: the family is a linear image of the algebra, so every evaluation
 broadcasts over that leading axis.  Values at ``N`` points then have
@@ -119,25 +123,46 @@ def pairing_form(A, J):
     return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
+def pairing(A, x):
+    """``<A x, J x>`` at points ``x``, one row per matrix of a stack ``A``."""
+    J = complex_structure(A.shape[-1] // 2 - 1)
+    return np.einsum("...i,...i->...", x @ np.swapaxes(A, -1, -2), x @ J.T)
+
+
 def moment(x, X):
     """Contact moment pairing ``<U x, J x>`` at unit ambient points."""
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=-1)
     if np.max(np.abs(norms - 1.0)) > 1e-8:
         raise InvalidPointError("moment map requires unit points")
-    return np.einsum("...i,...i->...", X(x), x @ complex_structure(X.n).T)
+    return pairing(X.generator, x)
 
 
 class QuadraticFamily:
-    """Functions ``x^T Q x`` on unit points, each less a constant, of the
-    stacked symmetric ``quadratic_form`` ``Q``, evaluated by ``ambient``.
-    Values and closed-form Laplacians at the nodes of a ``NodeGeometry``
-    are kept, so every reader of one node set shares one evaluation; a
-    stacked row equals, bit for bit, the value of its form alone, so a
-    slice of the rows is exact."""
+    """Functions ``<A x, J x> - c``, one per matrix ``A`` of the stack
+    ``matrix`` and constant ``c`` of ``offset``: ``x^T Q x - c`` on unit
+    points, with ``Q = quadratic_form``.  Values and closed-form Laplacians
+    are kept per ``NodeGeometry``, so the readers of one node set share one
+    evaluation; a stacked row equals, bit for bit, its matrix alone."""
 
-    def __init__(self):
+    def __init__(self, matrix, n, offset):
+        self.matrix = matrix
+        self.n = n
+        self.offset = offset
         self._node_values, self._laplacians = {}, {}
+
+    @property
+    def quadratic_form(self):
+        return pairing_form(self.matrix, complex_structure(self.n))
+
+    def ambient(self, y):
+        """Values at nonzero points ``y``, by the pairing and not by
+        ``quadratic_form``: the stencil checks the closed form against it."""
+        y = np.asarray(y, dtype=float)
+        xhat = y / np.linalg.norm(y, axis=-1, keepdims=True)
+        # one constant per matrix, broadcast over the point axes
+        offset = np.reshape(self.offset, np.shape(self.offset) + (1,) * (xhat.ndim - 1))
+        return pairing(self.matrix, xhat) - offset
 
     def node_values(self, geo):
         """Values at the nodes of ``geo``, through :meth:`ambient`."""
@@ -155,32 +180,13 @@ class QuadraticFamily:
 
 
 class MomentFunction(QuadraticFamily):
-    """The mean-free moment-map function of a generator along an immersion.
-
-    ``ambient`` evaluates the radially constant extension at arbitrary
-    nonzero ambient points; ``on_chart`` evaluates at chart coordinates and
-    ``node_values`` at the nodes of a ``NodeGeometry``, once per node set.
-    ``mean_value`` is the quadrature mean that was subtracted, one per
-    generator of a stacked field.  On unit points the function is
-    ``x^T Q x - mean_value`` with ``Q = quadratic_form``.
-    """
+    """The mean-free moment-map function of a generator along an immersion:
+    ``offset`` is the quadrature mean of each generator's pairing."""
 
     def __init__(self, immersion, generator, mean_value):
-        super().__init__()
+        super().__init__(generator.generator, generator.n, mean_value)
         self.immersion = immersion
         self.generator = generator
-        self.mean_value = mean_value
-
-    def ambient(self, y):
-        y = np.asarray(y, dtype=float)
-        xhat = y / np.linalg.norm(y, axis=-1, keepdims=True)
-        # one mean per generator, broadcast over the point axes
-        mean = np.reshape(self.mean_value, np.shape(self.mean_value) + (1,) * (xhat.ndim - 1))
-        return moment(xhat, self.generator) - mean
-
-    @property
-    def quadratic_form(self):
-        return pairing_form(self.generator.generator, complex_structure(self.generator.n))
 
     def on_chart(self, u):
         return self.ambient(self.immersion.points(u))

@@ -65,11 +65,12 @@ class SuiteConfig:
     tolerances: Tolerances = field(init=False)
     # built on first use and shared by every suite and exporter of this
     # config, so each immersion's node geometry per resolution (and the
-    # tensors it keeps), each mesh spectrum and each moment function with
-    # its node values are computed once per report
+    # tensors it keeps), each mesh spectrum and each family with its node
+    # values are computed once per report
     _immersions: list | None = field(default=None, init=False, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -146,13 +147,21 @@ class SuiteConfig:
             )
         return self._spectra[L.name]
 
-    def moment_function(self, L, X, resolution=None):
-        """``moment.moment_function(L, X, resolution)``, built once per
-        immersion, generator and resolution for all suites and exporters."""
-        key = (L.name, X.label, L.resolve_resolution(resolution))
+    def moment_function(self, L, resolution=None):
+        """``moment.moment_function`` of the stacked ``u(n+1)`` algebra on ``L``,
+        built once per immersion and resolution for every suite and exporter."""
+        key = (L.name, L.resolve_resolution(resolution))
         if key not in self._moments:
-            self._moments[key] = mo.moment_function(L, X, resolution)
+            algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
+            self._moments[key] = mo.moment_function(L, algebra, resolution)
         return self._moments[key]
+
+    def cone_family(self, n):
+        """``nomizu.nomizu_function`` of the stacked ``u(n+1)`` algebra,
+        built once per dimension and keeping its values per node set."""
+        if n not in self._cones:
+            self._cones[n] = nz.nomizu_function(mo.stack_fields(mo.algebra_basis(n), "u(n+1)"))
+        return self._cones[n]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +301,7 @@ def moment_family_records(cfg):
         target = 2.0 * L.n + 2.0
         vol = L.volume(cfg.resolution)
         basis = mo.algebra_basis(L.n)
-        algebra = mo.stack_fields(basis, "u(n+1)")
-        f = cfg.moment_function(L, algebra, cfg.resolution)
+        f = cfg.moment_function(L, cfg.resolution)
         try:
             res = spc.eigen_residual(L, f, target, cfg.resolution)
         except PreconditionError as exc:
@@ -322,17 +330,17 @@ def moment_family_records(cfg):
                 )
             )
         if L.totally_geodesic:
-            records.append(_kernel_rank_record(L, algebra, cfg.resolution))
-        records.append(_stencil_record(cfg, L, algebra))
+            records.append(_kernel_rank_record(L, f.generator, cfg.resolution))
+        records.append(_stencil_record(cfg, L))
     return records
 
 
-def _stencil_record(cfg, L, algebra):
+def _stencil_record(cfg, L):
     """The closed-form family Laplacian against the five-point stencil, on
     the stacked family at the default resolution whatever --resolution is:
     the one check of the closed form that does not share its algebra."""
     name = f"{L.name}: closed-form Laplacian vs five-point stencil"
-    f = cfg.moment_function(L, algebra)
+    f = cfg.moment_function(L)
     try:
         closed = f.laplacian(L)
     except PreconditionError as exc:
@@ -380,23 +388,23 @@ def nomizu_family_records(cfg):
     # the operator of a linear cone field is one matrix: its algebra
     # depends on the generator alone, not on the immersion
     for n in cfg.selected_dimensions():
+        op, J = cfg.cone_family(n).matrix, sk.complex_structure(n)
         for idx, X in enumerate(mo.algebra_basis(n)):
-            K = nz.ConeField.from_automorphism(X)
             records.append(
                 rp.residual_record(
                     f"s{2*n+1}: operator algebra basis[{idx}] {X.label}",
                     "cone-operator-algebra",
-                    max(nz.nomizu_operator(K).residuals(K.J).values()),
+                    max(nz.cone_field_residuals(op[idx], J).values()),
                     tol.nomizu_algebra,
                 )
             )
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
         basis = mo.algebra_basis(L.n)
-        K = nz.ConeField.from_automorphism(mo.stack_fields(basis, "u(n+1)"))
+        f = cfg.cone_family(L.n)
         try:
             frame_sum = nz.operator_identity_residuals(
-                K, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian
+                f, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian
             )
         except PreconditionError as exc:
             records.extend(
@@ -408,7 +416,7 @@ def nomizu_family_records(cfg):
                 for idx in range(len(basis))
             )
             continue
-        res = spc.eigen_residual(L, nz.nomizu_function(K), target, cfg.resolution)
+        res = spc.eigen_residual(L, f, target, cfg.resolution)
         for idx, X in enumerate(basis):
             records.append(
                 rp.residual_record(
@@ -435,8 +443,8 @@ def relation_records(cfg):
     records = []
     for L in cfg.selected_immersions():
         vol = L.volume(cfg.resolution)
-        f = cfg.moment_function(L, mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)"), cfg.resolution)
-        res = nz.family_coincidence_residuals(f, cfg.resolution)
+        f_mom, f_cone = cfg.moment_function(L, cfg.resolution), cfg.cone_family(L.n)
+        res = nz.family_coincidence_residuals(f_mom, f_cone, cfg.resolution)
         records.append(
             rp.residual_record(
                 f"{L.name}: cone function vs contact pairing + trace term",
@@ -482,7 +490,7 @@ def spectrum_records(cfg):
             continue
         report = cfg.mesh_spectrum(L)
         basis = mo.algebra_basis(L.n)
-        f = cfg.moment_function(L, mo.stack_fields(basis, "u(n+1)"))
+        f = cfg.moment_function(L)
         er = spc.eigen_residual(L, f, report.target)
         residuals = {
             f"basis[{idx}] {X.label}": float(er.residual[idx])
@@ -548,12 +556,11 @@ def spectrum_records(cfg):
     # cross-pipeline agreement and Rayleigh checks
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
-        algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
         if L.domain.periodic:
             res = 256 if L.n == 1 else 64
 
             def family_disagreement(r2):
-                f = cfg.moment_function(L, algebra, r2)
+                f = cfg.moment_function(L, r2)
                 fv = f.values(r2)
                 keep = np.max(np.abs(fv), axis=-1) > ZERO_FUNCTION
                 ext_vals = f.laplacian(L, r2)[keep]
@@ -584,7 +591,7 @@ def spectrum_records(cfg):
             )
         # --resolution is the mesh level here, so the Rayleigh quotients
         # integrate at the default quadrature like the eigen-residuals above
-        f = cfg.moment_function(L, algebra)
+        f = cfg.moment_function(L)
         keep = np.max(np.abs(f.values()), axis=-1) > ZERO_FUNCTION
         q = spc.rayleigh_quotient(L, f)[keep]
         records.append(

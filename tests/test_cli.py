@@ -12,6 +12,7 @@ import pytest
 
 from legspec import immersions as im
 from legspec import moment as mo
+from legspec import nomizu as nz
 from legspec import sasaki as sk
 from legspec import spectral as spc
 from legspec.cli import _moment_fields_csv, main
@@ -500,6 +501,29 @@ class TestSharedWork:
         assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
         assert sum(calls.values()) == 17
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("suite", ["all", "nomizu-family"])
+    def test_evaluates_each_cone_family_once_per_node_set(self, monkeypatch, suite):
+        # one stacked cone family per dimension serves the frame sums, the
+        # eigen-residuals and relation's coincidence records
+        evaluated = Counter()
+        nomizu_function = nz.nomizu_function
+
+        def counted(X):
+            f = nomizu_function(X)
+            ambient = f.ambient
+
+            def counting(y):
+                evaluated[np.shape(y)] += 1
+                return ambient(y)
+
+            f.ambient = counting
+            return f
+
+        monkeypatch.setattr(nz, "nomizu_function", counted)
+        assert run_suite(SuiteConfig(suite=suite, seed=0)).exit_code() == 0
+        assert sum(evaluated.values()) == len(CANONICAL_IMMERSIONS)
+        assert set(evaluated.values()) == {1}
 
     def test_moment_builds_no_sasaki_structure(self, monkeypatch):
         L = im.clifford_torus()

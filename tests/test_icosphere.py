@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from legspec import icosphere as ic
+from legspec import immersions as im
 from legspec import spectral as spc
 from legspec.errors import PreconditionError
 from legspec.suites import SuiteConfig, run_suite
@@ -198,6 +199,19 @@ def test_dropped_character_is_inconclusive(monkeypatch):
     report, status = _level3_spectrum(monkeypatch, chi=False)
     assert report.multiplicity == 2
     assert status["multiplicity >= algebra bound"] == "inconclusive"
+
+
+@pytest.mark.parametrize("level", [3, 4, 6])
+def test_l2_cluster_is_one_eigenvalue(level):
+    # icosahedral symmetry makes l = 2 irreducible, but the sectors use only
+    # the reflections and the rotation (x, y, z) -> (y, z, x), so its 2 + 3
+    # parts come from different sector solves: a fold that shifts one part
+    # splits the cluster (dropping the character gives 5.954 x3 and
+    # 5.999 x2 at level 6, where every spectrum record still passes)
+    report = spc.mesh_spectrum(im.get_immersion("geodesic-sphere-n2"), level)
+    cluster = report.cluster
+    assert len(cluster) == 5
+    assert np.ptp(cluster) <= 1e-10 * np.mean(cluster)
 
 
 def test_dropped_orbit_weight_fails_the_constants_eigenvalue(monkeypatch):

@@ -93,7 +93,7 @@ class TestMomentFunction:
         for L in (im.great_circle(), im.clifford_torus()):
             f = mo.moment_function(L, mo.reeb_generator(L.n))
             assert np.max(np.abs(f.values())) <= 1e-12
-            assert_allclose(f.mean_value, 1.0, atol=1e-12)
+            assert_allclose(f.offset, 1.0, atol=1e-12)
 
     def test_real_skew_gives_zero_on_geodesic_sphere(self):
         L = im.geodesic_sphere(2)
@@ -108,7 +108,7 @@ class TestMomentFunction:
         u, _ = L.nodes()
         pts = L.points(u)
         assert_allclose(f.on_chart(u), pts[:, 0] ** 2 - pts[:, 1] ** 2, atol=1e-8)
-        assert abs(f.mean_value) <= 1e-8
+        assert abs(f.offset) <= 1e-8
 
     def test_mean_zero_for_all_basis_and_builtins(self):
         for name in ("great-circle-s3", "geodesic-sphere-n2", "geodesic-sphere-n3", "clifford-torus-s5"):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from legspec import immersions as im
 from legspec import moment as mo
@@ -14,62 +13,46 @@ from legspec.reporting import FAIL
 from legspec.suites import SuiteConfig, run_suite
 
 
-def unit_point(n, seed=0):
-    S = sk.SphereSasaki(n)
-    return S.random_point(np.random.default_rng(seed))
+J2 = sk.complex_structure(2)
 
 
 class TestConeField:
-    def test_from_automorphism_keeps_matrix(self):
-        X = mo.algebra_basis(2)[5]
-        K = nz.ConeField.from_automorphism(X)
-        assert_allclose(K.matrix, X.generator, atol=0.0)
-
     def test_killing_and_holomorphy_residuals(self):
         for X in mo.algebra_basis(2):
-            res = nz.cone_field_residuals(nz.ConeField.from_automorphism(X))
-            assert res["killing"] <= 1e-12
-            assert res["holomorphic"] <= 1e-12
+            res = nz.cone_field_residuals(X.generator, J2)
+            assert res["skew"] <= 1e-12
+            assert res["j_commutes"] <= 1e-12
 
     def test_non_skew_matrix_fails_check(self):
         M = np.zeros((6, 6))
         M[0, 1] = 1.0  # not skew, not J-commuting
-        K = nz.ConeField(M, 2, "broken")
-        res = nz.cone_field_residuals(K)
-        assert res["killing"] == 1.0
-        assert res["holomorphic"] == 1.0
+        res = nz.cone_field_residuals(M, J2)
+        assert res["skew"] == 1.0
+        assert res["j_commutes"] == 1.0
+        # such a matrix is no automorphism field, so it has no operator
         with pytest.raises(InvalidFieldError):
-            nz.nomizu_operator(K)
+            mo.AutomorphismField(M, 2)
 
 
 class TestNomizuOperator:
     def test_traceless_field_is_fixed_point(self):
         # for generators with trace(J M) = 0 the correction vanishes
         for X in mo.traceless_basis(2):
-            K = nz.ConeField.from_automorphism(X)
-            op = nz.nomizu_operator(K)
-            assert abs(op.div_jk) <= 1e-10
-            assert np.max(np.abs(op.matrix - K.matrix)) <= 1e-10
+            assert np.max(np.abs(nz.nomizu_operator(X) - X.generator)) <= 1e-10
 
     def test_reeb_generator_maps_to_zero(self):
         # K = J: div(JK) = trace(J J) = -(2n+2) cancels the field exactly
-        n = 2
-        K = nz.ConeField.from_automorphism(mo.reeb_generator(n))
-        op = nz.nomizu_operator(K)
-        assert_allclose(op.div_jk, -(2 * n + 2), atol=1e-12)
-        assert np.max(np.abs(op.matrix)) <= 1e-9
+        assert np.max(np.abs(nz.nomizu_operator(mo.reeb_generator(2)))) <= 1e-9
 
     def test_zero_field(self):
-        K = nz.ConeField(np.zeros((6, 6)), 2, "zero")
-        op = nz.nomizu_operator(K)
-        assert np.max(np.abs(op.matrix)) == 0.0
+        op = nz.nomizu_operator(mo.AutomorphismField(np.zeros((6, 6)), 2, "zero"))
+        assert np.max(np.abs(op)) == 0.0
 
     def test_operator_invariants_at_200_points(self):
         # the operator of a linear field is constant on the cone, so one
         # matrix stands for every cone point
-        J = sk.complex_structure(2)
         for X in mo.algebra_basis(2):
-            res = nz.nomizu_operator(nz.ConeField.from_automorphism(X)).residuals(J)
+            res = nz.cone_field_residuals(nz.nomizu_operator(X), J2)
             assert res["skew"] <= 1e-8
             assert res["j_commutes"] <= 1e-8
             assert res["j_trace"] <= 1e-8
@@ -77,15 +60,16 @@ class TestNomizuOperator:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_divergence_matches_central_differences(self, n):
         # reference: central-difference divergence of y -> J M y at random
-        # cone points, against the exact trace tr(JM)
+        # cone points, against the correction op - M = div(JK) / (2n+2) * J,
+        # whose trace against J^T is div(JK)
         h = 1e-5
         S = sk.SphereSasaki(n)
+        J = sk.complex_structure(n)
         rng = np.random.default_rng(10 + n)
         points = [rng.uniform(0.5, 2.0) * S.random_point(rng) for _ in range(5)]
         for X in mo.algebra_basis(n):
-            K = nz.ConeField.from_automorphism(X)
-            field = lambda y: K.J @ K(y)
-            div_jk = nz.nomizu_operator(K).div_jk
+            field = lambda y: J @ X(y)
+            div_jk = np.trace(J.T @ (nz.nomizu_operator(X) - X.generator))
             for y in points:
                 fd = sum(
                     (field(y + h * e)[i] - field(y - h * e)[i]) / (2.0 * h)
@@ -96,8 +80,7 @@ class TestNomizuOperator:
 
 class TestNomizuFunction:
     def test_reeb_generator_gives_zero_function(self):
-        K = nz.ConeField.from_automorphism(mo.reeb_generator(2))
-        f = nz.nomizu_function(K)
+        f = nz.nomizu_function(mo.reeb_generator(2))
         x = sk.SphereSasaki(2).random_point(np.random.default_rng(7), count=20)
         assert np.max(np.abs(f.ambient(x))) <= 1e-9
 
@@ -106,43 +89,42 @@ class TestNomizuFunction:
         S = sk.SphereSasaki(2)
         x = S.random_point(np.random.default_rng(8), count=50)
         for X in mo.traceless_basis(2):
-            K = nz.ConeField.from_automorphism(X)
-            f = nz.nomizu_function(K)
-            expected = np.einsum("ki,ki->k", x @ K.matrix.T, x @ K.J.T)
+            f = nz.nomizu_function(X)
+            expected = np.einsum("ki,ki->k", x @ X.generator.T, x @ J2.T)
             assert np.max(np.abs(f.ambient(x) - expected)) <= 1e-9
 
     def test_radius_independence(self):
-        x = unit_point(2, seed=9)
+        x = sk.SphereSasaki(2).random_point(np.random.default_rng(9))
         for X in mo.algebra_basis(2):
-            f = nz.nomizu_function(nz.ConeField.from_automorphism(X))
-            assert abs(f(x, 0.7) - f(x, 1.3)) <= 1e-9
+            f = nz.nomizu_function(X)
+            assert abs(f.ambient(0.7 * x) - f.ambient(1.3 * x)) <= 1e-9
 
 
 class TestOperatorIdentities:
     def test_geodesic_sphere_diag_difference(self):
         L = im.geodesic_sphere(2)
         X = mo.traceless_basis(2)[0]
-        assert nz.operator_identity_residuals(nz.ConeField.from_automorphism(X), L) <= 1e-7
+        assert nz.operator_identity_residuals(nz.nomizu_function(X), L) <= 1e-7
 
     def test_torus_full_basis(self):
         L = im.clifford_torus()
         for X in mo.algebra_basis(2):
-            res = nz.operator_identity_residuals(nz.ConeField.from_automorphism(X), L)
+            res = nz.operator_identity_residuals(nz.nomizu_function(X), L)
             assert res <= 1e-7, X.label
 
     def test_zero_field_residuals_vanish(self):
         L = im.geodesic_sphere(2)
-        res = nz.operator_identity_residuals(nz.ConeField(np.zeros((6, 6)), 2, "zero"), L)
-        assert res == 0.0
+        f = nz.nomizu_function(mo.AutomorphismField(np.zeros((6, 6)), 2, "zero"))
+        assert nz.operator_identity_residuals(f, L) == 0.0
 
     def test_frame_sum_invariant_under_frame_remixing(self):
         # the trace over the tangent space cannot see the frame choice
         rng = np.random.default_rng(23)
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         L = im.clifford_torus()
-        K = nz.ConeField.from_automorphism(mo.algebra_basis(2)[4])
-        a = nz.operator_identity_residuals(K, L)
-        b = nz.operator_identity_residuals(K, L.with_frame_mixer(Q))
+        X = mo.algebra_basis(2)[4]
+        a = nz.operator_identity_residuals(nz.nomizu_function(X), L)
+        b = nz.operator_identity_residuals(nz.nomizu_function(X), L.with_frame_mixer(Q))
         assert abs(a - b) <= 1e-8
 
     def test_non_legendrian_input_rejected(self):
@@ -153,9 +135,9 @@ class TestOperatorIdentities:
             (np.cos(0.4), np.sin(0.4), 0.0, 0.0), im.PeriodicGridDomain(1), 128,
         )
         assert bad.node_geometry().legendrian_residual > 1e-3
-        K = nz.ConeField.from_automorphism(mo.algebra_basis(1)[0])
+        f = nz.nomizu_function(mo.algebra_basis(1)[0])
         with pytest.raises(PreconditionError):
-            nz.operator_identity_residuals(K, bad)
+            nz.operator_identity_residuals(f, bad)
 
 
 class TestFamilyCoincidence:
@@ -165,16 +147,15 @@ class TestFamilyCoincidence:
     def test_families_agree_pointwise(self, name):
         L = im.get_immersion(name)
         for X in mo.algebra_basis(L.n):
-            res = nz.family_coincidence_residuals(mo.moment_function(L, X))
+            res = nz.family_coincidence_residuals(mo.moment_function(L, X), nz.nomizu_function(X))
             assert res["vs_contact_plus_trace"] <= 1e-8, X.label
             assert res["vs_moment_family"] <= 1e-8, X.label
 
     def test_reeb_generator_both_families_vanish(self):
         L = im.geodesic_sphere(2)
         X = mo.reeb_generator(2)
-        K = nz.ConeField.from_automorphism(X)
         u, _ = L.nodes()
-        assert np.max(np.abs(nz.nomizu_function(K).ambient(L.points(u)))) <= 1e-9
+        assert np.max(np.abs(nz.nomizu_function(X).ambient(L.points(u)))) <= 1e-9
         assert np.max(np.abs(mo.moment_function(L, X).on_chart(u))) <= 1e-12
 
     def test_traceless_diag_on_geodesic_sphere_needs_no_mean(self):
@@ -182,12 +163,11 @@ class TestFamilyCoincidence:
         # contact pairing with no correction
         L = im.geodesic_sphere(2)
         X = mo.traceless_basis(2)[0]
-        K = nz.ConeField.from_automorphism(X)
         u, _ = L.nodes()
         pts = L.points(u)
         S = L.ambient
         assert np.max(
-            np.abs(nz.nomizu_function(K).ambient(pts) - S.eta(pts, X(pts)))
+            np.abs(nz.nomizu_function(X).ambient(pts) - S.eta(pts, X(pts)))
         ) <= 1e-10
 
 
@@ -195,26 +175,43 @@ class TestSeededDefects:
     """Each plausible defect flips at least one nomizu-family record."""
 
     @staticmethod
-    def failing_anchors():
-        report = run_suite(SuiteConfig(suite="nomizu-family", n=2))
+    def failing_anchors(suite="nomizu-family"):
+        report = run_suite(SuiteConfig(suite=suite, n=2))
         return {r.anchor for r in report.records if r.status == FAIL}
 
     def test_unmutated_suite_passes(self):
         assert self.failing_anchors() == set()
 
     def test_trace_correction_over_2n(self, monkeypatch):
-        def over_2n(K, tol=1e-6):
-            div_jk = np.trace(K.J @ K.matrix, axis1=-2, axis2=-1)
-            correction = np.expand_dims(div_jk / (2.0 * K.n), (-2, -1)) * K.J
-            return nz.NomizuOperator(K.matrix + correction, div_jk)
+        def over_2n(X):
+            J = sk.complex_structure(X.n)
+            div_jk = np.trace(J @ X.generator, axis1=-2, axis2=-1)
+            return X.generator + np.expand_dims(div_jk / (2.0 * X.n), (-2, -1)) * J
 
         monkeypatch.setattr(nz, "nomizu_operator", over_2n)
         assert {"cone-operator-algebra", "frame-sum-identity"} <= self.failing_anchors()
 
     def test_negated_cone_function(self, monkeypatch):
-        ambient = nz.NomizuFunction.ambient
-        monkeypatch.setattr(nz.NomizuFunction, "ambient", lambda f, y: -ambient(f, y))
+        # only the values: the operator, its form and Laplacian are kept
+        nomizu_function = nz.nomizu_function
+
+        def negated(X):
+            f = nomizu_function(X)
+            ambient = f.ambient
+            f.ambient = lambda y: -ambient(y)
+            return f
+
+        monkeypatch.setattr(nz, "nomizu_function", negated)
         assert "frame-sum-identity" in self.failing_anchors()
+
+    @pytest.mark.parametrize("suite", ["nomizu-family", "all"])
+    def test_identity_added_to_operator(self, monkeypatch, suite):
+        # <x, J x> = 0 and tr(J P) = 0, so op + I/2 leaves the cone values,
+        # the quadratic form and the frame sums as they are: only the
+        # operator algebra sees that it is no longer skew
+        nomizu_operator = nz.nomizu_operator
+        monkeypatch.setattr(nz, "nomizu_operator", lambda X: nomizu_operator(X) + 0.5 * np.eye(6))
+        assert self.failing_anchors(suite) == {"cone-operator-algebra"}
 
 
 def closed_form(coefficient=lambda n: n, factor=2.0, projector=True):

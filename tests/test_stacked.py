@@ -41,7 +41,7 @@ def test_integrate(case):
     L, basis, algebra = case
     f = mo.moment_function(L, algebra)
     singles = [mo.moment_function(L, X) for X in basis]
-    same_bits(f.mean_value, [g.mean_value for g in singles])
+    same_bits(f.offset, [g.offset for g in singles])
     same_bits(L.integrate(f.on_chart), [L.integrate(g.on_chart) for g in singles])
 
 
@@ -58,19 +58,21 @@ def test_moment_eigen_residual(case):
 def test_cone_eigen_residual_and_operator_identities(case):
     L, basis, algebra = case
     target = 2.0 * L.n + 2.0
-    K = nz.ConeField.from_automorphism(algebra)
-    cones = [nz.ConeField.from_automorphism(X) for X in basis]
-    res = spc.eigen_residual(L, nz.nomizu_function(K), target)
-    singles = [spc.eigen_residual(L, nz.nomizu_function(C), target) for C in cones]
+    f = nz.nomizu_function(algebra)
+    cones = [nz.nomizu_function(X) for X in basis]
+    res = spc.eigen_residual(L, f, target)
+    singles = [spc.eigen_residual(L, g, target) for g in cones]
     same_bits(res.residual, [r.residual for r in singles])
-    same_bits(nz.operator_identity_residuals(K, L),
-              [nz.operator_identity_residuals(C, L) for C in cones])
+    same_bits(nz.operator_identity_residuals(f, L),
+              [nz.operator_identity_residuals(g, L) for g in cones])
 
 
 def test_family_coincidence(case):
     L, basis, algebra = case
-    res = nz.family_coincidence_residuals(mo.moment_function(L, algebra))
-    singles = [nz.family_coincidence_residuals(mo.moment_function(L, X)) for X in basis]
+    res = nz.family_coincidence_residuals(
+        mo.moment_function(L, algebra), nz.nomizu_function(algebra))
+    singles = [nz.family_coincidence_residuals(mo.moment_function(L, X), nz.nomizu_function(X))
+               for X in basis]
     for key in res:
         same_bits(res[key], [r[key] for r in singles])
 
