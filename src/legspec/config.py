@@ -1,4 +1,4 @@
-"""Numerical defaults: the stencil cross-check's step and residual thresholds.
+"""Numerical defaults: the residual thresholds of the checks.
 
 Every threshold used by a suite lives here so that reports can echo
 overrides.  Suites always report the measured residual next to the
@@ -10,13 +10,9 @@ from dataclasses import dataclass, fields
 
 from .errors import UnsupportedError
 
-# Step of the five-point second-derivative stencil on ambient lines, the
-# one difference scheme; every other derivative is a complex step
-# (``riemannian.derivative``) or a closed form
-FD_LAPLACIAN = 1e-2
-# Largest max|closed form - stencil| / sup|f| of the family Laplacians: the
-# stencil's own truncation at FD_LAPLACIAN is about 3e-7 of sup|f|
-STENCIL_AGREEMENT = 1e-6
+# Largest max|K - C| / max|K| of a family's Green identity: its floor is
+# 1.1e-8 on the geodesic S^3, at most 4.2e-15 on the other immersions
+GREEN_IDENTITY = 1e-6
 
 # Sup norm at or below which a family member is the zero function: its
 # eigen-residual is degenerate and the agreement and Rayleigh checks skip it.

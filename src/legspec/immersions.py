@@ -254,6 +254,16 @@ class LegendrianImmersion:
         # differently from vals * sqrt_g * w
         return np.sum(vals * geo.sqrt_g * geo.w, axis=-1)
 
+    def gram(self, a, b, resolution=None):
+        """The ``(k, l)`` quadrature of ``a_A . b_B`` over the rows of the
+        stacks ``a`` and ``b``, ``(k, N, ...)``, any axes after the node axis
+        contracted at each node; non-finite values raise as in ``integrate``."""
+        geo = self.node_geometry(resolution)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise EvaluationError(f"{self.name}: non-finite integrand at a node")
+        weights = np.reshape(geo.sqrt_g * geo.w, (-1,) + (1,) * (np.ndim(a) - 2))
+        return np.reshape(a * weights, (len(a), -1)) @ np.reshape(b, (len(b), -1)).T
+
     def volume(self, resolution=None):
         return self.node_geometry(resolution).volume
 

@@ -141,15 +141,15 @@ def moment(x, X):
 class QuadraticFamily:
     """Functions ``<A x, J x> - c``, one per matrix ``A`` of the stack
     ``matrix`` and constant ``c`` of ``offset``: ``x^T Q x - c`` on unit
-    points, with ``Q = quadratic_form``.  Values and closed-form Laplacians
-    are kept per ``NodeGeometry``, so the readers of one node set share one
-    evaluation; a stacked row equals, bit for bit, its matrix alone."""
+    points, with ``Q = quadratic_form``.  Values, Laplacians and stiffness
+    and mass matrices are kept per ``NodeGeometry``, shared by its readers;
+    a stacked row of values or Laplacians equals, bit for bit, its matrix."""
 
     def __init__(self, matrix, n, offset):
         self.matrix = matrix
         self.n = n
         self.offset = offset
-        self._node_values, self._laplacians = {}, {}
+        self._node_values, self._laplacians, self._stiffness_mass = {}, {}, {}
 
     @property
     def quadratic_form(self):
@@ -157,7 +157,7 @@ class QuadraticFamily:
 
     def ambient(self, y):
         """Values at nonzero points ``y``, by the pairing and not by
-        ``quadratic_form``: the stencil checks the closed form against it."""
+        ``quadratic_form``: Green's identity reads the closed form once."""
         y = np.asarray(y, dtype=float)
         xhat = y / np.linalg.norm(y, axis=-1, keepdims=True)
         # one constant per matrix, broadcast over the point axes
@@ -177,6 +177,14 @@ class QuadraticFamily:
         if geo not in self._laplacians:
             self._laplacians[geo] = spc.extrinsic_laplacian(L, self.quadratic_form, resolution)
         return self._laplacians[geo]
+
+    def stiffness_mass(self, L, resolution=None):
+        """``spectral.stiffness_mass`` of this family along ``L`` at the
+        nodes of ``resolution``."""
+        geo = L.node_geometry(resolution)
+        if geo not in self._stiffness_mass:
+            self._stiffness_mass[geo] = spc.stiffness_mass(L, self, resolution)
+        return self._stiffness_mass[geo]
 
 
 class MomentFunction(QuadraticFamily):

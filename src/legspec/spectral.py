@@ -4,8 +4,9 @@ Two independent routes to the same operator:
 
 * :func:`extrinsic_laplacian` gives the Laplacian of a quadratic form
   restricted to a minimal ``L`` in closed form, pointwise (no
-  discretization of the manifold); :func:`stencil_laplacian` checks it
-  with a five-point stencil of the flat-cone Hessian;
+  discretization of the manifold); :func:`stiffness_mass` integrates the
+  exact gradients of the same forms, so Green's identity checks the
+  closed form without sharing its algebra;
 * :func:`mesh_spectrum` diagonalizes an intrinsic discretization of
   the induced metric: on periodic grids (circle, torus) the
   finite-difference stencil of :func:`apply_mesh_operator`, whose
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .config import FD_LAPLACIAN, ZERO_FUNCTION
+from .config import ZERO_FUNCTION
 from .errors import PreconditionError, UnsupportedError
 from .icosphere import icosphere, sector_operators
 
@@ -57,30 +58,6 @@ def extrinsic_laplacian(L, Q, resolution=None):
     return 2.0 * L.node_geometry(resolution).projector_trace(Q, L.n)
 
 
-def stencil_laplacian(L, F):
-    """Five-point stencil of ``-sum_i Hess F(e_i, e_i)`` along straight
-    ambient lines through each orthonormal frame direction ``e_i`` of ``L``
-    at its default quadrature nodes: the Laplacian of an ambient scalar
-    field ``F`` that does not depend on the radius, on a minimal ``L``, up
-    to the stencil's ``FD_LAPLACIAN^4`` truncation.  It cross-checks
-    :func:`extrinsic_laplacian` without sharing its algebra.
-    """
-    geo = L.node_geometry()
-    x, frame = geo.x, geo.frame
-    h = FD_LAPLACIAN
-    total = np.zeros(x.shape[:-1])
-    for i in range(L.n):
-        d = frame[..., i, :]
-        total = total + (
-            -F(x + 2.0 * h * d)
-            + 16.0 * F(x + h * d)
-            - 30.0 * F(x)
-            + 16.0 * F(x - h * d)
-            - F(x - 2.0 * h * d)
-        ) / (12.0 * h**2)
-    return -total
-
-
 class EigenResidual:
     """Relative residual of the eigen-equation, one entry per function of
     a stacked family."""
@@ -112,26 +89,41 @@ def eigen_residual(L, f, eigenvalue, resolution=None):
     return EigenResidual(res, degenerate, sup)
 
 
-def rayleigh_quotient(L, f, resolution=None):
-    """Quadrature Rayleigh quotient: integral |grad f|^2 / integral f^2.
-
-    ``f`` is a family of quadratic forms, as for :func:`eigen_residual`.
-    The gradient is exact: the chart derivatives of the unit points are
-    tangent to the sphere, so ``d_a f = 2 (Q x) . d_a x``, raised with the
-    inverse induced metric.  An eigensolver-free check of the eigenvalue;
-    a zero function (sup norm at most ``ZERO_FUNCTION``) has none and
-    gives nan.
-    """
+def stiffness_mass(L, f, resolution=None):
+    """Stiffness ``K = integral <grad f_A, grad f_B>`` and mass ``M =
+    integral f_A f_B`` of the family ``f`` (as for :func:`eigen_residual`)
+    along ``L`` at the nodes of ``resolution``, each ``(k, k)``.  The
+    gradient is exact: the chart derivatives of the unit points are tangent
+    to the sphere, so ``d_a f = 2 (Q x) . d_a x``, raised with the inverse
+    induced metric.  A non-finite value raises as in ``L.integrate``."""
     geo = L.node_geometry(resolution)
-    fvals = f.node_values(geo)
-    qx = np.einsum("...ab,nb->...na", f.quadratic_form, geo.x)
-    grad = 2.0 * np.einsum("...na,nai->...ni", qx, geo.jacobian)
-    ginv = np.linalg.inv(geo.metric)
-    sq = np.einsum("...a,...ab,...b->...", grad, ginv, grad)
-    num = L.integrate(sq, resolution)
-    den = L.integrate(fvals**2, resolution)
-    zero = np.max(np.abs(fvals), axis=-1) <= ZERO_FUNCTION
-    return np.where(zero, np.nan, num / np.where(zero, 1.0, den))
+    fvals = np.reshape(f.node_values(geo), (-1, len(geo.x)))
+    # x Q = (Q x)^T, Q being symmetric, is the largest array here, not kept
+    grad = 2.0 * (np.reshape(geo.x @ f.quadratic_form, fvals.shape + (1, -1)) @ geo.jacobian)
+    raised = grad @ np.linalg.inv(geo.metric)
+    return L.gram(raised, grad, resolution), L.gram(fvals, fvals, resolution)
+
+
+def green_identity_residual(L, f, resolution=None):
+    """Green's identity on a closed ``L``: max |K - C| / max |K| over all
+    pairs of the family ``f``, ``K`` of :func:`stiffness_mass` and ``C =
+    integral (Lap f_A) f_B`` from the closed form and the pairing values.
+    ``K`` reads ``Q`` twice and ``C`` once, so a closed-form error shows."""
+    geo = L.node_geometry(resolution)
+    lap = np.reshape(f.laplacian(L, resolution), (-1, len(geo.x)))
+    K, _ = f.stiffness_mass(L, resolution)
+    C = L.gram(lap, np.reshape(f.node_values(geo), lap.shape), resolution)
+    return float(np.max(np.abs(K - C)) / np.max(np.abs(K)))
+
+
+def rayleigh_quotient(L, f, resolution=None):
+    """Quadrature Rayleigh quotient ``diag(K) / diag(M)`` of
+    :func:`stiffness_mass`, an eigensolver-free check of the eigenvalue; a
+    zero function (sup norm at most ``ZERO_FUNCTION``) has none: nan."""
+    K, M = f.stiffness_mass(L, resolution)
+    zero = np.max(np.abs(f.node_values(L.node_geometry(resolution))), axis=-1) <= ZERO_FUNCTION
+    q = np.diagonal(K) / np.where(zero.ravel(), 1.0, np.diagonal(M))
+    return np.where(zero, np.nan, np.reshape(q, zero.shape))
 
 
 # ---------------------------------------------------------------------------

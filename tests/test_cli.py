@@ -492,8 +492,8 @@ class TestSharedWork:
 
     def test_all_contracts_each_closed_form_laplacian_once(self, monkeypatch):
         # each family keeps its Laplacian per node set, shared by
-        # moment-family, the stencil record, spectrum and relation (a row
-        # slice); the cone family's frame sum is its own contraction
+        # moment-family, the Green-identity record, spectrum and relation
+        # (a row slice); the cone family's frame sum is its own contraction
         calls = _count_calls(
             monkeypatch, im.NodeGeometry, "projector_trace",
             lambda geo, A, radial: (geo.immersion.name, len(geo.u), radial, A.tobytes()),

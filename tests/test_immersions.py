@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
-from legspec.config import DEFAULT_TOLERANCES
+from legspec.config import DEFAULT_TOLERANCES, GREEN_IDENTITY
 from legspec.errors import EvaluationError, InvalidFieldError, InvalidPointError, UnsupportedError
 from legspec.suites import CANONICAL_IMMERSIONS, SuiteConfig, legendrian_geometry_records
 
@@ -225,8 +225,10 @@ def test_verdicts_invariant_under_unitary_conjugation(name):
     # conjugation makes zero moment functions non-zero, so only the
     # worst residual of the non-degenerate ones is compared
     algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
-    residual = spc.eigen_residual(moved, mo.moment_function(moved, algebra), 2.0 * L.n + 2.0)
+    f = mo.moment_function(moved, algebra)
+    residual = spc.eigen_residual(moved, f, 2.0 * L.n + 2.0)
     assert np.max(residual.residual[~residual.degenerate]) <= DEFAULT_TOLERANCES.eigen_residual
+    assert spc.green_identity_residual(moved, f) <= GREEN_IDENTITY
 
 
 class TestShapeOperator:

@@ -229,56 +229,91 @@ def closed_form(coefficient=lambda n: n, factor=2.0, projector=True):
     return laplacian
 
 
-class TestClosedFormDefects:
-    """Each defect in the closed-form Laplacian fails the stencil cross-check
-    and the eigen-residuals of both families at the default resolution."""
+def green_pass(inverse_metric=True):
+    """``spectral.stiffness_mass`` rebuilt with one term swappable: the
+    gradient raised with the identity in place of ``g^-1`` when
+    ``inverse_metric`` is false."""
 
-    ANCHORS = {"closed-form-laplacian", "moment-family-eigenvalue", "cone-family-eigenvalue"}
+    def stiffness_mass(L, f, resolution=None):
+        geo = L.node_geometry(resolution)
+        Q = np.reshape(f.quadratic_form, (-1,) + f.quadratic_form.shape[-2:])
+        fvals = np.reshape(f.node_values(geo), (len(Q), -1))
+        grad = 2.0 * np.einsum("kab,nb,nai->kni", Q, geo.x, geo.jacobian)
+        ginv = np.linalg.inv(geo.metric) if inverse_metric else np.eye(L.n)[None]
+        raised = np.einsum("kni,nij->knj", grad, np.broadcast_to(ginv, geo.metric.shape))
+        return L.gram(raised, grad, resolution), L.gram(fvals, fvals, resolution)
+
+    return stiffness_mass
+
+
+class TestClosedFormDefects:
+    """Each defect in the closed-form Laplacian, or in the gradients of the
+    stiffness matrix, fails Green's identity on S^2, the torus and S^3.  A
+    closed-form defect also fails the eigen-residuals of both families, a
+    gradient defect the Rayleigh quotients."""
+
+    IMMERSIONS = ("geodesic-sphere-n2", "clifford-torus-s5", "geodesic-sphere-n3")
+    EIGEN_ANCHORS = ("moment-family-eigenvalue", "cone-family-eigenvalue")
 
     @staticmethod
-    def failing_anchors():
+    def failing(*suites):
+        """(immersion or sphere, anchor) of every failing record of ``suites``."""
         failing = set()
-        for suite in ("moment-family", "nomizu-family"):
-            report = run_suite(SuiteConfig(suite=suite, n=2))
-            failing |= {r.anchor for r in report.records if r.status == FAIL}
+        for suite in suites:
+            report = run_suite(SuiteConfig(suite=suite))
+            failing |= {(r.name.split(":")[0], r.anchor) for r in report.records if r.status == FAIL}
         return failing
 
-    def test_rebuilt_closed_form_passes(self, monkeypatch):
+    def test_rebuilds_pass(self, monkeypatch):
         monkeypatch.setattr(spc, "extrinsic_laplacian", closed_form())
-        assert self.failing_anchors() == set()
+        monkeypatch.setattr(spc, "stiffness_mass", green_pass())
+        assert self.failing("moment-family", "nomizu-family", "spectrum") == set()
 
     @pytest.mark.parametrize(
-        "defect",
+        "target,defect,anchors",
         [
-            closed_form(coefficient=lambda n: n + 1),  # 2n + 2 for 2n
-            closed_form(factor=1.0),  # a dropped factor 2
-            closed_form(projector=False),  # the identity for P
+            # 2n + 2 for 2n
+            ("extrinsic_laplacian", closed_form(coefficient=lambda n: n + 1), EIGEN_ANCHORS),
+            # a dropped factor 2
+            ("extrinsic_laplacian", closed_form(factor=1.0), EIGEN_ANCHORS),
+            # the identity for P
+            ("extrinsic_laplacian", closed_form(projector=False), EIGEN_ANCHORS),
+            # the identity for g^-1; the circle is unit-speed, g = 1, so
+            # only the other three immersions can show it
+            ("stiffness_mass", green_pass(inverse_metric=False), ("rayleigh-quotient",)),
         ],
-        ids=["2n+2", "dropped-2", "identity-projector"],
+        ids=["2n+2", "dropped-2", "identity-projector", "identity-inverse-metric"],
     )
-    def test_defect_fails(self, monkeypatch, defect):
-        monkeypatch.setattr(spc, "extrinsic_laplacian", defect)
-        assert self.ANCHORS <= self.failing_anchors()
+    def test_defect_fails(self, monkeypatch, target, defect, anchors):
+        monkeypatch.setattr(spc, target, defect)
+        failing = self.failing("moment-family", "nomizu-family", "spectrum")
+        for name in self.IMMERSIONS:
+            assert {(name, anchor) for anchor in ("closed-form-laplacian", *anchors)} <= failing
 
     @pytest.mark.parametrize(
         "suite,resolution,expected",
         [
             ("nomizu-family", None, {}),
             ("moment-family", None, {"geodesic-sphere-n2": 24 * 48, "clifford-torus-s5": 48 * 48}),
-            # --resolution does not reach the cross-check
+            # --resolution does not reach Green's identity
             ("moment-family", 16, {"geodesic-sphere-n2": 24 * 48, "clifford-torus-s5": 48 * 48}),
+            # closed-form-laplacian and rayleigh-quotient share one pass
+            ("all", None, {"geodesic-sphere-n2": 24 * 48, "clifford-torus-s5": 48 * 48}),
         ],
     )
-    def test_stencil_runs_once_per_immersion_in_moment_family(
+    def test_stiffness_mass_runs_once_per_immersion(
         self, monkeypatch, suite, resolution, expected
     ):
         calls = []
-        stencil = spc.stencil_laplacian
+        stiffness_mass = spc.stiffness_mass
 
-        def counted(L, F):
-            calls.append((L.name, len(L.nodes()[0])))
-            return stencil(L, F)
+        def counted(L, f, resolution=None):
+            calls.append((L.name, len(L.node_geometry(resolution).u)))
+            return stiffness_mass(L, f, resolution)
 
-        monkeypatch.setattr(spc, "stencil_laplacian", counted)
-        assert run_suite(SuiteConfig(suite=suite, n=2, resolution=resolution)).exit_code() == 0
+        monkeypatch.setattr(spc, "stiffness_mass", counted)
+        report = run_suite(SuiteConfig(suite=suite, n=2, resolution=resolution))
+        assert report.exit_code() == 0
         assert sorted(calls) == sorted(expected.items())
+        if suite == "all":
+            assert {r.anchor for r in report.records} >= {"closed-form-laplacian", "rayleigh-quotient"}

@@ -11,8 +11,9 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.cli import main
-from legspec.errors import PreconditionError, UnsupportedError
-from legspec.suites import SuiteConfig, spectrum_records
+from legspec.errors import EvaluationError, PreconditionError, UnsupportedError
+from legspec.reporting import FAIL, PASS
+from legspec.suites import SuiteConfig, run_suite, spectrum_records
 
 
 def diag_field(n, entries):
@@ -357,6 +358,64 @@ class TestRayleigh:
                 continue
             q = spc.rayleigh_quotient(L, f)
             assert abs(q - target) <= 0.01 * target, X.label
+
+
+    def test_stacked_quotients_are_the_single_ones(self):
+        L = im.clifford_torus()
+        basis = mo.algebra_basis(2)
+        stacked = spc.rayleigh_quotient(L, mo.moment_function(L, mo.stack_fields(basis, "u(3)")))
+        single = [spc.rayleigh_quotient(L, mo.moment_function(L, X)) for X in basis]
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, equal_nan=True)
+
+
+def _nan_in_basis_1(monkeypatch, where):
+    """Make basis[1] of every stacked family nan at one node of each node
+    set ``geo`` for which ``where(geo)`` holds."""
+    node_values = mo.QuadraticFamily.node_values
+
+    def patched(f, geo):
+        vals = node_values(f, geo)
+        if np.ndim(vals) == 2 and where(geo):
+            vals = vals.copy()
+            vals[1, 0] = np.nan
+        return vals
+
+    monkeypatch.setattr(mo.QuadraticFamily, "node_values", patched)
+
+
+class TestNonFiniteFamily:
+    """A nan family value is never skipped as a zero function."""
+
+    @pytest.mark.parametrize(
+        "where,expected",
+        [
+            # every agreement grid (32, 64 and 128), not the default 48
+            (lambda geo: geo is not geo.immersion.node_geometry(), [FAIL, FAIL]),
+            # only the finest: the middle grid's record holds, the order not
+            (lambda geo: len(geo.u) == 128 * 128, [PASS, FAIL]),
+        ],
+        ids=["agreement-grids", "finest-grid"],
+    )
+    def test_nan_on_the_agreement_grids_fails_pipeline_agreement(
+        self, monkeypatch, where, expected
+    ):
+        _nan_in_basis_1(monkeypatch, where)
+        report = run_suite(SuiteConfig(suite="spectrum", immersion="clifford-torus-s5"))
+        statuses = [r.status for r in report.records if r.anchor == "pipeline-agreement"]
+        assert statuses == expected
+
+    @pytest.mark.parametrize("suite", ["moment-family", "spectrum"])
+    def test_nan_at_the_default_nodes_raises(self, monkeypatch, suite):
+        # the stiffness and mass pass behind closed-form-laplacian and
+        # rayleigh-quotient integrates the nan, so neither record is made
+        _nan_in_basis_1(monkeypatch, lambda geo: True)
+        L = im.clifford_torus()
+        f = mo.moment_function(L, mo.stack_fields(mo.algebra_basis(2), "u(3)"))
+        for check in (spc.stiffness_mass, spc.green_identity_residual, spc.rayleigh_quotient):
+            with pytest.raises(EvaluationError):
+                check(L, f)
+        with pytest.raises(EvaluationError):
+            run_suite(SuiteConfig(suite=suite, immersion=L.name))
 
 
 class TestSpanAndNotes:
