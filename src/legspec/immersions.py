@@ -254,7 +254,7 @@ class LegendrianImmersion:
         # differently from vals * sqrt_g * w
         return np.sum(vals * geo.sqrt_g * geo.w, axis=-1)
 
-    def gram(self, a, b, resolution=None):
+    def gram(self, a, b, resolution):
         """The ``(k, l)`` quadrature of ``a_A . b_B`` over the rows of the
         stacks ``a`` and ``b``, ``(k, N, ...)``, any axes after the node axis
         contracted at each node; non-finite values raise as in ``integrate``."""

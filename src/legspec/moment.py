@@ -171,16 +171,14 @@ class QuadraticFamily:
         return self._node_values[geo]
 
     def laplacian(self, L, resolution=None):
-        """``spectral.extrinsic_laplacian`` of ``quadratic_form`` along
-        ``L`` at the nodes of ``resolution``."""
+        """``spectral.extrinsic_laplacian`` of ``quadratic_form`` at ``resolution``'s nodes."""
         geo = L.node_geometry(resolution)
         if geo not in self._laplacians:
             self._laplacians[geo] = spc.extrinsic_laplacian(L, self.quadratic_form, resolution)
         return self._laplacians[geo]
 
     def stiffness_mass(self, L, resolution=None):
-        """``spectral.stiffness_mass`` of this family along ``L`` at the
-        nodes of ``resolution``."""
+        """``spectral.stiffness_mass`` of this family at ``resolution``'s nodes."""
         geo = L.node_geometry(resolution)
         if geo not in self._stiffness_mass:
             self._stiffness_mass[geo] = spc.stiffness_mass(L, self, resolution)

@@ -104,15 +104,16 @@ def stiffness_mass(L, f, resolution=None):
     return L.gram(raised, grad, resolution), L.gram(fvals, fvals, resolution)
 
 
-def green_identity_residual(L, f, resolution=None):
-    """Green's identity on a closed ``L``: max |K - C| / max |K| over all
-    pairs of the family ``f``, ``K`` of :func:`stiffness_mass` and ``C =
-    integral (Lap f_A) f_B`` from the closed form and the pairing values.
-    ``K`` reads ``Q`` twice and ``C`` once, so a closed-form error shows."""
-    geo = L.node_geometry(resolution)
-    lap = np.reshape(f.laplacian(L, resolution), (-1, len(geo.x)))
-    K, _ = f.stiffness_mass(L, resolution)
-    C = L.gram(lap, np.reshape(f.node_values(geo), lap.shape), resolution)
+def green_identity_residual(L, f):
+    """Green's identity at the default nodes of a closed ``L``: max |K - C|
+    / max |K| over the family ``f``, ``K`` of :func:`stiffness_mass`, ``C =
+    integral (Lap f_A) f_B`` of the closed form and the pairing values, means
+    kept.  ``K`` reads ``Q`` twice, ``C`` once: a closed-form error shows."""
+    geo = L.node_geometry()
+    lap = np.reshape(f.laplacian(L), (-1, len(geo.x)))
+    pairing = f.node_values(geo) + np.reshape(f.offset, np.shape(f.offset) + (1,))
+    K, _ = f.stiffness_mass(L)
+    C = L.gram(lap, np.reshape(pairing, lap.shape), None)
     return float(np.max(np.abs(K - C)) / np.max(np.abs(K)))
 
 

@@ -214,17 +214,17 @@ class TestSeededDefects:
         assert self.failing_anchors(suite) == {"cone-operator-algebra"}
 
 
-def closed_form(coefficient=lambda n: n, factor=2.0, projector=True):
+def closed_form(coefficient=lambda n: n, factor=2.0, projector=True, constant=0.0):
     """``spectral.extrinsic_laplacian`` rebuilt with one term swappable:
-    ``factor * tr(Q (coefficient(n) x x^T - P))``, with the identity for
-    ``P`` when ``projector`` is false."""
+    ``factor * tr(Q (coefficient(n) x x^T - P)) + constant``, with the
+    identity for ``P`` when ``projector`` is false."""
 
     def laplacian(L, Q, resolution=None):
         geo = L.node_geometry(resolution)
         x, frame = geo.x, geo.frame
         P = np.swapaxes(frame, -1, -2) @ frame if projector else np.eye(x.shape[-1])
         weights = coefficient(L.n) * x[:, :, None] * x[:, None, :] - P
-        return factor * np.einsum("...ab,nab->...n", Q, weights)
+        return factor * np.einsum("...ab,nab->...n", Q, weights) + constant
 
     return laplacian
 
@@ -278,11 +278,14 @@ class TestClosedFormDefects:
             ("extrinsic_laplacian", closed_form(factor=1.0), EIGEN_ANCHORS),
             # the identity for P
             ("extrinsic_laplacian", closed_form(projector=False), EIGEN_ANCHORS),
+            # a constant added: it pairs with the mean of each f_B, which
+            # mean-free values would hide
+            ("extrinsic_laplacian", closed_form(constant=1.0), EIGEN_ANCHORS),
             # the identity for g^-1; the circle is unit-speed, g = 1, so
             # only the other three immersions can show it
             ("stiffness_mass", green_pass(inverse_metric=False), ("rayleigh-quotient",)),
         ],
-        ids=["2n+2", "dropped-2", "identity-projector", "identity-inverse-metric"],
+        ids=["2n+2", "dropped-2", "identity-projector", "constant", "identity-inverse-metric"],
     )
     def test_defect_fails(self, monkeypatch, target, defect, anchors):
         monkeypatch.setattr(spc, target, defect)
@@ -307,7 +310,7 @@ class TestClosedFormDefects:
         calls = []
         stiffness_mass = spc.stiffness_mass
 
-        def counted(L, f, resolution=None):
+        def counted(L, f, resolution):
             calls.append((L.name, len(L.node_geometry(resolution).u)))
             return stiffness_mass(L, f, resolution)
 
