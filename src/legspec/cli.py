@@ -105,7 +105,7 @@ def _moment_fields_csv(cfg, out):
     for L in cfg.selected_immersions():
         basis = mo.algebra_basis(L.n)
         f = cfg.moment_function(L, cfg.resolution)
-        values = f.values(cfg.resolution)
+        values = f.node_values(L.node_geometry(cfg.resolution))
         bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
         # one repr of the list formats every float as repr(float) does
         text = repr(bits.view(np.float64).tolist())[1:-1].split(", ")

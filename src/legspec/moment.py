@@ -8,8 +8,10 @@ form; the moment map pairs it with the Reeb direction,
 ``mu(x)(X) = <U x, J x> = eta_x(X_x)``.
 
 Both eigenfunction families are a ``QuadraticFamily`` ``<A x, J x> - c``:
-the moment family of the generators less their means along an immersion,
-the cone family (``nomizu``) of the corrected Nomizu operators.
+the moment family (``moment_function``) of the generators less their
+means along an immersion, the cone family (``nomizu.nomizu_function``) of
+the corrected Nomizu operators.  A family holds only its matrices and
+constants; each evaluation is given the immersion or nodes it reads.
 
 A field may also carry ``k`` generators at once, as a ``(k, d, d)``
 tensor: the family is a linear image of the algebra, so every evaluation
@@ -185,28 +187,13 @@ class QuadraticFamily:
         return self._stiffness_mass[geo]
 
 
-class MomentFunction(QuadraticFamily):
-    """The mean-free moment-map function of a generator along an immersion:
-    ``offset`` is the quadrature mean of each generator's pairing."""
-
-    def __init__(self, immersion, generator, mean_value):
-        super().__init__(generator.generator, generator.n, mean_value)
-        self.immersion = immersion
-        self.generator = generator
-
-    def on_chart(self, u):
-        return self.ambient(self.immersion.points(u))
-
-    def values(self, resolution=None):
-        return self.node_values(self.immersion.node_geometry(resolution))
-
-
 def moment_function(L, X, resolution=None):
-    """Moment-map function on ``L`` with its quadrature mean removed."""
+    """The moment family of ``X`` on ``L``: the pairing of each generator
+    less its quadrature mean at the nodes of ``resolution``."""
     vol = L.volume(resolution)
     raw = moment(L.node_geometry(resolution).x, X)
     mean = L.integrate(raw, resolution) / vol
-    return MomentFunction(L, X, mean)
+    return QuadraticFamily(X.generator, X.n, mean)
 
 
 def automorphism_residuals(S, X, samples):

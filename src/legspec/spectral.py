@@ -71,8 +71,9 @@ class EigenResidual:
 def eigen_residual(L, f, eigenvalue, resolution=None):
     """max |Lap f - lambda f| / max |f| over quadrature nodes.
 
-    ``f`` is a ``moment.QuadraticFamily`` (a ``moment.MomentFunction`` or
-    the cone family of ``nomizu.nomizu_function``): its values come from
+    ``f`` is a ``moment.QuadraticFamily`` (the moment family of
+    ``moment.moment_function`` or the cone family of
+    ``nomizu.nomizu_function``): its values come from
     ``f.node_values`` and its Laplacian from ``f.laplacian``, in closed
     form.  A zero function (sup norm at most ``ZERO_FUNCTION``) is reported
     as residual 0 with ``degenerate`` set; the Laplacian is skipped only

@@ -92,14 +92,14 @@ class TestMomentFunction:
     def test_reeb_generator_gives_zero_function(self):
         for L in (im.great_circle(), im.clifford_torus()):
             f = mo.moment_function(L, mo.reeb_generator(L.n))
-            assert np.max(np.abs(f.values())) <= 1e-12
+            assert np.max(np.abs(f.node_values(L.node_geometry()))) <= 1e-12
             assert_allclose(f.offset, 1.0, atol=1e-12)
 
     def test_real_skew_gives_zero_on_geodesic_sphere(self):
         L = im.geodesic_sphere(2)
         X = mo.algebra_basis(2)[3]
         f = mo.moment_function(L, X)
-        assert np.max(np.abs(f.values())) <= 1e-12
+        assert np.max(np.abs(f.node_values(L.node_geometry()))) <= 1e-12
 
     def test_diagonal_difference_on_geodesic_sphere(self):
         # i*diag(1,-1,0) pairs to x1^2 - x2^2 on real points, mean zero
@@ -107,7 +107,7 @@ class TestMomentFunction:
         f = mo.moment_function(L, diag_generator(2, [1.0, -1.0, 0.0]))
         u, _ = L.nodes()
         pts = L.points(u)
-        assert_allclose(f.on_chart(u), pts[:, 0] ** 2 - pts[:, 1] ** 2, atol=1e-8)
+        assert_allclose(f.ambient(pts), pts[:, 0] ** 2 - pts[:, 1] ** 2, atol=1e-8)
         assert abs(f.offset) <= 1e-8
 
     def test_mean_zero_for_all_basis_and_builtins(self):
@@ -116,7 +116,7 @@ class TestMomentFunction:
             vol = L.volume()
             for X in mo.algebra_basis(L.n):
                 f = mo.moment_function(L, X)
-                assert abs(L.integrate(f.on_chart)) <= 1e-8 * vol
+                assert abs(L.integrate(f.node_values(L.node_geometry()))) <= 1e-8 * vol
 
     @given(
         a=st.floats(-5, 5, allow_nan=False),
@@ -133,9 +133,9 @@ class TestMomentFunction:
             a * X.generator + b * Y.generator, 2, "mix"
         )
         u = _TORUS_NODES
-        fa = mo.moment_function(L, X).on_chart(u)
-        fb = mo.moment_function(L, Y).on_chart(u)
-        fm = mo.moment_function(L, mixed).on_chart(u)
+        fa = mo.moment_function(L, X).ambient(L.points(u))
+        fb = mo.moment_function(L, Y).ambient(L.points(u))
+        fm = mo.moment_function(L, mixed).ambient(L.points(u))
         assert np.max(np.abs(fm - a * fa - b * fb)) <= 1e-10 * (1 + abs(a) + abs(b))
 
     def test_kernel_rank_on_geodesic_spheres(self):

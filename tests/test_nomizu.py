@@ -9,11 +9,28 @@ from legspec import nomizu as nz
 from legspec import sasaki as sk
 from legspec import spectral as spc
 from legspec.errors import InvalidFieldError, PreconditionError
-from legspec.reporting import FAIL
-from legspec.suites import SuiteConfig, run_suite
+from legspec.reporting import FAIL, INCONCLUSIVE
+from legspec.suites import CANONICAL_IMMERSIONS, SuiteConfig, run_suite
 
 
 J2 = sk.complex_structure(2)
+
+
+def latitude_circle():
+    """The orbit of i E[1,1] through (cos 0.4, sin 0.4): an honest
+    immersion that is not Legendrian."""
+    return im.LegendrianImmersion(
+        "latitude-circle", [mo.algebra_basis(1)[0].generator],
+        (np.cos(0.4), np.sin(0.4), 0.0, 0.0), im.PeriodicGridDomain(1), 128,
+    )
+
+
+def over_2n(X):
+    """``nomizu.nomizu_operator`` with ``2n`` for ``2n + 2`` in the trace
+    correction."""
+    J = sk.complex_structure(X.n)
+    div_jk = np.trace(J @ X.generator, axis1=-2, axis2=-1)
+    return X.generator + np.expand_dims(div_jk / (2.0 * X.n), (-2, -1)) * J
 
 
 class TestConeField:
@@ -128,12 +145,7 @@ class TestOperatorIdentities:
         assert abs(a - b) <= 1e-8
 
     def test_non_legendrian_input_rejected(self):
-        # latitude circle, the orbit of i E[1,1] through (cos 0.4, sin 0.4):
-        # an honest immersion that is not Legendrian
-        bad = im.LegendrianImmersion(
-            "latitude-circle", [mo.algebra_basis(1)[0].generator],
-            (np.cos(0.4), np.sin(0.4), 0.0, 0.0), im.PeriodicGridDomain(1), 128,
-        )
+        bad = latitude_circle()
         assert bad.node_geometry().legendrian_residual > 1e-3
         f = nz.nomizu_function(mo.algebra_basis(1)[0])
         with pytest.raises(PreconditionError):
@@ -148,15 +160,48 @@ class TestFamilyCoincidence:
         L = im.get_immersion(name)
         for X in mo.algebra_basis(L.n):
             res = nz.family_coincidence_residuals(mo.moment_function(L, X), nz.nomizu_function(X))
-            assert res["vs_contact_plus_trace"] <= 1e-8, X.label
-            assert res["vs_moment_family"] <= 1e-8, X.label
+            assert res <= 1e-8, X.label
+
+    def test_matrix_sup_is_the_sup_over_the_sphere(self):
+        # a mismatched pair, so that D = Q_cone - Q_mom is no multiple of I:
+        # |f_cone - f_mom| reaches the value at the eigenvectors of D and
+        # stays under it everywhere else on the sphere
+        L = im.geodesic_sphere(2)
+        basis = mo.algebra_basis(2)
+        f_mom, f_cone = mo.moment_function(L, basis[1]), nz.nomizu_function(basis[4])
+        value = nz.family_coincidence_residuals(f_mom, f_cone)
+        spread, vectors = np.linalg.eigh(f_cone.quadratic_form - f_mom.quadratic_form)
+        assert np.ptp(spread) > 1.0
+        at_vectors = np.abs(f_cone.ambient(vectors.T) - f_mom.ambient(vectors.T))
+        assert abs(np.max(at_vectors) - value) <= 1e-14
+        x = sk.SphereSasaki(2).random_point(np.random.default_rng(31), count=20_000)
+        assert np.max(np.abs(f_cone.ambient(x) - f_mom.ambient(x))) <= value
+
+    @pytest.mark.parametrize("name", CANONICAL_IMMERSIONS)
+    def test_matrix_sup_bounds_the_node_values(self, name):
+        L = im.get_immersion(name)
+        algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
+        f_mom, f_cone = mo.moment_function(L, algebra), nz.nomizu_function(algebra)
+        geo = L.node_geometry()
+        at_nodes = np.max(np.abs(f_cone.node_values(geo) - f_mom.node_values(geo)), axis=-1)
+        assert np.all(nz.family_coincidence_residuals(f_mom, f_cone) >= at_nodes - 1e-15)
+
+    def test_non_legendrian_circle_fails(self):
+        # the moment mean along a circle that is not Legendrian does not
+        # cancel the trace term of the diagonal generators
+        bad = latitude_circle()
+        algebra = mo.stack_fields(mo.algebra_basis(1), "u(2)")
+        res = nz.family_coincidence_residuals(
+            mo.moment_function(bad, algebra), nz.nomizu_function(algebra)
+        )
+        assert np.all(res[:2] > 0.3)
 
     def test_reeb_generator_both_families_vanish(self):
         L = im.geodesic_sphere(2)
         X = mo.reeb_generator(2)
         u, _ = L.nodes()
         assert np.max(np.abs(nz.nomizu_function(X).ambient(L.points(u)))) <= 1e-9
-        assert np.max(np.abs(mo.moment_function(L, X).on_chart(u))) <= 1e-12
+        assert np.max(np.abs(mo.moment_function(L, X).ambient(L.points(u)))) <= 1e-12
 
     def test_traceless_diag_on_geodesic_sphere_needs_no_mean(self):
         # trace(J M) = 0 there, so the cone function equals the raw
@@ -183,13 +228,27 @@ class TestSeededDefects:
         assert self.failing_anchors() == set()
 
     def test_trace_correction_over_2n(self, monkeypatch):
-        def over_2n(X):
-            J = sk.complex_structure(X.n)
-            div_jk = np.trace(J @ X.generator, axis1=-2, axis2=-1)
-            return X.generator + np.expand_dims(div_jk / (2.0 * X.n), (-2, -1)) * J
-
         monkeypatch.setattr(nz, "nomizu_operator", over_2n)
         assert {"cone-operator-algebra", "frame-sum-identity"} <= self.failing_anchors()
+
+    @pytest.mark.parametrize("defect", ["zeroed-offset", "over-2n"])
+    def test_relation_defect_fails_families_coincide(self, monkeypatch, defect):
+        if defect == "zeroed-offset":
+            # a skipped mean subtraction
+            moment_function = mo.moment_function
+
+            def zeroed(L, X, resolution=None):
+                f = moment_function(L, X, resolution)
+                f.offset = np.zeros_like(f.offset)
+                return f
+
+            monkeypatch.setattr(mo, "moment_function", zeroed)
+        else:
+            monkeypatch.setattr(nz, "nomizu_operator", over_2n)
+        report = run_suite(SuiteConfig(suite="relation"))
+        failing = {r.name.split(":")[0] for r in report.records
+                   if r.status == FAIL and r.anchor == "families-coincide"}
+        assert failing == set(CANONICAL_IMMERSIONS)
 
     def test_negated_cone_function(self, monkeypatch):
         # only the values: the operator, its form and Laplacian are kept
@@ -212,6 +271,39 @@ class TestSeededDefects:
         nomizu_operator = nz.nomizu_operator
         monkeypatch.setattr(nz, "nomizu_operator", lambda X: nomizu_operator(X) + 0.5 * np.eye(6))
         assert self.failing_anchors(suite) == {"cone-operator-algebra"}
+
+
+class TestNomizuFamilyPreconditions:
+    """A failed precondition of one check gives inconclusive records for
+    that check and leaves every other record of the report in place."""
+
+    @staticmethod
+    def records():
+        report = run_suite(SuiteConfig(suite="nomizu-family", n=1))
+        return {(r.name, r.anchor): r.status for r in report.records}
+
+    @pytest.mark.parametrize(
+        "owner,check,anchor",
+        [
+            # the minimality precheck of the closed-form Laplacian
+            (spc, "eigen_residual", "cone-family-eigenvalue"),
+            # the Legendrian precheck of the frame sum
+            (nz, "operator_identity_residuals", "frame-sum-identity"),
+        ],
+        ids=["minimal", "legendrian"],
+    )
+    def test_failed_precondition_keeps_every_record(self, monkeypatch, owner, check, anchor):
+        expected = self.records()
+
+        def refuse(*args, **kwargs):
+            raise PreconditionError("precondition refused")
+
+        monkeypatch.setattr(owner, check, refuse)
+        statuses = self.records()
+        assert statuses.keys() == expected.keys()
+        affected = {key for key in statuses if key[1] == anchor}
+        assert affected and all(statuses[key] == INCONCLUSIVE for key in affected)
+        assert all(statuses[key] == expected[key] for key in statuses.keys() - affected)
 
 
 def closed_form(coefficient=lambda n: n, factor=2.0, projector=True, constant=0.0):
