@@ -12,6 +12,12 @@ family ``f(x) = <op x, J x>`` is its ``moment.QuadraticFamily``, with no
 constant subtracted.  A stack of ``k`` generators gives ``k`` operators,
 functions and residuals.
 
+Along a Legendrian ``L`` the frame sum ``sum_i <op e_i, J e_i> = -tr(QP)``
+equals ``-f`` (``operator_identity_residuals``).  On a minimal ``L`` the
+closed form ``Lap f = 2n f - 2 tr(QP)`` turns that identity into the
+eigen-equation ``Lap f = (2n + 2) f``, with eigen-residual ``2 |tr(QP) +
+f| / sup|f|``, so the frame sum is the cone family's one node-level check.
+
 The cone and mean-free moment families of one field are the same
 functions on a minimal Legendrian ``L``.  Both are quadratic forms on the
 sphere, so ``family_coincidence_residuals`` compares them as matrices.

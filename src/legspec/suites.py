@@ -18,7 +18,7 @@ from . import reporting as rp
 from . import sasaki as sk
 from . import spectral as spc
 from .config import DEFAULT_TOLERANCES, GREEN_IDENTITY, ZERO_FUNCTION, Tolerances
-from .errors import PreconditionError, UnsupportedError
+from .errors import EvaluationError, PreconditionError, UnsupportedError
 
 CANONICAL_IMMERSIONS = (
     "great-circle-s3",
@@ -51,14 +51,9 @@ def _inconclusive(name, anchor, exc):
     )
 
 
-def _eigen_record(name, anchor, res, idx, threshold):
-    """The eigen-residual record of generator ``idx``, or an inconclusive one
-    when ``res`` is the ``PreconditionError`` that stopped the check."""
-    if isinstance(res, PreconditionError):
-        return _inconclusive(name, anchor, res)
-    return rp.residual_record(
-        name, anchor, res.residual[idx], threshold, degenerate=res.degenerate[idx]
-    )
+def _non_finite(name, anchor, threshold, exc):
+    """The failing record of a check whose integrand was not finite."""
+    return rp.residual_record(name, anchor, float("nan"), threshold, details={"reason": str(exc)})
 
 
 @dataclass
@@ -309,33 +304,23 @@ def moment_family_records(cfg):
         )
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
-        vol = L.volume(cfg.resolution)
         basis = mo.algebra_basis(L.n)
         f = cfg.moment_function(L, cfg.resolution)
         try:
             res = spc.eigen_residual(L, f, target, cfg.resolution)
         except PreconditionError as exc:
             res = exc
-        values = f.node_values(L.node_geometry(cfg.resolution))
-        mean_resid = np.abs(L.integrate(values, cfg.resolution)) / vol
         for idx, X in enumerate(basis):
-            records.append(
-                _eigen_record(
-                    f"{L.name}: eigen-residual basis[{idx}] {X.label}",
-                    "moment-family-eigenvalue",
-                    res,
-                    idx,
-                    tol.eigen_residual,
+            name = f"{L.name}: eigen-residual basis[{idx}] {X.label}"
+            if isinstance(res, PreconditionError):
+                records.append(_inconclusive(name, "moment-family-eigenvalue", res))
+            else:
+                records.append(
+                    rp.residual_record(
+                        name, "moment-family-eigenvalue", res.residual[idx],
+                        tol.eigen_residual, degenerate=res.degenerate[idx],
+                    )
                 )
-            )
-            records.append(
-                rp.residual_record(
-                    f"{L.name}: mean-zero basis[{idx}]",
-                    "mean-free-normalization",
-                    mean_resid[idx],
-                    tol.mean_zero,
-                )
-            )
         if L.totally_geodesic:
             algebra = mo.stack_fields(basis, "u(n+1)")
             records.append(_kernel_rank_record(L, algebra, cfg.resolution))
@@ -347,6 +332,8 @@ def moment_family_records(cfg):
             records.append(rp.residual_record(name, "closed-form-laplacian", value, GREEN_IDENTITY))
         except PreconditionError as exc:
             records.append(_inconclusive(name, "closed-form-laplacian", exc))
+        except EvaluationError as exc:
+            records.append(_non_finite(name, "closed-form-laplacian", GREEN_IDENTITY, exc))
     return records
 
 
@@ -398,23 +385,18 @@ def nomizu_family_records(cfg):
                     tol.nomizu_algebra,
                 )
             )
+    # on a minimal L the closed form gives Lap f = 2n f - 2 tr(QP), so the
+    # cone family's eigen-residual is 2 / sup|f| times its frame sum
+    # |tr(QP) + f|, which holds on any Legendrian L
     for L in cfg.selected_immersions():
-        target = 2.0 * L.n + 2.0
-        basis = mo.algebra_basis(L.n)
         f = cfg.cone_family(L.n)
-        # each check has its own precondition (Legendrian, minimal), so a
-        # failed one leaves the other's records as they are
         try:
             frame_sum = nz.operator_identity_residuals(
                 f, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian
             )
         except PreconditionError as exc:
             frame_sum = exc
-        try:
-            res = spc.eigen_residual(L, f, target, cfg.resolution)
-        except PreconditionError as exc:
-            res = exc
-        for idx, X in enumerate(basis):
+        for idx in range(len(f.matrix)):
             name = f"{L.name}: frame-sum identity basis[{idx}]"
             if isinstance(frame_sum, PreconditionError):
                 records.append(_inconclusive(name, "frame-sum-identity", frame_sum))
@@ -424,15 +406,6 @@ def nomizu_family_records(cfg):
                         name, "frame-sum-identity", frame_sum[idx], tol.frame_sum_identity
                     )
                 )
-            records.append(
-                _eigen_record(
-                    f"{L.name}: eigen-residual basis[{idx}] {X.label}",
-                    "cone-family-eigenvalue",
-                    res,
-                    idx,
-                    tol.eigen_residual,
-                )
-            )
     return records
 
 
@@ -585,15 +558,13 @@ def spectrum_records(cfg):
         # integrate at the default quadrature like the eigen-residuals above
         f = cfg.moment_function(L)
         keep = ~(np.max(np.abs(f.node_values(L.node_geometry())), axis=-1) <= ZERO_FUNCTION)
-        q = spc.rayleigh_quotient(L, f)[keep]
-        records.append(
-            rp.residual_record(
-                f"{L.name}: Rayleigh quotients",
-                "rayleigh-quotient",
-                np.max(np.abs(q - target) / target, initial=0.0),
-                tol.rayleigh,
-            )
-        )
+        name = f"{L.name}: Rayleigh quotients"
+        try:
+            q = spc.rayleigh_quotient(L, f)[keep]
+            value = np.max(np.abs(q - target) / target, initial=0.0)
+            records.append(rp.residual_record(name, "rayleigh-quotient", value, tol.rayleigh))
+        except EvaluationError as exc:
+            records.append(_non_finite(name, "rayleigh-quotient", tol.rayleigh, exc))
     return records
 
 

@@ -311,6 +311,12 @@ class TestReports:
         assert report.exit_code() == 0
         assert elapsed < 300.0
 
+    def test_all_names_each_record_once(self):
+        # one record per measurement: a repeated name would be a second
+        # record of the same quantity
+        names = [r.name for r in run_suite(SuiteConfig(suite="all")).records]
+        assert len(names) == len(set(names))
+
     def test_icosphere_level_is_the_mesh_level_only(self):
         # the Rayleigh quotients integrate at the default quadrature, not on
         # a polar grid of resolution equal to the mesh level
@@ -466,13 +472,24 @@ class TestSharedWork:
         assert evaluations == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
 
     def test_nomizu_family_takes_frames_once_per_pass(self, monkeypatch):
-        # per immersion, one node geometry serves the minimality precheck's
-        # shape operator, the frame-sum identity and the eigen-residual
+        # per immersion, the frame-sum identity's one tangent projector
         calls = _count_calls(
             monkeypatch, im.LegendrianImmersion, "frames", lambda L, u: L.name
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
         assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
+
+    def test_nomizu_family_needs_no_minimality(self, monkeypatch):
+        # the frame sum holds on any Legendrian L: no shape operator for a
+        # minimality precheck and no closed-form Laplacian
+        calls = {
+            "shape_operator": _count_calls(monkeypatch, im, "shape_operator", lambda geo: None),
+            "extrinsic_laplacian": _count_calls(
+                monkeypatch, spc, "extrinsic_laplacian", lambda L, Q, resolution=None: None
+            ),
+        }
+        assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
+        assert calls == {"shape_operator": {}, "extrinsic_laplacian": {}}
 
     def test_all_evaluates_each_node_set_once(self, monkeypatch):
         # every call of each evaluator has its own (immersion, node count)
@@ -492,15 +509,16 @@ class TestSharedWork:
             assert counted and set(counted.values()) == {1}, (method, counted)
 
     def test_all_contracts_each_closed_form_laplacian_once(self, monkeypatch):
-        # each family keeps its Laplacian per node set, shared by
+        # each moment family keeps its Laplacian per node set, shared by
         # moment-family, the Green-identity record and spectrum (a row
-        # slice); the cone family's frame sum is its own contraction
+        # slice); the cone family's frame sum is its own contraction, the
+        # only one nomizu-family makes
         calls = _count_calls(
             monkeypatch, im.NodeGeometry, "projector_trace",
             lambda geo, A, radial: (geo.immersion.name, len(geo.u), radial, A.tobytes()),
         )
         assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
-        assert sum(calls.values()) == 17
+        assert sum(calls.values()) == 13
         assert set(calls.values()) == {1}
 
     @pytest.mark.parametrize(
@@ -511,8 +529,8 @@ class TestSharedWork:
         ids=["all", "nomizu-family", "relation"],
     )
     def test_evaluates_each_cone_family_once_per_node_set(self, monkeypatch, suite, evaluations):
-        # one stacked cone family per dimension serves the frame sums and
-        # the eigen-residuals
+        # one stacked cone family per dimension, whose node values only the
+        # frame sums read
         evaluated = Counter()
         nomizu_function = nz.nomizu_function
 

@@ -231,8 +231,19 @@ class TestSeededDefects:
         monkeypatch.setattr(nz, "nomizu_operator", over_2n)
         assert {"cone-operator-algebra", "frame-sum-identity"} <= self.failing_anchors()
 
-    @pytest.mark.parametrize("defect", ["zeroed-offset", "over-2n"])
-    def test_relation_defect_fails_families_coincide(self, monkeypatch, defect):
+    @pytest.mark.parametrize(
+        "defect,suite,anchor",
+        [
+            ("zeroed-offset", "relation", "families-coincide"),
+            ("over-2n", "relation", "families-coincide"),
+            # mean-free values are what the moment family's eigen-residual
+            # and Rayleigh quotient read, so they see a skipped subtraction
+            ("zeroed-offset", "moment-family", "moment-family-eigenvalue"),
+            ("zeroed-offset", "spectrum", "rayleigh-quotient"),
+        ],
+        ids=["zeroed-offset", "over-2n", "zeroed-offset-moment-family", "zeroed-offset-spectrum"],
+    )
+    def test_defect_fails_on_every_immersion(self, monkeypatch, defect, suite, anchor):
         if defect == "zeroed-offset":
             # a skipped mean subtraction
             moment_function = mo.moment_function
@@ -245,9 +256,9 @@ class TestSeededDefects:
             monkeypatch.setattr(mo, "moment_function", zeroed)
         else:
             monkeypatch.setattr(nz, "nomizu_operator", over_2n)
-        report = run_suite(SuiteConfig(suite="relation"))
+        report = run_suite(SuiteConfig(suite=suite))
         failing = {r.name.split(":")[0] for r in report.records
-                   if r.status == FAIL and r.anchor == "families-coincide"}
+                   if r.status == FAIL and r.anchor == anchor}
         assert failing == set(CANONICAL_IMMERSIONS)
 
     def test_negated_cone_function(self, monkeypatch):
@@ -285,12 +296,10 @@ class TestNomizuFamilyPreconditions:
     @pytest.mark.parametrize(
         "owner,check,anchor",
         [
-            # the minimality precheck of the closed-form Laplacian
-            (spc, "eigen_residual", "cone-family-eigenvalue"),
             # the Legendrian precheck of the frame sum
             (nz, "operator_identity_residuals", "frame-sum-identity"),
         ],
-        ids=["minimal", "legendrian"],
+        ids=["legendrian"],
     )
     def test_failed_precondition_keeps_every_record(self, monkeypatch, owner, check, anchor):
         expected = self.records()
@@ -341,11 +350,11 @@ def green_pass(inverse_metric=True):
 class TestClosedFormDefects:
     """Each defect in the closed-form Laplacian, or in the gradients of the
     stiffness matrix, fails Green's identity on S^2, the torus and S^3.  A
-    closed-form defect also fails the eigen-residuals of both families, a
+    closed-form defect also fails the moment family's eigen-residuals, a
     gradient defect the Rayleigh quotients."""
 
     IMMERSIONS = ("geodesic-sphere-n2", "clifford-torus-s5", "geodesic-sphere-n3")
-    EIGEN_ANCHORS = ("moment-family-eigenvalue", "cone-family-eigenvalue")
+    EIGEN_ANCHORS = ("moment-family-eigenvalue",)
 
     @staticmethod
     def failing(*suites):

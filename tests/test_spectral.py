@@ -414,6 +414,27 @@ class TestNonFiniteFamily:
             with pytest.raises(EvaluationError):
                 check(L, f)
 
+    @pytest.mark.parametrize(
+        "suite,anchors",
+        [
+            ("moment-family", {"closed-form-laplacian"}),
+            ("spectrum", {"rayleigh-quotient"}),
+            ("all", {"closed-form-laplacian", "rayleigh-quotient"}),
+        ],
+        ids=["moment-family", "spectrum", "all"],
+    )
+    def test_nan_at_the_default_nodes_fails_the_report(self, monkeypatch, suite, anchors):
+        # the records that read the raising pass fail with its reason
+        # instead of aborting the report
+        _nan_in_basis_1(monkeypatch, lambda geo: True)
+        report = run_suite(SuiteConfig(suite=suite, immersion="clifford-torus-s5"))
+        assert report.exit_code() == 1
+        stopped = [r for r in report.records if r.anchor in anchors]
+        assert {r.anchor for r in stopped} == anchors
+        for r in stopped:
+            assert r.status == FAIL and np.isnan(r.value)
+            assert "non-finite" in r.details["reason"]
+
 
 class TestSpanAndNotes:
     def test_family_span_on_geodesic_sphere(self):
