@@ -96,11 +96,13 @@ def _moment_fields_csv(cfg, out):
     """Write one row per generator and node to the text stream ``out``, a
     generator at a time, so the file is never held as one string.  The
     fixed columns go through ``csv.writer`` once per generator (it quotes
-    labels such as ``i*E[1,1]``); the node and value columns are joined
-    directly, with the same ``repr`` floats and CRLF line ends a per-row
-    writer produces.  Each distinct value is formatted once: values are
-    told apart by their bit patterns, so ``-0.0`` and ``0.0`` keep their
-    own strings."""
+    labels such as ``i*E[1,1]``).  Each distinct value is formatted once:
+    values are told apart by their bit patterns, so ``-0.0`` and ``0.0``
+    keep their own strings.  The ``,node,`` strings and the value strings
+    are numpy object arrays, so one ``+`` builds all of a generator's
+    ``,node,value`` tails; joined behind the fixed columns with CRLF line
+    ends they are the bytes a per-row ``csv.writer`` writes, since no node
+    number or float ``repr`` needs quoting."""
     csv.writer(out).writerow(["immersion", "basis_index", "generator", "node", "value"])
     for L in cfg.selected_immersions():
         basis = mo.algebra_basis(L.n)
@@ -108,14 +110,14 @@ def _moment_fields_csv(cfg, out):
         values = f.node_values(L.node_geometry(cfg.resolution))
         bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
         # one repr of the list formats every float as repr(float) does
-        text = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
-        nodes = [f",{node}," for node in range(values.shape[-1])]
+        text = np.array(repr(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+        nodes = np.array([f",{node}," for node in range(values.shape[-1])], dtype=object)
         for idx, (X, row) in enumerate(zip(basis, inverse.reshape(values.shape))):
             fixed = io.StringIO()
             csv.writer(fixed).writerow([L.name, idx, X.label])
             prefix = fixed.getvalue().removesuffix("\r\n")
             out.write(prefix)
-            out.write(f"\r\n{prefix}".join(map(str.__add__, nodes, map(text.__getitem__, row.tolist()))))
+            out.write(f"\r\n{prefix}".join((nodes + text[row]).tolist()))
             out.write("\r\n")
 
 

@@ -5,10 +5,12 @@ Every record pairs a measured value with its threshold and a stable
 stay traceable when thresholds are overridden.  Reports serialize to a
 versioned JSON schema; the wall-time field is the only entry excluded
 from the byte-stability contract (it is placed last and may be stripped
-for comparisons).
+for comparisons).  The JSON is strict (RFC 8259): a non-finite float is
+written as the string ``"nan"``, ``"inf"`` or ``"-inf"``.
 """
 
 import json
+import math
 import time
 
 from . import __version__
@@ -20,6 +22,18 @@ FAIL = "fail"
 DEGENERATE = "degenerate"
 INCONCLUSIVE = "inconclusive"
 INFO = "info"
+
+
+def _strict_json(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by its
+    ``repr`` string, which strict JSON parsers accept."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _strict_json(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(val) for val in obj]
+    return obj
 
 
 class CheckRecord:
@@ -128,7 +142,9 @@ class Report:
         return out
 
     def to_json(self, include_timing=True):
-        return json.dumps(self.as_dict(include_timing), indent=2) + "\n"
+        # allow_nan=False: a non-finite float that escaped _strict_json raises
+        report = _strict_json(self.as_dict(include_timing))
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
     def print_lines(self, stream=None):
         import sys

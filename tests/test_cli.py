@@ -384,16 +384,25 @@ def _count_calls(monkeypatch, owner, name, key):
 
 
 class TestSharedWork:
-    def test_moment_csv_matches_per_row_writer(self):
-        cfg = SuiteConfig(
-            suite="moment-family", immersion="clifford-torus-s5", resolution=8, fmt="csv"
-        )
+    @pytest.mark.parametrize(
+        "immersion,lines",
+        [
+            ("great-circle-s3", 1 + 4 * 4),
+            ("geodesic-sphere-n2", 1 + 9 * 32),
+            ("clifford-torus-s5", 1 + 9 * 4 * 4),
+            ("geodesic-sphere-n3", 1 + 16 * 128),
+            # every immersion in one file: each block boundary in turn
+            (None, 1 + 16 + 9 * 32 + 9 * 4 * 4 + 16 * 128),
+        ],
+    )
+    def test_moment_csv_matches_per_row_writer(self, immersion, lines):
+        cfg = SuiteConfig(suite="moment-family", immersion=immersion, resolution=4, fmt="csv")
         buf = io.StringIO()
         _moment_fields_csv(cfg, buf)
         text = buf.getvalue()
         assert text == _per_row_moment_csv(cfg)
         assert '"i*E[1,1]"' in text
-        assert text.count("\r\n") == 1 + 9 * 8 * 8
+        assert text.count("\r\n") == lines
 
     def test_moment_csv_keeps_every_bit_pattern(self, monkeypatch):
         # formatted once per distinct bit pattern: -0.0 keeps its sign next

@@ -435,6 +435,22 @@ class TestNonFiniteFamily:
             assert r.status == FAIL and np.isnan(r.value)
             assert "non-finite" in r.details["reason"]
 
+    def test_report_with_nan_values_is_strict_json(self, monkeypatch):
+        # RFC 8259 has no NaN token: each nan record value is written as
+        # the string "nan", so a strict parser reads the whole report
+        _nan_in_basis_1(monkeypatch, lambda geo: True)
+        report = run_suite(SuiteConfig(suite="all", immersion="clifford-torus-s5"))
+
+        def refuse(token):
+            raise ValueError(f"bare {token} token in the report")
+
+        checks = json.loads(report.to_json(), parse_constant=refuse)["checks"]
+        nan_values = [
+            c["value"] for r, c in zip(report.records, checks)
+            if isinstance(r.value, float) and np.isnan(r.value)
+        ]
+        assert nan_values and set(nan_values) == {"nan"}
+
 
 class TestSpanAndNotes:
     def test_family_span_on_geodesic_sphere(self):
