@@ -10,9 +10,9 @@ from dataclasses import dataclass, fields
 
 from .errors import UnsupportedError
 
-# Largest max|K - C| / max|K| of a family's Green identity: its floor is
-# 1.1e-8 on the geodesic S^3, at most 4.2e-15 on the other immersions
-GREEN_IDENTITY = 1e-6
+# Largest max|K - C| / max|K| of a family's Green identity: it reads at
+# most 4.2e-15 on the shipped immersions, whose quadratures are exact for it
+GREEN_IDENTITY = 1e-12
 
 # Sup norm at or below which a family member is the zero function: its
 # eigen-residual is degenerate and the agreement and Rayleigh checks skip it.

@@ -19,8 +19,12 @@ order, ``A_kl`` turning ``e_k`` toward ``e_l``:
   sqrt(3) in S^5.
 
 Quadrature follows the domain: uniform (trapezoid) grids on periodic
-boxes, Gauss-Legendre x trapezoid products on polar sphere charts.  The
-Gauss nodes are interior, so polar singularities are never evaluated.
+boxes; on polar sphere charts, products of a trapezoid azimuth and Gauss
+rules in ``cos th`` for the weight ``sin th`` or ``sin^2 th`` that
+``sqrt det g`` carries (Gauss-Legendre, Gauss-Chebyshev of the second
+kind), exact for ambient polynomials of degree ``<= 2R - 1`` at resolution
+``R`` (Stroud 1971; Golub and Welsch 1969).  The Gauss nodes are interior,
+so polar singularities are never evaluated.
 
 The per-node tensors every check reads live in one :class:`NodeGeometry`
 per immersion and resolution, each built on first read and kept.
@@ -72,18 +76,34 @@ class PeriodicGridDomain:
 
 
 class PolarSphereDomain:
-    """Polar chart of S^dim: Gauss-Legendre on each polar angle in (0, pi),
-    trapezoid on the periodic azimuth."""
+    """Polar chart of S^dim, ``sqrt det g = sin^{dim-1} th_1 ... sin th_{dim-1}``:
+    a Gauss rule in ``t = cos th`` for the Jacobi weight each polar angle
+    carries, trapezoid on the periodic azimuth.
+
+    An angle with factor ``sin th`` takes Gauss-Legendre nodes ``t_j``,
+    ``th_j = arccos(-t_j)``, with chart weight ``v_j / sin th_j``; the
+    first angle of S^3, factor ``sin^2 th``, takes Gauss-Chebyshev nodes of
+    the second kind, ``th_j = j pi / (R + 1)``, each with chart weight
+    ``pi / (R + 1)``.  So ``R`` nodes per angle and ``2R`` in azimuth
+    integrate every ambient polynomial of degree ``<= 2R - 1`` exactly
+    (Stroud, *Approximate Calculation of Multiple Integrals*, 1971; Golub
+    and Welsch, Math. Comp. 23, 1969); ``R = 1`` is exact for degree 1
+    only.  The nodes are interior, so the poles are never evaluated."""
 
     def __init__(self, dim):
+        if dim not in (2, 3):
+            raise UnsupportedError(f"no polar quadrature for S^{dim}")
         self.dim = dim
         self.periodic = False
 
     def nodes_weights(self, resolution):
         polar_axes = []
-        for _ in range(self.dim - 1):
-            t, w = np.polynomial.legendre.leggauss(resolution)
-            polar_axes.append(((t + 1.0) * (np.pi / 2.0), w * (np.pi / 2.0)))
+        if self.dim == 3:  # sin^2 th_1
+            theta = np.arange(1, resolution + 1) * (np.pi / (resolution + 1))
+            polar_axes.append((theta, np.full(resolution, np.pi / (resolution + 1))))
+        t, v = np.polynomial.legendre.leggauss(resolution)  # sin th of the last angle
+        theta = np.arccos(-t)
+        polar_axes.append((theta, v / np.sin(theta)))
         m = 2 * resolution
         az = (np.arange(m) * (2.0 * np.pi / m), np.full(m, 2.0 * np.pi / m))
         axes = polar_axes + [az]
@@ -376,9 +396,9 @@ def geodesic_sphere(n):
     if n == 1:
         return great_circle(name="geodesic-sphere-n1")
     if n == 2:  # A_zx, then A_xy, through e_z
-        row = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2], 24, 5, "icosphere"
+        row = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2], 6, 5, "icosphere"
     elif n == 3:  # A_12, A_23, A_34 through e_1
-        row = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0], 12, 9, None
+        row = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0], 4, 9, None
     else:
         raise UnsupportedError(f"no geodesic sphere shipped for n={n}")
     generators, base, resolution, multiplicity, discretizer = row

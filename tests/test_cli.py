@@ -437,7 +437,7 @@ class TestSharedWork:
             ]
         )
         assert code == 0
-        assert calls == {("geodesic-sphere-n2", 24 * 48): 1, ("clifford-torus-s5", 48 * 48): 1}
+        assert calls == {("geodesic-sphere-n2", 6 * 12): 1, ("clifford-torus-s5", 48 * 48): 1}
 
     def test_all_builds_each_immersion_once(self, monkeypatch):
         built = _count_calls(monkeypatch, im, "get_immersion", lambda name: name)

@@ -1,5 +1,8 @@
 """Builtin Legendrian immersions: induced geometry, quadrature, splits."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -272,6 +275,76 @@ class TestShapeOperator:
             assert abs(a.second_fundamental_norm() - b.second_fundamental_norm()) <= 1e-8
 
 
+def _reeb_in_first_column(monkeypatch, size):
+    jacobian_at = im.LegendrianImmersion.jacobian_at
+
+    def defective(L, u):
+        jac = jacobian_at(L, u)
+        jac[..., 0] += size * L.ambient.reeb(L.points(u))
+        return jac
+
+    monkeypatch.setattr(im.LegendrianImmersion, "jacobian_at", defective)
+
+
+def _radial_on_hessian_diagonal(monkeypatch, size):
+    hessian_at = im.LegendrianImmersion.hessian_at
+
+    def defective(L, u):
+        return hessian_at(L, u) + size * L.points(u)[..., :, None, None] * np.eye(L.n)
+
+    monkeypatch.setattr(im.LegendrianImmersion, "hessian_at", defective)
+
+
+def _first_frame_vector_scaled(monkeypatch, size):
+    frames = im.LegendrianImmersion.frames
+
+    def defective(L, u):
+        frame = frames(L, u)
+        frame[..., 0, :] *= 1.0 + size
+        return frame
+
+    monkeypatch.setattr(im.LegendrianImmersion, "frames", defective)
+
+
+def _minus_j_in_rebuild(monkeypatch, size):
+    # r xi + J W rebuilt as r xi - J W: the J-tangent part flips sign
+    normal_from_split = im.normal_from_split
+
+    def defective(geo, reeb_component, one_form):
+        xi = geo.immersion.ambient.reeb(geo.x)
+        reeb_part = 2.0 * np.asarray(reeb_component)[..., None] * xi
+        return reeb_part - normal_from_split(geo, reeb_component, one_form)
+
+    monkeypatch.setattr(im, "normal_from_split", defective)
+
+
+class TestPointwiseDefects:
+    """The pointwise records take their sup over the default nodes (72 on
+    S^2, 128 on S^3); each seeded defect must still read at its full size
+    there and fail its record."""
+
+    @pytest.mark.parametrize(
+        "defect,size,anchor,reads",
+        [
+            (_reeb_in_first_column, 1e-6, "legendrian-pullback-vanishes", 1.0),
+            (_radial_on_hessian_diagonal, 1e-5, "minimal-immersion", 2.0),
+            (_radial_on_hessian_diagonal, 1e-5, "totally-geodesic-equality-case", 1.0),
+            (_first_frame_vector_scaled, 1e-6, "orthonormal-frame", 2.0),
+            (_minus_j_in_rebuild, 1.0, "normal-bundle-isomorphism", 0.5),
+        ],
+        ids=["reeb-column", "hessian-mean", "hessian-second", "scaled-frame", "minus-J"],
+    )
+    @pytest.mark.parametrize("name", ["geodesic-sphere-n2", "geodesic-sphere-n3"])
+    def test_defect_fails_at_the_default_nodes(self, monkeypatch, name, defect, size, anchor, reads):
+        defect(monkeypatch, size)
+        L = im.get_immersion(name)
+        assert len(L.node_geometry().u) == {2: 72, 3: 128}[L.n]
+        cfg = SuiteConfig(suite="legendrian-geometry", immersion=name)
+        (record,) = [r for r in legendrian_geometry_records(cfg) if r.anchor == anchor]
+        assert record.status == "fail"
+        assert record.value >= 0.99 * size * reads
+
+
 def _totally_geodesic_agrees(L):
     """The flag matches the measured second fundamental form."""
     norm = im.shape_operator(L.node_geometry()).second_fundamental_norm()
@@ -357,6 +430,29 @@ class TestQuadrature:
             assert abs(L.volume(res) - L.volume(2 * res)) <= 1e-8
         gs2 = im.geodesic_sphere(2)
         assert abs(gs2.volume(16) - gs2.volume(32)) <= 1e-8
+
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polar_rule_exact_to_degree_2r_minus_1(self, n, resolution):
+        # integral over S^n of x^alpha: 2 prod Gamma((a_i + 1)/2) /
+        # Gamma(sum (a_i + 1)/2), zero when an exponent is odd
+        L = im.geodesic_sphere(n)
+        x = L.node_geometry(resolution).x[:, : n + 1]
+        volume = L.volume(resolution)
+        for alpha in itertools.product(range(2 * resolution), repeat=n + 1):
+            if sum(alpha) > 2 * resolution - 1:
+                continue
+            exact = 0.0
+            if not any(a % 2 for a in alpha):
+                exact = 2.0 * math.prod(math.gamma((a + 1) / 2) for a in alpha)
+                exact /= math.gamma(sum(a + 1 for a in alpha) / 2)
+            value = L.integrate(np.prod(x ** np.array(alpha), axis=-1), resolution)
+            assert abs(value - exact) <= 1e-14 * volume, alpha
+
+    def test_polar_rule_needs_a_known_weight(self):
+        # sin^3 th would need a Gauss-Jacobi rule the domain does not build
+        with pytest.raises(UnsupportedError):
+            im.PolarSphereDomain(4)
 
     def test_su_moment_integrals_vanish(self):
         # mean of the moment pairing over any builtin is zero for every
