@@ -84,7 +84,7 @@ def _spectrum_csv(cfg):
     writer = csv.writer(buf)
     writer.writerow(["immersion", "index", "eigenvalue"])
     for L in cfg.selected_immersions():
-        if L.discretizer is None:
+        if L.domain.mesh is None:
             continue
         report = cfg.mesh_spectrum(L)
         for idx, ev in enumerate(report.eigenvalues):

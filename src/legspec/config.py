@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from .errors import UnsupportedError
 
 # Largest max|K - C| / max|K| of a family's Green identity: it reads at
-# most 4.2e-15 on the shipped immersions, whose quadratures are exact for it
+# most 5.4e-16 on the shipped immersions, whose quadratures are exact for it
 GREEN_IDENTITY = 1e-12
 
 # Sup norm at or below which a family member is the zero function: its

@@ -18,7 +18,7 @@ class DegenerateImmersionError(LegspecError):
 
 
 class UnsupportedError(LegspecError):
-    """Requested object (dimension, immersion, discretizer) is not shipped."""
+    """Requested object (dimension, immersion, mesh) is not shipped."""
 
 
 class QuadratureError(LegspecError):

@@ -1,11 +1,12 @@
 """Legendrian immersions as orbits of u(n+1) generators, and their geometry.
 
 An immersion is the orbit map ``x(u) = exp(u_n A_n) ... exp(u_1 A_1) x_0``
-of ``n`` generators through a unit base point.  Each also states whether
-it is totally geodesic, the dimension of its ``2n + 2`` eigenspace and its
-intrinsic mesh, if any; the suites read these fields, never the name.
-Shipped examples (registered by name for the CLI), generators in factor
-order, ``A_kl`` turning ``e_k`` toward ``e_l``:
+of ``n`` generators through a unit base point, on a chart domain that
+names its intrinsic mesh, if any (the rows do not state it).  Each row also
+states whether it is totally geodesic and the dimension of its ``2n + 2``
+eigenspace; the suites read these fields, never the name.  Shipped examples
+(registered by name for the CLI), generators in factor order, ``A_kl``
+turning ``e_k`` toward ``e_l``:
 
 * ``great-circle-s3`` (alias ``geodesic-sphere-n1``): ``A_12`` through
   ``e_1``, the real circle t -> (cos t, sin t) in S^3;
@@ -24,7 +25,9 @@ rules in ``cos th`` for the weight ``sin th`` or ``sin^2 th`` that
 ``sqrt det g`` carries (Gauss-Legendre, Gauss-Chebyshev of the second
 kind), exact for ambient polynomials of degree ``<= 2R - 1`` at resolution
 ``R`` (Stroud 1971; Golub and Welsch 1969).  The Gauss nodes are interior,
-so polar singularities are never evaluated.
+so polar singularities are never evaluated.  Each domain's
+``resolution_for(p)`` is the least resolution exact to degree ``p``, and
+every default node set is ``resolution_for(QUADRATURE_DEGREE)``.
 
 The per-node tensors every check reads live in one :class:`NodeGeometry`
 per immersion and resolution, each built on first read and kept.
@@ -47,19 +50,31 @@ from .moment import AutomorphismField, _real_form
 from .sasaki import SphereSasaki
 
 
+# Degree of the ambient polynomials every default node set integrates
+# exactly.  Both eigenfunction families are quadratic forms, so the records
+# integrate degree <= 4; 6 also covers products of cubics.
+QUADRATURE_DEGREE = 6
+
+
 # ---------------------------------------------------------------------------
 # quadrature domains
 
 
 class PeriodicGridDomain:
-    """Uniform tensor grid on [0, 2 pi)^dim; trapezoid weights are exact
-    (spectrally accurate) for smooth periodic integrands.  ``periodic``
-    selects the finite-difference stencil of
-    ``spectral.apply_mesh_operator`` as the intrinsic operator."""
+    """Uniform tensor grid on [0, 2 pi)^dim.  ``R`` trapezoid nodes per axis
+    integrate ``e^{ik.u}`` exactly for ``|k_j| <= R - 1``, and an ambient
+    polynomial of degree ``p`` on the shipped orbits has ``|k_j| <= p``.
+    ``periodic`` selects the finite-difference stencil of
+    ``spectral.apply_mesh_operator`` as the intrinsic operator, on the
+    ``mesh`` grid (``circle`` or ``torus``)."""
 
     def __init__(self, dim):
         self.dim = dim
         self.periodic = True
+        self.mesh = {1: "circle", 2: "torus"}.get(dim)
+
+    def resolution_for(self, degree):
+        return degree + 1
 
     def nodes_weights(self, resolution):
         ax = np.arange(resolution) * (2.0 * np.pi / resolution)
@@ -88,13 +103,18 @@ class PolarSphereDomain:
     integrate every ambient polynomial of degree ``<= 2R - 1`` exactly
     (Stroud, *Approximate Calculation of Multiple Integrals*, 1971; Golub
     and Welsch, Math. Comp. 23, 1969); ``R = 1`` is exact for degree 1
-    only.  The nodes are interior, so the poles are never evaluated."""
+    only.  The nodes are interior, so the poles are never evaluated.  The
+    intrinsic ``mesh`` is the icosphere on S^2; S^3 has none."""
 
     def __init__(self, dim):
         if dim not in (2, 3):
             raise UnsupportedError(f"no polar quadrature for S^{dim}")
         self.dim = dim
         self.periodic = False
+        self.mesh = "icosphere" if dim == 2 else None
+
+    def resolution_for(self, degree):
+        return degree // 2 + 1
 
     def nodes_weights(self, resolution):
         polar_axes = []
@@ -142,12 +162,13 @@ class LegendrianImmersion:
     Jacobian ``(..., 2n+2, n)`` and Hessian ``(..., 2n+2, n, n)`` are
     vectorized over leading axes of the chart points.
 
-    ``multiplicity`` is the dimension of the ``2n + 2`` eigenspace and
-    ``discretizer`` a ``spectral.MESH_RESOLUTIONS`` key (``None``: none).
+    ``multiplicity`` is the dimension of the ``2n + 2`` eigenspace.  The
+    intrinsic mesh, if any, is ``domain.mesh``, and the default quadrature
+    is ``domain.resolution_for(QUADRATURE_DEGREE)``.
     """
 
-    def __init__(self, name, generators, base_point, domain, default_resolution,
-                 totally_geodesic=False, multiplicity=None, discretizer=None):
+    def __init__(self, name, generators, base_point, domain, totally_geodesic=False,
+                 multiplicity=None):
         n = len(generators)
         if n != domain.dim:
             raise InvalidFieldError(f"{name}: {n} generators for a {domain.dim}-dimensional chart")
@@ -163,10 +184,8 @@ class LegendrianImmersion:
         self.generators = A
         self.base_point = x0
         self.domain = domain
-        self.default_resolution = default_resolution
         self.totally_geodesic = totally_geodesic
         self.multiplicity = multiplicity
-        self.discretizer = discretizer
         self._mixer = None
         self._geometries = {}
 
@@ -180,7 +199,9 @@ class LegendrianImmersion:
         return mixed
 
     def resolve_resolution(self, resolution=None):
-        return self.default_resolution if resolution is None else int(resolution)
+        if resolution is None:
+            return self.domain.resolution_for(QUADRATURE_DEGREE)
+        return int(resolution)
 
     def node_geometry(self, resolution=None):
         """The :class:`NodeGeometry` of the quadrature at ``resolution``,
@@ -386,8 +407,8 @@ def _phase(*diagonal):
 def great_circle(name="great-circle-s3"):
     """Real unit circle in S^3: totally geodesic Legendrian."""
     return LegendrianImmersion(
-        name, [_rotation(2, 1, 2)], np.eye(4)[0], PeriodicGridDomain(1), 256,
-        totally_geodesic=True, multiplicity=2, discretizer="circle",
+        name, [_rotation(2, 1, 2)], np.eye(4)[0], PeriodicGridDomain(1),
+        totally_geodesic=True, multiplicity=2,
     )
 
 
@@ -396,15 +417,15 @@ def geodesic_sphere(n):
     if n == 1:
         return great_circle(name="geodesic-sphere-n1")
     if n == 2:  # A_zx, then A_xy, through e_z
-        row = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2], 6, 5, "icosphere"
+        row = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2], 5
     elif n == 3:  # A_12, A_23, A_34 through e_1
-        row = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0], 4, 9, None
+        row = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0], 9
     else:
         raise UnsupportedError(f"no geodesic sphere shipped for n={n}")
-    generators, base, resolution, multiplicity, discretizer = row
+    generators, base, multiplicity = row
     return LegendrianImmersion(
-        f"geodesic-sphere-n{n}", generators, base, PolarSphereDomain(n), resolution,
-        totally_geodesic=True, multiplicity=multiplicity, discretizer=discretizer,
+        f"geodesic-sphere-n{n}", generators, base, PolarSphereDomain(n),
+        totally_geodesic=True, multiplicity=multiplicity,
     )
 
 
@@ -414,7 +435,7 @@ def clifford_torus():
     return LegendrianImmersion(
         "clifford-torus-s5", [_phase(1, 0, -1), _phase(0, 1, -1)],
         np.concatenate([np.full(3, 1.0 / np.sqrt(3.0)), np.zeros(3)]),
-        PeriodicGridDomain(2), 48, multiplicity=6, discretizer="torus",
+        PeriodicGridDomain(2), multiplicity=6,
     )
 
 

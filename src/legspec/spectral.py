@@ -255,11 +255,11 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     is the complete round-sphere clusters l <= 3: it ends one cluster
     above the ``2n + 2 = 6`` target (l = 2) without splitting one.
     """
-    if L.discretizer is None:
+    if L.domain.mesh is None:
         raise UnsupportedError(
-            f"no intrinsic discretizer for '{L.name}' (pointwise pipeline still applies)"
+            f"no intrinsic mesh for '{L.name}' (pointwise pipeline still applies)"
         )
-    resolution = mesh_resolution(L.discretizer, resolution)
+    resolution = mesh_resolution(L.domain.mesh, resolution)
     target = 2.0 * L.n + 2.0
     dim_g = (L.n + 1) ** 2
     bound = dim_g - L.n * (L.n + 1) // 2 - 1

@@ -102,12 +102,13 @@ class SuiteConfig:
             raise UnsupportedError(f"no shipped immersion has n={self.n}")
         if self.resolution is not None and self.suite != "sasaki-axioms":
             for L in self.selected_immersions():
-                # the spectrum suite reads --resolution as each discretizer's
-                # mesh level only, the other suites as a quadrature resolution
-                if L.discretizer is not None and self.suite in ("spectrum", "all"):
-                    spc.mesh_resolution(L.discretizer, self.resolution)
+                # the spectrum suite reads --resolution as each mesh's level
+                # only, the other suites as a quadrature resolution
+                mesh = L.domain.mesh
+                if mesh is not None and self.suite in ("spectrum", "all"):
+                    spc.mesh_resolution(mesh, self.resolution)
                 if self.suite == "spectrum":
-                    if L.discretizer is None:
+                    if mesh is None:
                         raise UnsupportedError(f"'{L.name}' has no mesh, so the spectrum "
                                                "suite's --resolution selects nothing")
                     continue
@@ -218,12 +219,14 @@ def legendrian_geometry_records(cfg):
     records = []
     for L in cfg.selected_immersions():
         geo = L.node_geometry(cfg.resolution)
+        # the node set every pointwise sup below is taken over
         records.append(
             rp.residual_record(
                 f"{L.name}: contact form pullback",
                 "legendrian-pullback-vanishes",
                 geo.legendrian_residual,
                 tol.legendrian,
+                details={"nodes": len(geo.u), "volume": float(geo.volume)},
             )
         )
         sd = geo.shape
@@ -276,11 +279,6 @@ def legendrian_geometry_records(cfg):
                 tol.chi_roundtrip,
             )
         )
-        records.append(
-            rp.info_record(
-                f"{L.name}: volume", "quadrature-volume", L.volume(cfg.resolution)
-            )
-        )
     return records
 
 
@@ -310,10 +308,28 @@ def moment_family_records(cfg):
             res = spc.eigen_residual(L, f, target, cfg.resolution)
         except PreconditionError as exc:
             res = exc
+        # the default nodes integrate f^2 (degree 4) exactly with positive
+        # weights, so a function zero at all of them is zero; one that is
+        # zero only at the requested nodes says these nodes are too few.
+        # The default family is the one Green's identity reads below
+        default_sup = None
+        if L.resolve_resolution(cfg.resolution) != L.resolve_resolution():
+            default_values = cfg.moment_function(L).node_values(L.node_geometry())
+            default_sup = np.max(np.abs(default_values), axis=-1)
         for idx, X in enumerate(basis):
             name = f"{L.name}: eigen-residual basis[{idx}] {X.label}"
             if isinstance(res, PreconditionError):
                 records.append(_inconclusive(name, "moment-family-eigenvalue", res))
+            elif res.degenerate[idx] and default_sup is not None and default_sup[idx] > ZERO_FUNCTION:
+                records.append(
+                    rp.CheckRecord(
+                        name, "moment-family-eigenvalue", "residual", float("nan"),
+                        tol.eigen_residual, rp.INCONCLUSIVE,
+                        {"sup_norm": float(res.sup_norm[idx]),
+                         "default_sup_norm": float(default_sup[idx]),
+                         "reason": "zero at the quadrature nodes but not at the default nodes"},
+                    )
+                )
             else:
                 records.append(
                     rp.residual_record(
@@ -356,7 +372,7 @@ def _kernel_rank_record(L, algebra, resolution):
     name = f"{L.name}: rank of normal parts over basis"
     rank = _normal_rank(L, algebra, resolution)
     expected = (L.n + 1) ** 2 - L.n * (L.n + 1) // 2
-    if rank < expected and L.resolve_resolution(resolution) != L.default_resolution:
+    if rank < expected and L.resolve_resolution(resolution) != L.resolve_resolution():
         # a rank over any node set is at most the true rank, so a deficit
         # the default nodes do not show says only that these nodes are too few
         default_rank = _normal_rank(L, algebra, None)
@@ -413,6 +429,17 @@ def relation_records(cfg):
     tol = cfg.tolerances
     records = []
     for L in cfg.selected_immersions():
+        # both records read means of degree-2 integrands, which coarser
+        # nodes integrate wrong on correct code
+        least = L.domain.resolution_for(2)
+        if L.resolve_resolution(cfg.resolution) < least:
+            reason = (f"resolution {cfg.resolution} does not integrate degree 2 exactly; "
+                      f"{L.name} needs {least}")
+            records.append(_inconclusive(
+                f"{L.name}: cone family vs moment family", "families-coincide", reason))
+            records.append(_inconclusive(
+                f"{L.name}: traceless contact integrals", "contact-integral-vanishes", reason))
+            continue
         vol = L.volume(cfg.resolution)
         f_mom, f_cone = cfg.moment_function(L, cfg.resolution), cfg.cone_family(L.n)
         records.append(
@@ -443,7 +470,7 @@ def spectrum_records(cfg):
     tol = cfg.tolerances
     records = []
     for L in cfg.selected_immersions():
-        if L.discretizer is None:
+        if L.domain.mesh is None:
             records.append(
                 rp.info_record(
                     f"{L.name}: no intrinsic discretizer",

@@ -146,9 +146,7 @@ class TestChartReference:
         # phi -> -phi: the same sphere, so every suite record still passes
         L = im.geodesic_sphere(2)
         A = L.generators
-        flipped = im.LegendrianImmersion(
-            L.name, [A[0], -A[1]], L.base_point, L.domain, L.default_resolution
-        )
+        flipped = im.LegendrianImmersion(L.name, [A[0], -A[1]], L.base_point, L.domain)
         assert _closed_form_error(flipped, L.name) > 0.1
 
 
@@ -199,9 +197,8 @@ class TestConstructorValidation:
 def _conjugate(L, g):
     """The orbit of ``g A g^-1`` through ``g x_0``: ``L`` moved by ``g``."""
     return im.LegendrianImmersion(
-        L.name, g @ L.generators @ g.T, g @ L.base_point, L.domain, L.default_resolution,
+        L.name, g @ L.generators @ g.T, g @ L.base_point, L.domain,
         totally_geodesic=L.totally_geodesic, multiplicity=L.multiplicity,
-        discretizer=L.discretizer,
     )
 
 
@@ -318,31 +315,49 @@ def _minus_j_in_rebuild(monkeypatch, size):
     monkeypatch.setattr(im, "normal_from_split", defective)
 
 
+# each seeded defect, its size, the anchor it must fail and the least value
+# that record reads, in units of the size, on each canonical immersion at
+# its default nodes (None: the immersion has no such record).  The circle's
+# minus-J reads under 1 since its sup is over 7 nodes
+POINTWISE_DEFECTS = {
+    "reeb-column": (_reeb_in_first_column, 1e-6, "legendrian-pullback-vanishes",
+                    (1.0, 1.0, 1.0, 1.0)),
+    "hessian-mean": (_radial_on_hessian_diagonal, 1e-5, "minimal-immersion",
+                     (1.0, 2.0, 4.0, 2.0)),
+    "hessian-second": (_radial_on_hessian_diagonal, 1e-5, "totally-geodesic-equality-case",
+                       (1.0, 1.0, None, 1.0)),
+    "scaled-frame": (_first_frame_vector_scaled, 1e-6, "orthonormal-frame",
+                     (2.0, 2.0, 2.0, 2.0)),
+    "minus-J": (_minus_j_in_rebuild, 1.0, "normal-bundle-isomorphism",
+                (0.975, 0.5, 1.63, 0.5)),
+}
+DEFAULT_NODE_COUNTS = dict(zip(CANONICAL_IMMERSIONS, (7, 32, 49, 128)))
+
+
 class TestPointwiseDefects:
-    """The pointwise records take their sup over the default nodes (72 on
-    S^2, 128 on S^3); each seeded defect must still read at its full size
-    there and fail its record."""
+    """The pointwise records take their sup over the default nodes (7 on
+    the circle, 32 on S^2, 49 on the torus, 128 on S^3); each seeded defect
+    must still read at its full size there and fail its record."""
 
     @pytest.mark.parametrize(
-        "defect,size,anchor,reads",
+        "name,case",
         [
-            (_reeb_in_first_column, 1e-6, "legendrian-pullback-vanishes", 1.0),
-            (_radial_on_hessian_diagonal, 1e-5, "minimal-immersion", 2.0),
-            (_radial_on_hessian_diagonal, 1e-5, "totally-geodesic-equality-case", 1.0),
-            (_first_frame_vector_scaled, 1e-6, "orthonormal-frame", 2.0),
-            (_minus_j_in_rebuild, 1.0, "normal-bundle-isomorphism", 0.5),
+            (name, case)
+            for index, name in enumerate(CANONICAL_IMMERSIONS)
+            for case, row in POINTWISE_DEFECTS.items()
+            if row[3][index] is not None
         ],
-        ids=["reeb-column", "hessian-mean", "hessian-second", "scaled-frame", "minus-J"],
+        ids=lambda v: v,
     )
-    @pytest.mark.parametrize("name", ["geodesic-sphere-n2", "geodesic-sphere-n3"])
-    def test_defect_fails_at_the_default_nodes(self, monkeypatch, name, defect, size, anchor, reads):
+    def test_defect_fails_at_the_default_nodes(self, monkeypatch, name, case):
+        defect, size, anchor, reads = POINTWISE_DEFECTS[case]
         defect(monkeypatch, size)
         L = im.get_immersion(name)
-        assert len(L.node_geometry().u) == {2: 72, 3: 128}[L.n]
+        assert len(L.node_geometry().u) == DEFAULT_NODE_COUNTS[name]
         cfg = SuiteConfig(suite="legendrian-geometry", immersion=name)
         (record,) = [r for r in legendrian_geometry_records(cfg) if r.anchor == anchor]
         assert record.status == "fail"
-        assert record.value >= 0.99 * size * reads
+        assert record.value >= 0.99 * size * reads[CANONICAL_IMMERSIONS.index(name)]
 
 
 def _totally_geodesic_agrees(L):
@@ -361,11 +376,11 @@ def _multiplicity_meets_bound(L):
 
 
 def _mesh_finds_multiplicity(L):
-    """The coarsest shipped mesh of the discretizer counts ``multiplicity``
-    eigenvalues at 2n + 2 (vacuous without a discretizer)."""
-    if L.discretizer is None:
+    """The coarsest shipped level of the domain's mesh counts ``multiplicity``
+    eigenvalues at 2n + 2 (vacuous without a mesh)."""
+    if L.domain.mesh is None:
         return True
-    coarsest = spc.MESH_RESOLUTIONS[L.discretizer][0]
+    coarsest = spc.MESH_RESOLUTIONS[L.domain.mesh][0]
     return spc.mesh_spectrum(L, coarsest).multiplicity == L.multiplicity
 
 
@@ -374,7 +389,7 @@ DESCRIPTOR_CHECKS = [_totally_geodesic_agrees, _multiplicity_meets_bound, _mesh_
 
 def _flipped(name, field, value):
     L = im.get_immersion(name)
-    setattr(L, field, value)
+    setattr(L.domain if field == "mesh" else L, field, value)
     return L
 
 
@@ -392,7 +407,7 @@ class TestDescriptor:
             (_multiplicity_meets_bound, _flipped("clifford-torus-s5", "multiplicity", 5)),
             (_multiplicity_meets_bound, _flipped("geodesic-sphere-n2", "multiplicity", 6)),
             (_mesh_finds_multiplicity, _flipped("clifford-torus-s5", "multiplicity", 7)),
-            (_mesh_finds_multiplicity, _flipped("geodesic-sphere-n3", "discretizer", "icosphere")),
+            (_mesh_finds_multiplicity, _flipped("geodesic-sphere-n3", "mesh", "icosphere")),
         ],
         ids=lambda v: getattr(v, "__name__", None) or getattr(v, "name", None),
     )
@@ -405,7 +420,7 @@ class TestDescriptor:
         Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((L.n, L.n)))
         geometry = L.node_geometry()
         mixed = L.with_frame_mixer(Q)
-        fields = ("name", "totally_geodesic", "multiplicity", "discretizer")
+        fields = ("name", "totally_geodesic", "multiplicity", "domain")
         assert [getattr(mixed, f) for f in fields] == [getattr(L, f) for f in fields]
         assert mixed.node_geometry() is not geometry
         assert L.node_geometry() is geometry
@@ -413,9 +428,42 @@ class TestDescriptor:
     def test_alias_is_the_great_circle_renamed(self):
         alias, circle = im.geodesic_sphere(1), im.great_circle()
         assert alias.name == "geodesic-sphere-n1"
-        assert (alias.totally_geodesic, alias.multiplicity, alias.discretizer) == (
-            circle.totally_geodesic, circle.multiplicity, circle.discretizer
+        assert (alias.totally_geodesic, alias.multiplicity, alias.domain.mesh) == (
+            circle.totally_geodesic, circle.multiplicity, circle.domain.mesh
         )
+
+
+def _monomials(dim, degree):
+    """The exponent vectors of every monomial of degree <= ``degree`` in
+    ``dim`` variables, one row each."""
+    return np.array([
+        np.bincount(combo, minlength=dim)
+        for d in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(dim), d)
+    ])
+
+
+def _monomial_integral(name, alpha):
+    """The integral of the ambient monomial ``x^alpha`` over a canonical
+    immersion, in closed form.  Real unit ``S^n``: ``2 prod Gamma((a_i + 1)
+    / 2) / Gamma(sum (a_i + 1) / 2)`` over the real exponents, zero when one
+    is odd or an imaginary one is positive.  Torus: ``(2 pi)^2 / sqrt 3``
+    times the mean of ``prod cos(k_j.u)^{a_j} sin(k_j.u)^{b_j} / sqrt
+    3^deg``, ``k_j = (1, 0), (0, 1), (-1, -1)``, the constant term of the
+    product of ``(e^{ik.u} + e^{-ik.u}) / 2`` and ``(e^{ik.u} - e^{-ik.u}) /
+    2i``."""
+    if name == "clifford-torus-s5":
+        freqs = np.array([(1, 0), (0, 1), (-1, -1)] * 2)
+        factors = np.repeat(np.arange(6), alpha)
+        signs = np.array(list(itertools.product((1, -1), repeat=len(factors))), dtype=int)
+        balanced = np.all(signs @ freqs[factors] == 0, axis=1)
+        coeff = np.where(factors < 3, 0.5, signs / 2j)
+        mean = np.sum(np.prod(coeff, axis=1)[balanced]).real / 3 ** (len(factors) / 2)
+        return (2 * np.pi) ** 2 / np.sqrt(3) * mean
+    real, imag = np.split(np.asarray(alpha), 2)
+    if np.any(imag) or np.any(real % 2):
+        return 0.0
+    return 2.0 * math.prod(math.gamma((a + 1) / 2) for a in real) / math.gamma(sum(real + 1) / 2)
 
 
 class TestQuadrature:
@@ -434,20 +482,34 @@ class TestQuadrature:
     @pytest.mark.parametrize("resolution", [2, 3, 4, 6])
     @pytest.mark.parametrize("n", [2, 3])
     def test_polar_rule_exact_to_degree_2r_minus_1(self, n, resolution):
-        # integral over S^n of x^alpha: 2 prod Gamma((a_i + 1)/2) /
-        # Gamma(sum (a_i + 1)/2), zero when an exponent is odd
+        # the real coordinates only: the imaginary ones are zero on S^n
         L = im.geodesic_sphere(n)
         x = L.node_geometry(resolution).x[:, : n + 1]
         volume = L.volume(resolution)
-        for alpha in itertools.product(range(2 * resolution), repeat=n + 1):
-            if sum(alpha) > 2 * resolution - 1:
-                continue
-            exact = 0.0
-            if not any(a % 2 for a in alpha):
-                exact = 2.0 * math.prod(math.gamma((a + 1) / 2) for a in alpha)
-                exact /= math.gamma(sum(a + 1 for a in alpha) / 2)
-            value = L.integrate(np.prod(x ** np.array(alpha), axis=-1), resolution)
+        for alpha in _monomials(n + 1, 2 * resolution - 1):
+            exact = _monomial_integral(L.name, np.concatenate([alpha, 0 * alpha]))
+            value = L.integrate(np.prod(x ** alpha, axis=-1), resolution)
             assert abs(value - exact) <= 1e-14 * volume, alpha
+
+    @pytest.mark.parametrize("degree", [2, 4, 6])
+    @pytest.mark.parametrize("name", CANONICAL_IMMERSIONS)
+    def test_degree_rule_is_tight(self, name, degree):
+        # resolution_for(p) integrates every ambient monomial of degree <= p
+        # exactly, and one resolution fewer misses one of degree p; only even
+        # p, since an odd degree can be exact one lower by symmetry
+        L = im.get_immersion(name)
+        alphas = _monomials(2 * L.n + 2, degree)
+        exact = np.array([_monomial_integral(name, alpha) for alpha in alphas])
+        volume = _monomial_integral(name, 0 * alphas[0])
+        resolution = L.domain.resolution_for(degree)
+        for res in (resolution, resolution - 1):
+            x = L.node_geometry(res).x
+            values = L.integrate(np.prod(x ** alphas[:, None, :], axis=-1), res)
+            inexact = np.abs(values - exact) > 1e-14 * volume
+            if res == resolution:
+                assert not np.any(inexact), alphas[inexact]
+            else:
+                assert np.any(inexact & (alphas.sum(axis=1) == degree))
 
     def test_polar_rule_needs_a_known_weight(self):
         # sin^3 th would need a Gauss-Jacobi rule the domain does not build
@@ -481,6 +543,15 @@ class TestQuadrature:
             expected = float(np.sum(vals * L.sqrt_det_metric(u) * w))
             assert L.integrate(lambda v: mo.moment(L.points(v), X), res) == expected
             assert L.integrate(vals, res) == expected
+
+    @pytest.mark.parametrize("resolution", [None, 16])
+    def test_pullback_record_names_its_node_set(self, immersion, resolution):
+        cfg = SuiteConfig(suite="legendrian-geometry", immersion=immersion.name,
+                          resolution=resolution)
+        (record,) = [r for r in legendrian_geometry_records(cfg)
+                     if r.anchor == "legendrian-pullback-vanishes"]
+        geo = immersion.node_geometry(resolution)
+        assert record.details == {"nodes": len(geo.u), "volume": geo.volume}
 
     def test_volume_is_the_integral_of_one_kept_per_geometry(self, immersion):
         L = immersion

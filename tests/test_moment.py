@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from legspec import immersions as im
 from legspec import moment as mo
 from legspec import sasaki as sk
+from legspec.config import ZERO_FUNCTION
 from legspec.errors import InvalidFieldError, InvalidPointError
 from legspec.suites import SuiteConfig, run_suite
 
@@ -176,6 +177,30 @@ class TestMomentFunction:
         assert kernel[0].details["rank"] == 2
         assert kernel[0].details["default_rank"] == 3
         assert report.exit_code() == 2
+
+    @pytest.mark.parametrize(
+        "immersion,resolution,false_zeros",
+        [("clifford-torus-s5", 1, 6), ("clifford-torus-s5", 2, 3), ("great-circle-s3", 4, 1)],
+    )
+    def test_zero_only_at_too_few_nodes_is_inconclusive(self, immersion, resolution, false_zeros):
+        # the default nodes integrate f^2 exactly with positive weights, so a
+        # function zero at the requested nodes but not at the default ones
+        # is nonzero: its eigen-residual is unknown, not degenerate
+        report = run_suite(SuiteConfig(suite="moment-family", immersion=immersion,
+                                       resolution=resolution))
+        default = run_suite(SuiteConfig(suite="moment-family", immersion=immersion))
+        eigen, at_default = (
+            [r for r in rep.records if r.anchor == "moment-family-eigenvalue"]
+            for rep in (report, default)
+        )
+        unknown = [r for r in eigen if r.status == "inconclusive"]
+        assert len(unknown) == false_zeros
+        assert all(r.details["sup_norm"] <= ZERO_FUNCTION < r.details["default_sup_norm"]
+                   for r in unknown)
+        # the functions that are zero stay degenerate
+        assert ([r.name for r in eigen if r.status == "degenerate"]
+                == [r.name for r in at_default if r.status == "degenerate"])
+        assert report.exit_code() == 2 and default.exit_code() == 0
 
     @pytest.mark.parametrize("resolution", [None, 1])
     def test_kernel_rank_fails_when_a_normal_part_is_lost(self, monkeypatch, resolution):

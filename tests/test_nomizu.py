@@ -201,6 +201,18 @@ class TestFamilyCoincidence:
         assert len(eigen) == 9 and set(eigen) <= {"pass", "degenerate"}
         assert report.exit_code() == 0
 
+    @pytest.mark.parametrize(
+        "name,resolution",
+        [("great-circle-s3", 1), ("great-circle-s3", 2), ("clifford-torus-s5", 1),
+         ("clifford-torus-s5", 2), ("geodesic-sphere-n2", 1), ("geodesic-sphere-n3", 1)],
+    )
+    def test_relation_below_degree_two_is_inconclusive(self, name, resolution):
+        # below resolution_for(2) the degree-2 means are wrong on correct code
+        report = run_suite(SuiteConfig(suite="relation", immersion=name, resolution=resolution))
+        assert [r.status for r in report.records] == ["inconclusive", "inconclusive"]
+        assert all("degree 2" in r.details["reason"] for r in report.records)
+        assert report.exit_code() == 2
+
     def test_non_legendrian_circle_fails(self):
         # the moment mean along a circle that is not Legendrian does not
         # cancel the trace term of the diagonal generators
@@ -413,11 +425,11 @@ class TestClosedFormDefects:
         "suite,resolution,expected",
         [
             ("nomizu-family", None, {}),
-            ("moment-family", None, {"geodesic-sphere-n2": 6 * 12, "clifford-torus-s5": 48 * 48}),
+            ("moment-family", None, {"geodesic-sphere-n2": 4 * 8, "clifford-torus-s5": 7 * 7}),
             # --resolution does not reach Green's identity
-            ("moment-family", 16, {"geodesic-sphere-n2": 6 * 12, "clifford-torus-s5": 48 * 48}),
+            ("moment-family", 16, {"geodesic-sphere-n2": 4 * 8, "clifford-torus-s5": 7 * 7}),
             # closed-form-laplacian and rayleigh-quotient share one pass
-            ("all", None, {"geodesic-sphere-n2": 6 * 12, "clifford-torus-s5": 48 * 48}),
+            ("all", None, {"geodesic-sphere-n2": 4 * 8, "clifford-torus-s5": 7 * 7}),
         ],
     )
     def test_stiffness_mass_runs_once_per_immersion(
