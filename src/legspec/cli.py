@@ -96,13 +96,13 @@ def _moment_fields_csv(cfg, out):
     """Write one row per generator and node to the text stream ``out``, a
     generator at a time, so the file is never held as one string.  The
     fixed columns go through ``csv.writer`` once per generator (it quotes
-    labels such as ``i*E[1,1]``).  Each distinct value is formatted once:
-    values are told apart by their bit patterns, so ``-0.0`` and ``0.0``
-    keep their own strings.  The ``,node,`` strings and the value strings
-    are numpy object arrays, so one ``+`` builds all of a generator's
-    ``,node,value`` tails; joined behind the fixed columns with CRLF line
-    ends they are the bytes a per-row ``csv.writer`` writes, since no node
-    number or float ``repr`` needs quoting."""
+    labels such as ``i*E[1,1]``).  Each distinct value is formatted once,
+    with its CRLF line end: values are told apart by their bit patterns, so
+    ``-0.0`` and ``0.0`` keep their own strings.  A generator's rows are
+    one join of a list holding, per node, the fixed columns, the
+    ``,node,`` string and the value string; these are the bytes a per-row
+    ``csv.writer`` writes, since no node number or float ``repr`` needs
+    quoting."""
     csv.writer(out).writerow(["immersion", "basis_index", "generator", "node", "value"])
     for L in cfg.selected_immersions():
         basis = mo.algebra_basis(L.n)
@@ -111,14 +111,16 @@ def _moment_fields_csv(cfg, out):
         bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
         # one repr of the list formats every float as repr(float) does
         text = np.array(repr(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
-        nodes = np.array([f",{node}," for node in range(values.shape[-1])], dtype=object)
+        text += "\r\n"
+        count = values.shape[-1]
+        parts = [None] * (3 * count)
+        parts[1::3] = [f",{node}," for node in range(count)]
         for idx, (X, row) in enumerate(zip(basis, inverse.reshape(values.shape))):
             fixed = io.StringIO()
             csv.writer(fixed).writerow([L.name, idx, X.label])
-            prefix = fixed.getvalue().removesuffix("\r\n")
-            out.write(prefix)
-            out.write(f"\r\n{prefix}".join((nodes + text[row]).tolist()))
-            out.write("\r\n")
+            parts[0::3] = [fixed.getvalue().removesuffix("\r\n")] * count
+            parts[2::3] = text[row].tolist()
+            out.write("".join(parts))
 
 
 def _writable(path):

@@ -259,15 +259,16 @@ class LegendrianImmersion:
         hess = self._nodewise(u, rows)
         return hess if self._mixer is None else self._mixer.T @ hess @ self._mixer
 
-    def induced_metric(self, u):
-        jac = self.jacobian_at(u)
+    def induced_metric(self, u, jacobian=None):
+        jac = self.jacobian_at(u) if jacobian is None else jacobian
         return np.einsum("...ai,...aj->...ij", jac, jac)
 
-    def frames(self, u):
+    def frames(self, u, jacobian=None):
         """Orthonormal tangent frames by Gram-Schmidt on Jacobian columns
         in fixed index order; shape (..., n, 2n+2)."""
+        jac = self.jacobian_at(u) if jacobian is None else jacobian
         frame = []
-        for v in np.moveaxis(self.jacobian_at(u), -1, 0):  # columns (..., 2n+2)
+        for v in np.moveaxis(jac, -1, 0):  # columns (..., 2n+2)
             for e in frame:
                 v = v - np.einsum("...i,...i->...", v, e)[..., None] * e
             norms = np.linalg.norm(v, axis=-1)
@@ -276,8 +277,8 @@ class LegendrianImmersion:
             frame.append(v / norms[..., None])
         return np.stack(frame, axis=-2)
 
-    def sqrt_det_metric(self, u):
-        g = self.induced_metric(u)
+    def sqrt_det_metric(self, u, jacobian=None):
+        g = self.induced_metric(u, jacobian)
         det = np.linalg.det(g)
         if np.any(det <= 0.0):
             raise DegenerateImmersionError(f"{self.name}: induced metric degenerate")
@@ -315,7 +316,9 @@ class NodeGeometry:
     first read from the immersion's evaluators and kept: unit points ``x``,
     ``jacobian``, orthonormal ``frame``, induced ``metric``, ``sqrt_g``
     (``sqrt det g``), the :class:`ShapeData` ``shape``, the quadrature
-    ``volume`` and the Legendrian residual.
+    ``volume`` and the Legendrian residual.  ``frame``, ``metric`` and
+    ``sqrt_g`` are given the one ``jacobian``, so each node set sweeps its
+    orbit for the Jacobian once.
     """
 
     def __init__(self, immersion, u, w=None):
@@ -340,15 +343,15 @@ class NodeGeometry:
 
     @cached_property
     def frame(self):
-        return self.immersion.frames(self.u)
+        return self.immersion.frames(self.u, self.jacobian)
 
     @cached_property
     def metric(self):
-        return np.einsum("...ai,...aj->...ij", self.jacobian, self.jacobian)
+        return self.immersion.induced_metric(self.u, self.jacobian)
 
     @cached_property
     def sqrt_g(self):
-        return self.immersion.sqrt_det_metric(self.u)
+        return self.immersion.sqrt_det_metric(self.u, self.jacobian)
 
     @cached_property
     def shape(self):
@@ -372,12 +375,12 @@ class NodeGeometry:
     def projector_trace(self, A, radial):
         """``tr(A (radial x x^T - P))`` at each node, ``P = sum_i e_i e_i^T``
         the tangent projector, for a ``(d, d)`` matrix or a ``(k, d, d)``
-        stack ``A``; the ``(N, d, d)`` weights are formed in 4096-node
+        stack ``A``; the ``(N, d, d)`` weights are formed in 2048-node
         blocks to bound memory."""
         x, frame = self.x, self.frame
         out = np.empty(np.shape(A)[:-2] + (len(x),))
-        for start in range(0, len(x), 4096):
-            block = slice(start, start + 4096)
+        for start in range(0, len(x), 2048):
+            block = slice(start, start + 2048)
             weights = radial * x[block, :, None] * x[block, None, :]
             weights -= np.einsum("nia,nib->nab", frame[block], frame[block])
             # each output row reads only its own A, so a stacked row equals,

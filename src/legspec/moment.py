@@ -56,7 +56,10 @@ class AutomorphismField:
 
 def _real_form(A, B):
     """Real matrix of the complex matrix A + iB in the stacked layout."""
-    return np.block([[A, -B], [B, A]])
+    m = len(A)
+    out = np.empty((2 * m, 2 * m), dtype=np.result_type(A, B))
+    out[:m, :m], out[:m, m:], out[m:, :m], out[m:, m:] = A, -B, B, A
+    return out
 
 
 def algebra_basis(n):
@@ -126,9 +129,11 @@ def pairing_form(A, J):
 
 
 def pairing(A, x):
-    """``<A x, J x>`` at points ``x``, one row per matrix of a stack ``A``."""
-    J = complex_structure(A.shape[-1] // 2 - 1)
-    return np.einsum("...i,...i->...", x @ np.swapaxes(A, -1, -2), x @ J.T)
+    """``<A x, J x>`` at points ``x``, one row per matrix of a stack ``A``,
+    formed a matrix at a time: no temporary holds the whole stack's ``A x``."""
+    jx = x @ complex_structure(A.shape[-1] // 2 - 1).T
+    rows = [np.einsum("...i,...i->...", x @ a.T, jx) for a in np.reshape(A, (-1,) + A.shape[-2:])]
+    return np.reshape(rows, A.shape[:-2] + np.shape(x)[:-1])
 
 
 def moment(x, X):

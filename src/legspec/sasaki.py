@@ -17,17 +17,22 @@ Convention notes, pinned numerically on the sphere itself:
   (forced by ``Phi xi = 0``).
 """
 
+import functools
+
 import numpy as np
 
 from . import riemannian as rm
 from .errors import InvalidSampleError
 
 
+@functools.cache
 def complex_structure(n):
-    """J on R^{2n+2} in the stacked layout: (x, y) -> (-y, x)."""
-    eye = np.eye(n + 1)
-    zero = np.zeros((n + 1, n + 1))
-    return np.block([[zero, -eye], [eye, zero]])
+    """J on R^{2n+2} in the stacked layout: (x, y) -> (-y, x); cached, read-only."""
+    m = n + 1
+    J = np.zeros((2 * m, 2 * m))
+    J[m:, :m], J[:m, m:] = np.eye(m), -np.eye(m)
+    J.flags.writeable = False
+    return J
 
 
 class SphereSasaki:

@@ -221,15 +221,16 @@ def apply_mesh_operator(L, grid_values):
     v = np.asarray(grid_values, dtype=float)
     h = 2.0 * np.pi / v.shape[-1]
     k = L.n
-    terms = []
+    # summed in place, left to right, as each term is formed: one alive at a time
     for i in range(k):
         up, down = np.roll(v, -1, i - k), np.roll(v, 1, i - k)
-        terms.append(ginv[i, i] * ((down - 2.0 * v + up) / h**2))
+        diagonal = ginv[i, i] * ((down - 2.0 * v + up) / h**2)
+        total = diagonal if i == 0 else np.add(total, diagonal, out=total)
         for j in range(i + 1, k):
             cross = (np.roll(up, -1, j - k) - np.roll(up, 1, j - k)
                      - np.roll(down, -1, j - k) + np.roll(down, 1, j - k))
-            terms.append(2.0 * ginv[i, j] * (cross / (4.0 * h**2)))
-    return -sum(terms[1:], terms[0])
+            total += 2.0 * ginv[i, j] * (cross / (4.0 * h**2))
+    return np.negative(total, out=total)
 
 
 def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):

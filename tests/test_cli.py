@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import sys
 from collections import Counter
 from dataclasses import fields
 
@@ -428,7 +427,7 @@ class TestSharedWork:
     def test_moment_family_evaluates_sqrt_det_g_once(self, monkeypatch, tmp_path):
         calls = _count_calls(
             monkeypatch, im.LegendrianImmersion, "sqrt_det_metric",
-            lambda L, u: (L.name, len(u)),
+            lambda L, u, jacobian=None: (L.name, len(u)),
         )
         code = main(
             [
@@ -468,22 +467,17 @@ class TestSharedWork:
 
     def test_nomizu_family_checks_legendrian_once_per_immersion(self, monkeypatch):
         # the Legendrian check reads the node geometry's Jacobian, the one
-        # evaluation outside those made inside frames and sqrt det g
+        # sweep that frames and sqrt det g are given too
         calls = _count_calls(
-            monkeypatch, im.LegendrianImmersion, "jacobian_at",
-            lambda L, u: (L.name, sys._getframe(2).f_code.co_name),
+            monkeypatch, im.LegendrianImmersion, "jacobian_at", lambda L, u: L.name
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
-        evaluations = Counter()
-        for (name, caller), count in calls.items():
-            if caller not in ("frames", "induced_metric"):
-                evaluations[name] += count
-        assert evaluations == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
+        assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
 
     def test_nomizu_family_takes_frames_once_per_pass(self, monkeypatch):
         # per immersion, the frame-sum identity's one tangent projector
         calls = _count_calls(
-            monkeypatch, im.LegendrianImmersion, "frames", lambda L, u: L.name
+            monkeypatch, im.LegendrianImmersion, "frames", lambda L, u, jacobian=None: L.name
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
         assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
@@ -501,21 +495,40 @@ class TestSharedWork:
         assert calls == {"shape_operator": {}, "extrinsic_laplacian": {}}
 
     def test_all_evaluates_each_node_set_once(self, monkeypatch):
-        # every call of each evaluator has its own (immersion, node count)
+        # every call of each evaluator has its own (immersion, node count);
+        # the Jacobian is swept once per node set, whose frames and sqrt
+        # det g take it, apart from the single point (key None) at which
+        # spectral.apply_mesh_operator reads the metric of its stencil
         calls = {
             method: _count_calls(monkeypatch, im.LegendrianImmersion, method,
-                                 lambda L, u: (L.name, len(u)))
+                                 lambda L, u, jacobian=None: (L.name, len(u)))
             for method in ("frames", "points", "sqrt_det_metric")
         }
+        calls["jacobian_at"] = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "jacobian_at",
+            lambda L, u: (L.name, len(u)) if np.ndim(u) == 2 else None,
+        )
         calls["shape_operator"] = _count_calls(
             monkeypatch, im, "shape_operator", lambda geo: (geo.immersion.name, len(geo.u))
         )
         assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
+        assert calls["jacobian_at"].pop(None)
+        assert set(calls["jacobian_at"]) == set(calls["points"])
         assert set(calls["shape_operator"]) == {
             (name, len(im.get_immersion(name).nodes()[0])) for name in CANONICAL_IMMERSIONS
         }
         for method, counted in calls.items():
             assert counted and set(counted.values()) == {1}, (method, counted)
+
+    def test_moment_csv_sweeps_each_node_set_once(self, monkeypatch, tmp_path):
+        sweeps = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "jacobian_at", lambda L, u: (L.name, len(u))
+        )
+        argv = ["--suite", "moment-family", "--immersion", "clifford-torus-s5",
+                "--resolution", "16", "--format", "csv", "--output", str(tmp_path / "fields.csv")]
+        assert main(argv) == 0
+        # the CSV's 16 x 16 nodes and the default 7 x 7 of the eigen-residuals
+        assert sweeps == {("clifford-torus-s5", 16 * 16): 1, ("clifford-torus-s5", 7 * 7): 1}
 
     def test_all_contracts_each_closed_form_laplacian_once(self, monkeypatch):
         # each moment family keeps its Laplacian per node set, shared by

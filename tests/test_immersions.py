@@ -295,8 +295,8 @@ def _radial_on_hessian_diagonal(monkeypatch, size):
 def _first_frame_vector_scaled(monkeypatch, size):
     frames = im.LegendrianImmersion.frames
 
-    def defective(L, u):
-        frame = frames(L, u)
+    def defective(L, u, jacobian=None):
+        frame = frames(L, u, jacobian)
         frame[..., 0, :] *= 1.0 + size
         return frame
 

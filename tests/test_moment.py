@@ -21,6 +21,16 @@ def diag_generator(n, entries):
 
 
 class TestAlgebraBasis:
+    def test_real_form_is_the_block_matrix(self):
+        # the block layout [[A, -B], [B, A]], bit for bit, zero signs and
+        # the dtype of an integer diagonal included
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3):
+            A, B = rng.standard_normal((2, n + 1, n + 1))
+            for a, b in ((A, B), (A, 0.0 * A), (np.zeros_like(A), np.diag(np.arange(n + 1) - 1))):
+                got, expected = mo._real_form(a, b), np.block([[a, -b], [b, a]])
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n,expected", [(1, 4), (2, 9), (3, 16)])
     def test_dimension(self, n, expected):
         assert len(mo.algebra_basis(n)) == expected

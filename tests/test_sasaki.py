@@ -74,6 +74,17 @@ class TestPointwiseStructure:
     def test_j_squares_to_minus_identity(self, sphere):
         assert_allclose(sphere.J @ sphere.J, -np.eye(sphere.embed_dim), atol=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_complex_structure_is_one_read_only_array(self, n):
+        J = sk.complex_structure(n)
+        assert sk.complex_structure(n) is J
+        assert not J.flags.writeable
+        with pytest.raises(ValueError):
+            J[0, 0] = 1.0
+        m = n + 1
+        eye, zero = np.eye(m), np.zeros((m, m))
+        assert J.tobytes() == np.block([[zero, -eye], [eye, zero]]).tobytes()
+
 
 def chart_points(dim):
     """The hemisphere chart centre and two points off it, |u| <= 0.5."""
