@@ -2,11 +2,11 @@
 
 An immersion is the orbit map ``x(u) = exp(u_n A_n) ... exp(u_1 A_1) x_0``
 of ``n`` generators through a unit base point, on a chart domain that
-names its intrinsic mesh, if any (the rows do not state it).  Each row also
-states whether it is totally geodesic and the dimension of its ``2n + 2``
-eigenspace; the suites read these fields, never the name.  Shipped examples
-(registered by name for the CLI), generators in factor order, ``A_kl``
-turning ``e_k`` toward ``e_l``:
+names its intrinsic mesh, if any.  That is all a row states: the dimension
+of its ``2n + 2`` eigenspace, and with it whether it is totally geodesic,
+is measured (``moment.quadratic_ritz``), and the suites never read the
+name.  Shipped examples (registered by name for the CLI), generators in
+factor order, ``A_kl`` turning ``e_k`` toward ``e_l``:
 
 * ``great-circle-s3`` (alias ``geodesic-sphere-n1``): ``A_12`` through
   ``e_1``, the real circle t -> (cos t, sin t) in S^3;
@@ -162,13 +162,11 @@ class LegendrianImmersion:
     Jacobian ``(..., 2n+2, n)`` and Hessian ``(..., 2n+2, n, n)`` are
     vectorized over leading axes of the chart points.
 
-    ``multiplicity`` is the dimension of the ``2n + 2`` eigenspace.  The
-    intrinsic mesh, if any, is ``domain.mesh``, and the default quadrature
-    is ``domain.resolution_for(QUADRATURE_DEGREE)``.
+    The intrinsic mesh, if any, is ``domain.mesh``, and the default
+    quadrature is ``domain.resolution_for(QUADRATURE_DEGREE)``.
     """
 
-    def __init__(self, name, generators, base_point, domain, totally_geodesic=False,
-                 multiplicity=None):
+    def __init__(self, name, generators, base_point, domain):
         n = len(generators)
         if n != domain.dim:
             raise InvalidFieldError(f"{name}: {n} generators for a {domain.dim}-dimensional chart")
@@ -184,8 +182,6 @@ class LegendrianImmersion:
         self.generators = A
         self.base_point = x0
         self.domain = domain
-        self.totally_geodesic = totally_geodesic
-        self.multiplicity = multiplicity
         self._mixer = None
         self._geometries = {}
 
@@ -241,22 +237,26 @@ class LegendrianImmersion:
         return x, cols, hess
 
     @staticmethod
-    def _nodewise(u, vectors):
-        """The sweep's ``(..., 2n+2, N)`` vectors as C-ordered values per chart point."""
-        values = np.ascontiguousarray(np.array(vectors).T)
+    def _nodewise(u, vectors, trailing=()):
+        """The sweep's ``(2n+2, N)`` vectors, keyed by index, written into one
+        C-ordered ``(N, 2n+2) + trailing`` array, whose transpose the index
+        selects, and shaped per chart point."""
+        values = np.empty(next(iter(vectors.values())).shape[::-1] + trailing)
+        for index, vector in vectors.items():
+            values.T[index] = vector
         return values.reshape(np.shape(u)[:-1] + values.shape[1:])
 
     def points(self, u):
-        return self._nodewise(u, self._orbit(u, 0)[0])
+        return self._nodewise(u, {...: self._orbit(u, 0)[0]})
 
     def jacobian_at(self, u):
-        jac = self._nodewise(u, self._orbit(u, 1)[1])
+        jac = self._nodewise(u, dict(enumerate(self._orbit(u, 1)[1])), (self.n,))
         return jac if self._mixer is None else jac @ self._mixer
 
     def hessian_at(self, u):
-        entries = self._orbit(u, 2)[2]
-        rows = [[entries[min(a, b), max(a, b)] for b in range(self.n)] for a in range(self.n)]
-        hess = self._nodewise(u, rows)
+        entries, n = self._orbit(u, 2)[2], self.n
+        hess = self._nodewise(u, {(a, b): entries[min(a, b), max(a, b)]
+                                  for a in range(n) for b in range(n)}, (n, n))
         return hess if self._mixer is None else self._mixer.T @ hess @ self._mixer
 
     def induced_metric(self, u, jacobian=None):
@@ -409,10 +409,7 @@ def _phase(*diagonal):
 
 def great_circle(name="great-circle-s3"):
     """Real unit circle in S^3: totally geodesic Legendrian."""
-    return LegendrianImmersion(
-        name, [_rotation(2, 1, 2)], np.eye(4)[0], PeriodicGridDomain(1),
-        totally_geodesic=True, multiplicity=2,
-    )
+    return LegendrianImmersion(name, [_rotation(2, 1, 2)], np.eye(4)[0], PeriodicGridDomain(1))
 
 
 def geodesic_sphere(n):
@@ -420,16 +417,12 @@ def geodesic_sphere(n):
     if n == 1:
         return great_circle(name="geodesic-sphere-n1")
     if n == 2:  # A_zx, then A_xy, through e_z
-        row = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2], 5
+        generators, base = [_rotation(3, 3, 1), _rotation(3, 1, 2)], np.eye(6)[2]
     elif n == 3:  # A_12, A_23, A_34 through e_1
-        row = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0], 9
+        generators, base = [_rotation(4, 1, 2), _rotation(4, 2, 3), _rotation(4, 3, 4)], np.eye(8)[0]
     else:
         raise UnsupportedError(f"no geodesic sphere shipped for n={n}")
-    generators, base, multiplicity = row
-    return LegendrianImmersion(
-        f"geodesic-sphere-n{n}", generators, base, PolarSphereDomain(n),
-        totally_geodesic=True, multiplicity=multiplicity,
-    )
+    return LegendrianImmersion(f"geodesic-sphere-n{n}", generators, base, PolarSphereDomain(n))
 
 
 def clifford_torus():
@@ -437,8 +430,7 @@ def clifford_torus():
     (1/3) [[2, 1], [1, 2]] on the periodic (u, v) square."""
     return LegendrianImmersion(
         "clifford-torus-s5", [_phase(1, 0, -1), _phase(0, 1, -1)],
-        np.concatenate([np.full(3, 1.0 / np.sqrt(3.0)), np.zeros(3)]),
-        PeriodicGridDomain(2), multiplicity=6,
+        np.concatenate([np.full(3, 1.0 / np.sqrt(3.0)), np.zeros(3)]), PeriodicGridDomain(2),
     )
 
 

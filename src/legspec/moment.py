@@ -201,6 +201,27 @@ def moment_function(L, X, resolution=None):
     return QuadraticFamily(X.generator, X.n, mean)
 
 
+def quadratic_ritz(L):
+    """Rayleigh-Ritz (Parlett, *The Symmetric Eigenvalue Problem*, 1980) of
+    the Laplacian of ``L`` on the quadratic forms ``x^T Q x`` at the default
+    nodes, which each shipped immersion maps into themselves: ascending Ritz
+    values and the ``(r, d, d)`` forms of their vectors, so eigenpairs.  The
+    basis is the symmetric unit ``Q`` of ``R^{2n+2}``, as the family of ``J
+    Q`` (``J^T J = I``); ``M`` is whitened above 1e-10 of its largest
+    eigenvalue, as ``|x|^2 = 1`` makes the forms dependent.  A non-finite
+    value raises as in ``L.integrate``."""
+    d = 2 * L.n + 2
+    rows, cols = np.triu_indices(d)
+    unit = np.zeros((len(rows), d, d))
+    unit[np.arange(len(rows)), rows, cols] = unit[np.arange(len(rows)), cols, rows] = 1.0
+    K, M = QuadraticFamily(complex_structure(L.n) @ unit, L.n, 0.0).stiffness_mass(L)
+    mass, vectors = np.linalg.eigh(M)
+    keep = mass > 1e-10 * mass[-1]
+    whiten = vectors[:, keep] / np.sqrt(mass[keep])
+    values, ritz = np.linalg.eigh(whiten.T @ K @ whiten)
+    return values, np.tensordot((whiten @ ritz).T, unit, axes=1)
+
+
 def automorphism_residuals(S, X, samples):
     """Killing and contact-form Lie-derivative residuals of a generator."""
     killing, contact = 0.0, 0.0

@@ -151,6 +151,12 @@ def mesh_resolution(kind, resolution=None):
     return resolution
 
 
+def algebra_bound(n):
+    """``dim u(n+1) - n(n+1)/2 - 1``, the paper's least dimension of the
+    ``2n + 2`` eigenspace of a minimal Legendrian, met when totally geodesic."""
+    return (n + 1) ** 2 - n * (n + 1) // 2 - 1
+
+
 class SpectralReport:
     """Discrete spectrum with multiplicity bookkeeping at a target."""
 
@@ -262,8 +268,7 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
         )
     resolution = mesh_resolution(L.domain.mesh, resolution)
     target = 2.0 * L.n + 2.0
-    dim_g = (L.n + 1) ** 2
-    bound = dim_g - L.n * (L.n + 1) // 2 - 1
+    bound = algebra_bound(L.n)
 
     if L.domain.periodic:
         impulse = np.zeros(L.domain.grid_shape(resolution))

@@ -53,7 +53,8 @@ def _inconclusive(name, anchor, exc):
 
 def _non_finite(name, anchor, threshold, exc):
     """The failing record of a check whose integrand was not finite."""
-    return rp.residual_record(name, anchor, float("nan"), threshold, details={"reason": str(exc)})
+    return rp.CheckRecord(name, anchor, "residual", float("nan"), threshold, rp.FAIL,
+                          {"reason": str(exc)})
 
 
 @dataclass
@@ -70,10 +71,11 @@ class SuiteConfig:
     tolerances: Tolerances = field(init=False)
     # built on first use and shared by every suite and exporter of this
     # config, so each immersion's node geometry per resolution (and the
-    # tensors it keeps), each mesh spectrum and each family with its node
-    # values are computed once per report
+    # tensors it keeps), each mesh spectrum, eigenspace count and family
+    # with its node values are computed once per report
     _immersions: list | None = field(default=None, init=False, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -152,6 +154,19 @@ class SuiteConfig:
                 L, self.resolution, window=self.tolerances.cluster_window
             )
         return self._spectra[L.name]
+
+    def eigenspace_count(self, L):
+        """The ``moment.quadratic_ritz`` values of ``L`` in the cluster window
+        around ``2n + 2``, counted once per config; the ``EvaluationError`` of
+        a non-finite value is kept in its place, for each reader to fail with."""
+        if L.name not in self._counts:
+            target, window = 2.0 * L.n + 2.0, self.tolerances.cluster_window
+            try:
+                ritz = mo.quadratic_ritz(L)[0]
+                self._counts[L.name] = int(np.sum(np.abs(ritz - target) <= window * target))
+            except EvaluationError as exc:
+                self._counts[L.name] = exc
+        return self._counts[L.name]
 
     def moment_function(self, L, resolution=None):
         """``moment.moment_function`` of the stacked ``u(n+1)`` algebra on ``L``,
@@ -238,27 +253,17 @@ def legendrian_geometry_records(cfg):
                 tol.mean_curvature,
             )
         )
-        if L.totally_geodesic:
-            records.append(
-                rp.residual_record(
-                    f"{L.name}: second fundamental form",
-                    "totally-geodesic-equality-case",
-                    sd.second_fundamental_norm(),
-                    tol.totally_geodesic,
-                )
-            )
+        # the paper's equality case: L is totally geodesic exactly when its
+        # eigenspace count meets the algebra bound
+        count, norm = cfg.eigenspace_count(L), sd.second_fundamental_norm()
+        name, anchor = f"{L.name}: second fundamental form", "totally-geodesic-equality-case"
+        if isinstance(count, EvaluationError):
+            records.append(_non_finite(name, anchor, tol.totally_geodesic, count))
+        elif count == spc.algebra_bound(L.n):
+            records.append(rp.residual_record(name, anchor, norm, tol.totally_geodesic))
         else:
-            status = rp.PASS if sd.second_fundamental_norm() >= 0.1 else rp.FAIL
-            records.append(
-                rp.CheckRecord(
-                    f"{L.name}: second fundamental form nonzero",
-                    "minimal-but-not-totally-geodesic",
-                    "residual",
-                    sd.second_fundamental_norm(),
-                    0.1,
-                    status,
-                )
-            )
+            records.append(rp.CheckRecord(f"{name} nonzero", "minimal-but-not-totally-geodesic",
+                                          "residual", norm, 0.1, rp.PASS if norm >= 0.1 else rp.FAIL))
         gram = np.einsum("...ia,...ja->...ij", geo.frame, geo.frame)
         records.append(
             rp.residual_record(
@@ -337,9 +342,12 @@ def moment_family_records(cfg):
                         tol.eigen_residual, degenerate=res.degenerate[idx],
                     )
                 )
-        if L.totally_geodesic:
-            algebra = mo.stack_fields(basis, "u(n+1)")
-            records.append(_kernel_rank_record(L, algebra, cfg.resolution))
+        count = cfg.eigenspace_count(L)
+        if isinstance(count, EvaluationError):
+            records.append(_non_finite(f"{L.name}: rank of normal parts over basis",
+                                       "tangent-generator-kernel", None, count))
+        elif count == spc.algebra_bound(L.n):
+            records.append(_kernel_rank_record(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution))
         # the one check of the closed form that does not share its algebra,
         # at the default resolution whatever --resolution is
         name = f"{L.name}: closed-form Laplacian vs Green identity"
@@ -371,7 +379,7 @@ def _normal_rank(L, algebra, resolution):
 def _kernel_rank_record(L, algebra, resolution):
     name = f"{L.name}: rank of normal parts over basis"
     rank = _normal_rank(L, algebra, resolution)
-    expected = (L.n + 1) ** 2 - L.n * (L.n + 1) // 2
+    expected = spc.algebra_bound(L.n) + 1
     if rank < expected and L.resolve_resolution(resolution) != L.resolve_resolution():
         # a rank over any node set is at most the true rank, so a deficit
         # the default nodes do not show says only that these nodes are too few
@@ -489,16 +497,14 @@ def spectrum_records(cfg):
             if not er.degenerate[idx]
         }
         verdict = spc.bound_check(report, min_separation=tol.cluster_separation)
-        records.append(
-            rp.count_record(
-                f"{L.name}: multiplicity at target",
-                "eigenspace-multiplicity-bound",
-                report.multiplicity,
-                L.multiplicity,
-                details=dict(report.summary(), eigen_residuals=residuals),
-                verdict=verdict,
-            )
-        )
+        name, count = f"{L.name}: multiplicity at target", cfg.eigenspace_count(L)
+        if isinstance(count, EvaluationError):
+            records.append(_non_finite(name, "eigenspace-multiplicity-bound", None, count))
+        else:
+            records.append(rp.count_record(
+                name, "eigenspace-multiplicity-bound", report.multiplicity, count,
+                details=dict(report.summary(), eigen_residuals=residuals), verdict=verdict,
+            ))
         records.append(
             rp.bound_record(
                 f"{L.name}: multiplicity >= algebra bound",

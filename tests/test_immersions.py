@@ -12,7 +12,9 @@ from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.config import DEFAULT_TOLERANCES, GREEN_IDENTITY
 from legspec.errors import EvaluationError, InvalidFieldError, InvalidPointError, UnsupportedError
-from legspec.suites import CANONICAL_IMMERSIONS, SuiteConfig, legendrian_geometry_records
+from legspec.suites import (
+    CANONICAL_IMMERSIONS, SuiteConfig, legendrian_geometry_records, run_suite,
+)
 
 
 ALL_BUILTINS = ["great-circle-s3", "geodesic-sphere-n2", "geodesic-sphere-n3", "clifford-torus-s5"]
@@ -158,9 +160,8 @@ ROTATION_N2 = mo.algebra_basis(2)[3].generator
 class TestConstructorValidation:
     @staticmethod
     def build(generators, base_point=(1.0, 0.0, 0.0, 0.0), domain=None):
-        return im.LegendrianImmersion(
-            "candidate", generators, base_point, domain or im.PeriodicGridDomain(1), 16
-        )
+        return im.LegendrianImmersion("candidate", generators, base_point,
+                                      domain or im.PeriodicGridDomain(1))
 
     def test_valid_row_builds(self):
         L = self.build([ROTATION_N1])
@@ -194,12 +195,14 @@ class TestConstructorValidation:
             self.build([ROTATION_N2, ROTATION_N2])
 
 
+def _count(L):
+    """The measured eigenspace count the reports read, from a fresh config."""
+    return SuiteConfig(suite="spectrum").eigenspace_count(L)
+
+
 def _conjugate(L, g):
     """The orbit of ``g A g^-1`` through ``g x_0``: ``L`` moved by ``g``."""
-    return im.LegendrianImmersion(
-        L.name, g @ L.generators @ g.T, g @ L.base_point, L.domain,
-        totally_geodesic=L.totally_geodesic, multiplicity=L.multiplicity,
-    )
+    return im.LegendrianImmersion(L.name, g @ L.generators @ g.T, g @ L.base_point, L.domain)
 
 
 @pytest.mark.parametrize("name", CANONICAL_IMMERSIONS)
@@ -213,7 +216,9 @@ def test_verdicts_invariant_under_unitary_conjugation(name):
     assert abs(moved.volume() - L.volume()) <= 1e-13 * L.volume()
     a = L.node_geometry().shape.second_fundamental_norm()
     b = moved.node_geometry().shape.second_fundamental_norm()
-    if L.totally_geodesic:
+    count = _count(L)
+    assert _count(moved) == count
+    if count == spc.algebra_bound(L.n):
         assert max(a, b) <= DEFAULT_TOLERANCES.totally_geodesic
     else:
         assert abs(a - b) <= 1e-12 and a == pytest.approx(np.sqrt(0.5))
@@ -360,77 +365,79 @@ class TestPointwiseDefects:
         assert record.value >= 0.99 * size * reads[CANONICAL_IMMERSIONS.index(name)]
 
 
-def _totally_geodesic_agrees(L):
-    """The flag matches the measured second fundamental form."""
-    norm = im.shape_operator(L.node_geometry()).second_fundamental_norm()
-    if L.totally_geodesic:
-        return norm <= DEFAULT_TOLERANCES.totally_geodesic
-    return norm >= 0.1
+class TestEigenspaceCount:
+    """The measured dimension of the ``2n + 2`` eigenspace: the expected
+    mesh multiplicity, and at the algebra bound the paper's equality case."""
 
+    # cos 2t and sin 2t on the circle, the degree-2 harmonics of S^2 and S^3,
+    # the six torus modes e^{ik.u} with k^T g^-1 k = 6
+    @pytest.mark.parametrize("name,dimension", zip(CANONICAL_IMMERSIONS, (2, 5, 6, 9)))
+    def test_ritz_pairs_are_eigenpairs(self, name, dimension):
+        L = im.get_immersion(name)
+        target = 2.0 * L.n + 2.0
+        values, forms = mo.quadratic_ritz(L)
+        cluster = np.abs(values - target) <= DEFAULT_TOLERANCES.cluster_window * target
+        assert _count(L) == np.sum(cluster) == dimension and np.ptp(values[cluster]) <= 1e-12
+        x, forms = L.node_geometry().x, forms[cluster]
+        f = np.einsum("na,rab,nb->rn", x, forms, x)
+        residual = np.abs(spc.extrinsic_laplacian(L, forms) - target * f)
+        assert np.max(np.max(residual, axis=-1) / np.max(np.abs(f), axis=-1)) <= 1e-12
 
-def _multiplicity_meets_bound(L):
-    """Eigenspace dimension >= dim u(n+1) - n(n+1)/2 - 1, with equality
-    exactly in the totally geodesic case."""
-    bound = len(mo.algebra_basis(L.n)) - L.n * (L.n + 1) // 2 - 1
-    return L.multiplicity >= bound and (L.multiplicity == bound) == L.totally_geodesic
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_algebra_bound(self, n):
+        assert spc.algebra_bound(n) == len(mo.algebra_basis(n)) - n * (n + 1) // 2 - 1
 
+    @pytest.mark.parametrize("name", CANONICAL_IMMERSIONS)
+    def test_count_meets_the_bound_with_equality_exactly_when_flat(self, name):
+        L = im.get_immersion(name)
+        norm, bound = L.node_geometry().shape.second_fundamental_norm(), spc.algebra_bound(L.n)
+        assert _count(L) >= bound
+        assert (_count(L) == bound) == (norm <= DEFAULT_TOLERANCES.totally_geodesic)
 
-def _mesh_finds_multiplicity(L):
-    """The coarsest shipped level of the domain's mesh counts ``multiplicity``
-    eigenvalues at 2n + 2 (vacuous without a mesh)."""
-    if L.domain.mesh is None:
-        return True
-    coarsest = spc.MESH_RESOLUTIONS[L.domain.mesh][0]
-    return spc.mesh_spectrum(L, coarsest).multiplicity == L.multiplicity
+    @pytest.mark.parametrize("end", [0, 1], ids=["coarsest", "finest"])
+    @pytest.mark.parametrize("name", ["great-circle-s3", "geodesic-sphere-n2", "clifford-torus-s5"])
+    def test_mesh_finds_the_count(self, name, end):
+        L = im.get_immersion(name)
+        level = spc.MESH_RESOLUTIONS[L.domain.mesh][end]
+        assert spc.mesh_spectrum(L, level).multiplicity == _count(L)
 
+    def test_wrong_mesh_misses_the_count(self):
+        L = im.get_immersion("geodesic-sphere-n3")
+        L.domain.mesh = "icosphere"  # the mesh of S^2, whose spectrum has no 8
+        assert spc.mesh_spectrum(L, 3).multiplicity != _count(L)
 
-DESCRIPTOR_CHECKS = [_totally_geodesic_agrees, _multiplicity_meets_bound, _mesh_finds_multiplicity]
+    def test_dropped_gradient_factor_is_caught(self, monkeypatch):
+        # the gradient without its factor 2 quarters the stiffness matrix
+        stiffness_mass = spc.stiffness_mass
 
+        def halved_gradient(L, f, resolution=None):
+            K, M = stiffness_mass(L, f, resolution)
+            return K / 4.0, M
 
-def _flipped(name, field, value):
-    L = im.get_immersion(name)
-    setattr(L.domain if field == "mesh" else L, field, value)
-    return L
+        monkeypatch.setattr(spc, "stiffness_mass", halved_gradient)
+        status = {r.name: r.status for r in run_suite(SuiteConfig(suite="all")).records}
+        for name in ("great-circle-s3", "geodesic-sphere-n2", "clifford-torus-s5"):
+            assert status[f"{name}: multiplicity at target"] == "fail"
+        # each sphere's count leaves the bound, so it is held non-flat and fails
+        for name in ("great-circle-s3", "geodesic-sphere-n2", "geodesic-sphere-n3"):
+            assert f"{name}: second fundamental form" not in status
+            assert status[f"{name}: second fundamental form nonzero"] == "fail"
+        assert status["clifford-torus-s5: second fundamental form nonzero"] == "pass"
 
-
-class TestDescriptor:
-    @pytest.mark.parametrize("check", DESCRIPTOR_CHECKS)
     @pytest.mark.parametrize("name", sorted(im.registry()))
-    def test_descriptor_matches_geometry(self, name, check):
-        assert check(im.get_immersion(name))
-
-    @pytest.mark.parametrize(
-        "check, L",
-        [
-            (_totally_geodesic_agrees, _flipped("clifford-torus-s5", "totally_geodesic", True)),
-            (_totally_geodesic_agrees, _flipped("geodesic-sphere-n3", "totally_geodesic", False)),
-            (_multiplicity_meets_bound, _flipped("clifford-torus-s5", "multiplicity", 5)),
-            (_multiplicity_meets_bound, _flipped("geodesic-sphere-n2", "multiplicity", 6)),
-            (_mesh_finds_multiplicity, _flipped("clifford-torus-s5", "multiplicity", 7)),
-            (_mesh_finds_multiplicity, _flipped("geodesic-sphere-n3", "mesh", "icosphere")),
-        ],
-        ids=lambda v: getattr(v, "__name__", None) or getattr(v, "name", None),
-    )
-    def test_flipped_field_is_caught(self, check, L):
-        assert not check(L)
-
-    @pytest.mark.parametrize("name", sorted(im.registry()))
-    def test_frame_mixer_keeps_descriptor(self, name):
+    def test_frame_mixer_keeps_the_orbit_and_the_count(self, name):
         L = im.get_immersion(name)
         Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((L.n, L.n)))
-        geometry = L.node_geometry()
-        mixed = L.with_frame_mixer(Q)
-        fields = ("name", "totally_geodesic", "multiplicity", "domain")
-        assert [getattr(mixed, f) for f in fields] == [getattr(L, f) for f in fields]
-        assert mixed.node_geometry() is not geometry
-        assert L.node_geometry() is geometry
+        geometry, mixed = L.node_geometry(), L.with_frame_mixer(Q)
+        fields = ("name", "generators", "base_point", "domain")
+        assert all(getattr(mixed, f) is getattr(L, f) for f in fields)
+        assert mixed.node_geometry() is not geometry and L.node_geometry() is geometry
+        assert _count(mixed) == _count(L)
 
     def test_alias_is_the_great_circle_renamed(self):
         alias, circle = im.geodesic_sphere(1), im.great_circle()
-        assert alias.name == "geodesic-sphere-n1"
-        assert (alias.totally_geodesic, alias.multiplicity, alias.domain.mesh) == (
-            circle.totally_geodesic, circle.multiplicity, circle.domain.mesh
-        )
+        assert alias.name == "geodesic-sphere-n1" and alias.domain.mesh == circle.domain.mesh
+        assert np.array_equal(alias.generators, circle.generators) and _count(alias) == _count(circle)
 
 
 def _monomials(dim, degree):

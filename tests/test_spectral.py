@@ -284,27 +284,28 @@ class TestMeshSpectrum:
 
 def _torus_equality_record(patch):
     """The torus's spectrum-suite equality-case record, after ``patch``
-    has changed its immersion."""
+    has changed its config and immersion."""
     cfg = SuiteConfig(suite="spectrum", immersion="clifford-torus-s5", resolution=32)
     L = cfg.selected_immersions()[0]
-    patch(L)
+    patch(cfg, L)
     return next(r for r in spectrum_records(cfg) if r.name == f"{L.name}: equality case")
 
 
 class TestEqualityCase:
-    """The equality case is held to the measured second fundamental form,
-    not to the declared ``totally_geodesic`` flag."""
+    """The mesh's equality case is held to the measured second fundamental
+    form, not to the eigenspace count."""
 
     def test_default_torus_passes(self):
-        record = _torus_equality_record(lambda L: None)
+        record = _torus_equality_record(lambda cfg, L: None)
         assert (record.status, record.value, record.details["expected"]) == ("pass", 0, 0)
 
-    def test_flipped_flag_does_not_change_the_record(self):
-        record = _torus_equality_record(lambda L: setattr(L, "totally_geodesic", True))
+    def test_count_at_the_bound_does_not_change_the_record(self):
+        # the torus's count held at its bound, 5
+        record = _torus_equality_record(lambda cfg, L: cfg._counts.update({L.name: 5}))
         assert (record.status, record.value, record.details["expected"]) == ("pass", 0, 0)
 
     def test_vanishing_second_fundamental_form_fails(self):
-        def flatten(L):
+        def flatten(cfg, L):
             geo = L.node_geometry()
             nodes, d = len(geo.u), L.ambient.embed_dim
             geo.shape = im.ShapeData(np.zeros((nodes, L.n, L.n, d)), np.zeros((nodes, d)))
@@ -383,6 +384,15 @@ def _nan_in_basis_1(monkeypatch, where):
     monkeypatch.setattr(mo.QuadraticFamily, "node_values", patched)
 
 
+# the torus records, after "clifford-torus-s5: ", that read the default-node
+# stiffness and mass passes or that the eigenspace count on them selects
+READ_PASS = {
+    "moment-family": {"closed-form Laplacian vs Green identity", "rank of normal parts over basis"},
+    "spectrum": {"Rayleigh quotients", "multiplicity at target"},
+    "legendrian-geometry": {"second fundamental form"},
+}
+
+
 class TestNonFiniteFamily:
     """A nan family value is never skipped as a zero function."""
 
@@ -414,24 +424,17 @@ class TestNonFiniteFamily:
             with pytest.raises(EvaluationError):
                 check(L, f)
 
-    @pytest.mark.parametrize(
-        "suite,anchors",
-        [
-            ("moment-family", {"closed-form-laplacian"}),
-            ("spectrum", {"rayleigh-quotient"}),
-            ("all", {"closed-form-laplacian", "rayleigh-quotient"}),
-        ],
-        ids=["moment-family", "spectrum", "all"],
-    )
-    def test_nan_at_the_default_nodes_fails_the_report(self, monkeypatch, suite, anchors):
-        # the records that read the raising pass fail with its reason
-        # instead of aborting the report
+    @pytest.mark.parametrize("suite", [*READ_PASS, "all"])
+    def test_nan_at_the_default_nodes_fails_the_report(self, monkeypatch, suite):
+        # those records fail with its reason instead of aborting the report;
+        # keyed by name, since "multiplicity at target" shares its anchor
+        # with the mesh bound record, which reads no family
         _nan_in_basis_1(monkeypatch, lambda geo: True)
         report = run_suite(SuiteConfig(suite=suite, immersion="clifford-torus-s5"))
         assert report.exit_code() == 1
-        stopped = [r for r in report.records if r.anchor in anchors]
-        assert {r.anchor for r in stopped} == anchors
-        for r in stopped:
+        checks = READ_PASS.get(suite) or set().union(*READ_PASS.values())
+        stopped = {r.name.split(": ", 1)[1]: r for r in report.records}
+        for r in [stopped[name] for name in checks]:
             assert r.status == FAIL and np.isnan(r.value)
             assert "non-finite" in r.details["reason"]
 
@@ -445,11 +448,12 @@ class TestNonFiniteFamily:
             raise ValueError(f"bare {token} token in the report")
 
         checks = json.loads(report.to_json(), parse_constant=refuse)["checks"]
-        nan_values = [
-            c["value"] for r, c in zip(report.records, checks)
+        nan_values = {
+            r.name.split(": ", 1)[1]: c["value"] for r, c in zip(report.records, checks)
             if isinstance(r.value, float) and np.isnan(r.value)
-        ]
-        assert nan_values and set(nan_values) == {"nan"}
+        }
+        assert set(nan_values.values()) == {"nan"}
+        assert set(nan_values) >= set().union(*READ_PASS.values())
 
 
 class TestSpanAndNotes:
@@ -475,7 +479,5 @@ class TestSpanAndNotes:
 def _latitude_circle(angle):
     # the orbit of i E[1,1] through (cos angle, sin angle): an honest
     # immersion that is not Legendrian
-    return im.LegendrianImmersion(
-        "latitude-circle", [mo.algebra_basis(1)[0].generator],
-        (np.cos(angle), np.sin(angle), 0.0, 0.0), im.PeriodicGridDomain(1), 128,
-    )
+    return im.LegendrianImmersion("latitude-circle", [mo.algebra_basis(1)[0].generator],
+                                  (np.cos(angle), np.sin(angle), 0.0, 0.0), im.PeriodicGridDomain(1))
