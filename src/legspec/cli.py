@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import moment as mo
-from .errors import LegspecError, UnsupportedError
+from .errors import ConvergenceError, LegspecError, UnsupportedError
 from .suites import SUITE_NAMES, SuiteConfig, list_targets, run_suite
 
 USAGE_EXIT = 64
@@ -87,6 +87,9 @@ def _spectrum_csv(cfg):
         if L.domain.mesh is None:
             continue
         report = cfg.mesh_spectrum(L)
+        # an unconverged eigensolve has no eigenvalues; the report says why
+        if isinstance(report, ConvergenceError):
+            continue
         for idx, ev in enumerate(report.eigenvalues):
             writer.writerow([L.name, idx, repr(float(ev))])
     return buf.getvalue()

@@ -29,6 +29,10 @@ class EvaluationError(LegspecError):
     """A field evaluated to a non-finite value."""
 
 
+class ConvergenceError(LegspecError):
+    """An iterative solver stopped before it converged."""
+
+
 class PreconditionError(LegspecError):
     """A documented mathematical precondition failed its residual check."""
 

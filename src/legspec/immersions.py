@@ -143,12 +143,28 @@ class PolarSphereDomain:
 # the immersion type
 
 
-def _turn(v, A, s, c):
-    """``exp(tA) v``, ``A v`` and ``A^2 v`` at ``s = sin t``, ``c = cos t`` for
-    ``A^3 = -A``, grouped so a component outside the plane of ``A`` is exact."""
-    av = A @ v
-    a2v = A @ av
-    return (v + a2v) + s * av - c * a2v, av, a2v
+def _turn(v, A, s, c, out, scratch, products):
+    """Write ``exp(tA) v`` into ``out`` (``v`` itself, or a new array when
+    ``v`` is broadcast) at ``s = sin t``, ``c = cos t`` for ``A^3 = -A``,
+    grouped as ``((v + A^2 v) + s A v) - c A^2 v`` so a component outside the
+    plane of ``A`` is exact; return ``A v`` and ``A^2 v``, written into the
+    pair ``products`` unless ``v`` is broadcast.  ``scratch`` holds each
+    scaled product in turn."""
+    av, a2v = products if v.shape == out.shape else (None, None)
+    av = np.matmul(A, v, out=av)
+    a2v = np.matmul(A, av, out=a2v)
+    np.add(v, a2v, out=out)
+    out += np.multiply(s, av, out=scratch)
+    out -= np.multiply(c, a2v, out=scratch)
+    return av, a2v
+
+
+def _derivative(av, a2v, s, c, scratch):
+    """``c A v + s A^2 v``, the derivative of ``exp(tA) v`` in ``t``, as a new
+    array; ``scratch`` holds ``s A^2 v``."""
+    out = np.multiply(c, av)
+    out += np.multiply(s, a2v, out=scratch)
+    return out
 
 
 class LegendrianImmersion:
@@ -204,8 +220,13 @@ class LegendrianImmersion:
         one per resolution for the life of the immersion."""
         res = self.resolve_resolution(resolution)
         if res not in self._geometries:
-            self._geometries[res] = NodeGeometry(self, *self.domain.nodes_weights(res))
+            self._geometries[res] = NodeGeometry(self, *self.domain.nodes_weights(res), res)
         return self._geometries[res]
+
+    def release_node_geometry(self, resolution):
+        """Forget the :class:`NodeGeometry` at ``resolution`` and return it
+        (``None`` if none was built), so a one-off node set is not kept."""
+        return self._geometries.pop(self.resolve_resolution(resolution), None)
 
     def nodes(self, resolution=None):
         geo = self.node_geometry(resolution)
@@ -219,21 +240,31 @@ class LegendrianImmersion:
         arrays over the flattened nodes (faster than node-major rows).
         Column ``a`` is ``A_a`` applied after factor ``a``, entry ``(b, a)`` is
         ``A_a`` applied to column ``b`` after it and ``(a, a)`` is ``A_a^2``
-        applied to the point."""
+        applied to the point.  Each factor turns the arrays in place, so
+        the sweep holds its outputs, one scratch array and the two products
+        of the current turn."""
         nodes = np.asarray(u, dtype=float).reshape(-1, self.n)
+        shape = (len(self.base_point), len(nodes))
         x, cols, hess = self.base_point[:, None], [], {}
+        scratch, products = np.empty(shape), (np.empty(shape), np.empty(shape))
         for a, A in enumerate(self.generators):
             s, c = np.sin(nodes[:, a]), np.cos(nodes[:, a])
-            hess = {key: _turn(h, A, s, c)[0] for key, h in hess.items()}
+            for h in hess.values():
+                _turn(h, A, s, c, h, scratch, products)
             for b, col in enumerate(cols):
-                cols[b], av, a2v = _turn(col, A, s, c)
+                av, a2v = _turn(col, A, s, c, col, scratch, products)
                 if order == 2:
-                    hess[b, a] = c * av + s * a2v
-            x, ax, a2x = _turn(x, A, s, c)
+                    hess[b, a] = _derivative(av, a2v, s, c, scratch)
+            # the base point is broadcast over the nodes until its first turn
+            turned = x if a else np.empty(shape)
+            ax, a2x = _turn(x, A, s, c, turned, scratch, products)
+            x = turned
             if order >= 1:
-                cols.append(c * ax + s * a2x)
+                cols.append(_derivative(ax, a2x, s, c, scratch))
             if order == 2:
-                hess[a, a] = c * a2x - s * ax
+                second = np.multiply(c, a2x)
+                second -= np.multiply(s, ax, out=scratch)
+                hess[a, a] = second
         return x, cols, hess
 
     @staticmethod
@@ -246,11 +277,17 @@ class LegendrianImmersion:
             values.T[index] = vector
         return values.reshape(np.shape(u)[:-1] + values.shape[1:])
 
-    def points(self, u):
-        return self._nodewise(u, {...: self._orbit(u, 0)[0]})
+    def points(self, u, sweep=None):
+        """Unit points at chart points ``u``, from ``sweep`` (an ``_orbit``
+        of ``u``) if given."""
+        sweep = self._orbit(u, 0) if sweep is None else sweep
+        return self._nodewise(u, {...: sweep[0]})
 
-    def jacobian_at(self, u):
-        jac = self._nodewise(u, dict(enumerate(self._orbit(u, 1)[1])), (self.n,))
+    def jacobian_at(self, u, sweep=None):
+        """Jacobian at chart points ``u``, from ``sweep`` (an ``_orbit`` of
+        ``u`` of order 1 or 2) if given."""
+        sweep = self._orbit(u, 1) if sweep is None else sweep
+        jac = self._nodewise(u, dict(enumerate(sweep[1])), (self.n,))
         return jac if self._mixer is None else jac @ self._mixer
 
     def hessian_at(self, u):
@@ -263,26 +300,37 @@ class LegendrianImmersion:
         jac = self.jacobian_at(u) if jacobian is None else jacobian
         return np.einsum("...ai,...aj->...ij", jac, jac)
 
-    def frames(self, u, jacobian=None):
+    def frames(self, u, jacobian=None, norms=None):
         """Orthonormal tangent frames by Gram-Schmidt on Jacobian columns
-        in fixed index order; shape (..., n, 2n+2)."""
+        in fixed index order; shape (..., n, 2n+2).  ``norms``, an
+        ``(..., n)`` array if given, receives the norm of each column less
+        its projection on the earlier ones."""
         jac = self.jacobian_at(u) if jacobian is None else jacobian
         frame = []
-        for v in np.moveaxis(jac, -1, 0):  # columns (..., 2n+2)
+        for i, v in enumerate(np.moveaxis(jac, -1, 0)):  # columns (..., 2n+2)
             for e in frame:
                 v = v - np.einsum("...i,...i->...", v, e)[..., None] * e
-            norms = np.linalg.norm(v, axis=-1)
-            if np.any(norms < 1e-10):
+            norm = np.linalg.norm(v, axis=-1)
+            if np.any(norm < 1e-10):
                 raise DegenerateImmersionError(f"{self.name}: rank-deficient Jacobian")
-            frame.append(v / norms[..., None])
+            if norms is not None:
+                norms[..., i] = norm
+            frame.append(v / norm[..., None])
         return np.stack(frame, axis=-2)
 
-    def sqrt_det_metric(self, u, jacobian=None):
-        g = self.induced_metric(u, jacobian)
-        det = np.linalg.det(g)
-        if np.any(det <= 0.0):
+    def sqrt_det_metric(self, u, jacobian=None, norms=None):
+        """``sqrt det g`` from the Gram-Schmidt norms of ``frames`` (given
+        as ``norms``, or formed here): the Jacobian is ``E^T R`` with ``R``
+        upper triangular and ``R_ii`` the ``i``-th norm, so ``det g = det(R^T
+        R) = prod_i R_ii^2``."""
+        if norms is None:
+            jac = self.jacobian_at(u) if jacobian is None else jacobian
+            norms = np.empty(np.shape(jac)[:-2] + (self.n,))
+            self.frames(u, jac, norms)
+        sqrt_g = np.prod(norms, axis=-1)
+        if np.any(sqrt_g <= 0.0):
             raise DegenerateImmersionError(f"{self.name}: induced metric degenerate")
-        return np.sqrt(det)
+        return sqrt_g
 
     def integrate(self, f, resolution=None):
         """Quadrature of a scalar field given on chart coordinates, over the
@@ -312,19 +360,21 @@ class LegendrianImmersion:
 
 class NodeGeometry:
     """The per-node tensors of an immersion at chart points ``u`` with
-    quadrature weights ``w`` (``None`` off a quadrature), each built on
-    first read from the immersion's evaluators and kept: unit points ``x``,
-    ``jacobian``, orthonormal ``frame``, induced ``metric``, ``sqrt_g``
-    (``sqrt det g``), the :class:`ShapeData` ``shape``, the quadrature
-    ``volume`` and the Legendrian residual.  ``frame``, ``metric`` and
-    ``sqrt_g`` are given the one ``jacobian``, so each node set sweeps its
-    orbit for the Jacobian once.
+    quadrature weights ``w`` of ``resolution`` (both ``None`` off a
+    quadrature), each built on first read from the immersion's evaluators
+    and kept: unit points ``x``, ``jacobian``, orthonormal ``frame``,
+    induced ``metric``, ``sqrt_g`` (``sqrt det g``), the :class:`ShapeData`
+    ``shape``, the quadrature ``volume`` and ``second_moment`` and the
+    Legendrian residual.  The points and the Jacobian come from one sweep
+    of the orbit; ``frame``, ``metric`` and ``sqrt_g`` are given that
+    ``jacobian``, and ``sqrt_g`` the Gram-Schmidt norms of ``frame``.
     """
 
-    def __init__(self, immersion, u, w=None):
+    def __init__(self, immersion, u, w=None, resolution=None):
         self.immersion = immersion
         self.u = np.asarray(u, dtype=float)
         self.w = w
+        self.resolution = resolution
 
     def __getitem__(self, index):
         """The nodes ``index`` selects, with their points, Jacobian and
@@ -334,16 +384,29 @@ class NodeGeometry:
         return part
 
     @cached_property
+    def _points_jacobian(self):
+        L = self.immersion
+        sweep = L._orbit(self.u, 1)
+        return L.points(self.u, sweep), L.jacobian_at(self.u, sweep)
+
+    @cached_property
     def x(self):
-        return self.immersion.points(self.u)
+        return self._points_jacobian[0]
 
     @cached_property
     def jacobian(self):
-        return self.immersion.jacobian_at(self.u)
+        return self._points_jacobian[1]
+
+    @cached_property
+    def _frame_norms(self):
+        # nan until frames writes them, so a frames that does not leaves
+        # sqrt det g nan rather than arbitrary
+        norms = np.full(self.u.shape[:-1] + (self.immersion.n,), np.nan)
+        return self.immersion.frames(self.u, self.jacobian, norms), norms
 
     @cached_property
     def frame(self):
-        return self.immersion.frames(self.u, self.jacobian)
+        return self._frame_norms[0]
 
     @cached_property
     def metric(self):
@@ -351,7 +414,7 @@ class NodeGeometry:
 
     @cached_property
     def sqrt_g(self):
-        return self.immersion.sqrt_det_metric(self.u, self.jacobian)
+        return self.immersion.sqrt_det_metric(self.u, self.jacobian, self._frame_norms[1])
 
     @cached_property
     def shape(self):
@@ -359,12 +422,31 @@ class NodeGeometry:
 
     @cached_property
     def volume(self):
-        """Quadrature of the constant 1: the same sum as ``integrate`` of
-        ones, since ``1.0 * sqrt_g`` is exact."""
-        vol = np.sum(self.sqrt_g * self.w, axis=-1)
+        """``integrate`` of the constant 1 at this node set's resolution."""
+        if self.resolution is None:
+            raise QuadratureError(f"{self.immersion.name}: nodes off a quadrature have no volume")
+        vol = self.immersion.integrate(1.0, self.resolution)
         if vol <= 0.0:
             raise QuadratureError(f"{self.immersion.name}: non-positive volume")
         return vol
+
+    @cached_property
+    def second_moment(self):
+        """The quadrature of ``x x^T``, ``sum_nodes w sqrt_g x x^T``; every
+        integral of a quadratic form is read from it.  Each entry is a
+        pairwise sum over the contiguous node axis, as in ``integrate``, a
+        row of the upper triangle at a time (a BLAS product sums each entry
+        in one running total, several ulps off on large node sets).  A
+        non-finite point or weight raises as in ``integrate``."""
+        weights = self.sqrt_g * self.w
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(weights))):
+            raise EvaluationError(f"{self.immersion.name}: non-finite integrand at a node")
+        xt = self.x.T.copy()
+        weighted = xt * weights
+        moment = np.empty((len(xt),) * 2)
+        for a in range(len(xt)):
+            moment[a, a:] = moment[a:, a] = np.sum(weighted[a] * xt[a:], axis=-1)
+        return moment
 
     @cached_property
     def legendrian_residual(self):

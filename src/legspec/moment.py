@@ -13,6 +13,11 @@ means along an immersion, the cone family (``nomizu.nomizu_function``) of
 the corrected Nomizu operators.  A family holds only its matrices and
 constants; each evaluation is given the immersion or nodes it reads.
 
+The pairing is linear in ``x x^T``: ``<A x, J x> = sum_ab A_ab (J x
+x^T)_ab``.  So every integral of it over a node set, the moment family's
+means among them, is ``pairing_integral`` of the node set's second moment
+``M = integral x x^T``, with no pass over the nodes.
+
 A field may also carry ``k`` generators at once, as a ``(k, d, d)``
 tensor: the family is a linear image of the algebra, so every evaluation
 broadcasts over that leading axis.  Values at ``N`` points then have
@@ -136,6 +141,17 @@ def pairing(A, x):
     return np.reshape(rows, A.shape[:-2] + np.shape(x)[:-1])
 
 
+def pairing_integral(A, M):
+    """The integral of ``<A x, J x>`` from the second moment ``M`` of the
+    nodes (``NodeGeometry.second_moment``): the pairing is ``x^T A^T J x =
+    sum_ab A_ab (J x x^T)_ab``, linear in ``x x^T``, so its integral is
+    ``sum_ab A_ab (J M)_ab``.  One value per matrix of a stack ``A``, formed
+    a matrix at a time, so a stacked row equals its matrix alone."""
+    jm = complex_structure(A.shape[-1] // 2 - 1) @ M
+    rows = [np.einsum("ab,ab->", a, jm) for a in np.reshape(A, (-1,) + A.shape[-2:])]
+    return np.reshape(rows, A.shape[:-2])
+
+
 def moment(x, X):
     """Contact moment pairing ``<U x, J x>`` at unit ambient points."""
     x = np.asarray(x, dtype=float)
@@ -171,6 +187,11 @@ class QuadraticFamily:
         offset = np.reshape(self.offset, np.shape(self.offset) + (1,) * (xhat.ndim - 1))
         return pairing(self.matrix, xhat) - offset
 
+    def release(self, geo):
+        """Forget the values, Laplacians and matrices kept at ``geo``."""
+        for kept in (self._node_values, self._laplacians, self._stiffness_mass):
+            kept.pop(geo, None)
+
     def node_values(self, geo):
         """Values at the nodes of ``geo``, through :meth:`ambient`."""
         if geo not in self._node_values:
@@ -194,10 +215,10 @@ class QuadraticFamily:
 
 def moment_function(L, X, resolution=None):
     """The moment family of ``X`` on ``L``: the pairing of each generator
-    less its quadrature mean at the nodes of ``resolution``."""
+    less its quadrature mean at the nodes of ``resolution``, read from their
+    second moment (no pass over the nodes)."""
     vol = L.volume(resolution)
-    raw = moment(L.node_geometry(resolution).x, X)
-    mean = L.integrate(raw, resolution) / vol
+    mean = pairing_integral(X.generator, L.node_geometry(resolution).second_moment) / vol
     return QuadraticFamily(X.generator, X.n, mean)
 
 

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .config import ZERO_FUNCTION
-from .errors import PreconditionError, UnsupportedError
+from .errors import ConvergenceError, PreconditionError, UnsupportedError
 from .icosphere import icosphere, sector_operators
 
 
@@ -260,7 +260,9 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     complete (fewer when the sectors cover less; a non-finite value keeps
     the whole union, for :func:`bound_check` to reject).  The default 16
     is the complete round-sphere clusters l <= 3: it ends one cluster
-    above the ``2n + 2 = 6`` target (l = 2) without splitting one.
+    above the ``2n + 2 = 6`` target (l = 2) without splitting one.  A
+    sector eigensolve that does not converge raises ``ConvergenceError``
+    with ARPACK's message.
     """
     if L.domain.mesh is None:
         raise UnsupportedError(
@@ -289,17 +291,22 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
             # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
             # ARPACK would otherwise draw one from OS entropy
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, sector.shape[0])
-            values = spla.eigsh(
-                sector,
-                # ceil(num_modes / 8) and two spare modes, since the sectors'
-                # shares of the lowest num_modes are uneven
-                k=-(-num_modes // 8) + 2,
-                # a negative shift keeps sector - shift * I positive definite
-                sigma=-0.5,
-                which="LM",
-                v0=v0,
-                return_eigenvectors=False,
-            )
+            try:
+                values = spla.eigsh(
+                    sector,
+                    # ceil(num_modes / 8) and two spare modes, since the
+                    # sectors' shares of the lowest num_modes are uneven
+                    k=-(-num_modes // 8) + 2,
+                    # a negative shift keeps sector - shift * I positive definite
+                    sigma=-0.5,
+                    which="LM",
+                    v0=v0,
+                    return_eigenvectors=False,
+                )
+            except spla.ArpackNoConvergence as exc:
+                raise ConvergenceError(
+                    f"{L.name}: icosphere level {resolution} eigensolve did not converge: {exc}"
+                ) from None
             parts += [values] * math.comb(3, odd)
         ev = np.concatenate(parts)
         # a non-finite value keeps the whole union, for bound_check to reject

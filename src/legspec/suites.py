@@ -18,7 +18,7 @@ from . import reporting as rp
 from . import sasaki as sk
 from . import spectral as spc
 from .config import DEFAULT_TOLERANCES, GREEN_IDENTITY, ZERO_FUNCTION, Tolerances
-from .errors import EvaluationError, PreconditionError, UnsupportedError
+from .errors import ConvergenceError, EvaluationError, PreconditionError, UnsupportedError
 
 CANONICAL_IMMERSIONS = (
     "great-circle-s3",
@@ -148,11 +148,16 @@ class SuiteConfig:
     def mesh_spectrum(self, L):
         """Mesh spectrum of ``L`` at the configured resolution (default the
         finest shipped level), solved once per config for the spectrum
-        suite and its CSV export."""
+        suite and its CSV export; the ``ConvergenceError`` of an eigensolve
+        that did not converge is kept in its place, for each reader to
+        report."""
         if L.name not in self._spectra:
-            self._spectra[L.name] = spc.mesh_spectrum(
-                L, self.resolution, window=self.tolerances.cluster_window
-            )
+            try:
+                self._spectra[L.name] = spc.mesh_spectrum(
+                    L, self.resolution, window=self.tolerances.cluster_window
+                )
+            except ConvergenceError as exc:
+                self._spectra[L.name] = exc
         return self._spectra[L.name]
 
     def eigenspace_count(self, L):
@@ -176,6 +181,15 @@ class SuiteConfig:
             algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
             self._moments[key] = mo.moment_function(L, algebra, resolution)
         return self._moments[key]
+
+    def release(self, L, resolution):
+        """Forget ``L``'s node geometry at ``resolution``, the moment family
+        built on it and the cone families' tensors there, for a node set no
+        later reader of the report uses."""
+        geo = L.release_node_geometry(resolution)
+        self._moments.pop((L.name, L.resolve_resolution(resolution)), None)
+        for f in self._cones.values():
+            f.release(geo)
 
     def cone_family(self, n):
         """``nomizu.nomizu_function`` of the stacked ``u(n+1)`` algebra,
@@ -448,30 +462,41 @@ def relation_records(cfg):
             records.append(_inconclusive(
                 f"{L.name}: traceless contact integrals", "contact-integral-vanishes", reason))
             continue
-        vol = L.volume(cfg.resolution)
-        f_mom, f_cone = cfg.moment_function(L, cfg.resolution), cfg.cone_family(L.n)
-        records.append(
-            rp.residual_record(
-                f"{L.name}: cone family vs moment family",
-                "families-coincide",
-                np.max(nz.family_coincidence_residuals(f_mom, f_cone)),
-                tol.family_coincidence,
-            )
-        )
-        # its own pass: the moment family's means, which a skipped mean
+        # both read the node set's second moment, which a non-finite point
+        # fails; neither reads a node value
+        name = f"{L.name}: cone family vs moment family"
+        try:
+            f_mom, f_cone = cfg.moment_function(L, cfg.resolution), cfg.cone_family(L.n)
+            value = np.max(nz.family_coincidence_residuals(f_mom, f_cone))
+            records.append(rp.residual_record(name, "families-coincide", value,
+                                              tol.family_coincidence))
+        except EvaluationError as exc:
+            records.append(_non_finite(name, "families-coincide", tol.family_coincidence, exc))
+        # its own integrals: the moment family's means, which a skipped mean
         # subtraction zeroes, would read 0 whatever the integrals are
+        name = f"{L.name}: traceless contact integrals"
         traceless = mo.stack_fields(mo.traceless_basis(L.n), "su(n+1)")
-        x = L.node_geometry(cfg.resolution).x
-        integrals = L.integrate(mo.moment(x, traceless), cfg.resolution)
-        records.append(
-            rp.residual_record(
-                f"{L.name}: traceless contact integrals",
-                "contact-integral-vanishes",
-                np.max(np.abs(integrals) / vol),
-                tol.mean_zero,
-            )
-        )
+        try:
+            second_moment = L.node_geometry(cfg.resolution).second_moment
+            integrals = mo.pairing_integral(traceless.generator, second_moment)
+            value = np.max(np.abs(integrals) / L.volume(cfg.resolution))
+            records.append(rp.residual_record(name, "contact-integral-vanishes", value,
+                                              tol.mean_zero))
+        except EvaluationError as exc:
+            records.append(_non_finite(name, "contact-integral-vanishes", tol.mean_zero, exc))
     return records
+
+
+# the spectrum records each mesh spectrum gives, inconclusive together when
+# its eigensolve does not converge
+MESH_RECORDS = (
+    ("multiplicity at target", "eigenspace-multiplicity-bound"),
+    ("multiplicity >= algebra bound", "eigenspace-multiplicity-bound"),
+    ("equality case", "equality-case-totally-geodesic"),
+    ("cluster mean accuracy", "spectral-cluster-accuracy"),
+    ("constants eigenvalue", "spectral-cluster-accuracy"),
+    ("cluster separation ratio", "cluster-separation"),
+)
 
 
 def spectrum_records(cfg):
@@ -488,6 +513,10 @@ def spectrum_records(cfg):
             )
             continue
         report = cfg.mesh_spectrum(L)
+        if isinstance(report, ConvergenceError):
+            records += [_inconclusive(f"{L.name}: {check}", anchor, report)
+                        for check, anchor in MESH_RECORDS]
+            continue
         basis = mo.algebra_basis(L.n)
         f = cfg.moment_function(L)
         er = spc.eigen_residual(L, f, report.target)
@@ -567,7 +596,13 @@ def spectrum_records(cfg):
                 worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)
                 return float(np.max(worst / np.max(np.abs(ext_vals), axis=-1), initial=0.0))
 
-            errs = [family_disagreement(r2) for r2 in (res // 2, res, 2 * res)]
+            errs = []
+            for r2 in (res // 2, res, 2 * res):
+                errs.append(family_disagreement(r2))
+                # read once: only the default nodes are read after this,
+                # by the Rayleigh quotients, and spectrum is the last suite
+                if r2 != L.resolve_resolution():
+                    cfg.release(L, r2)
             records.append(
                 rp.residual_record(
                     f"{L.name}: mesh vs pointwise operator",

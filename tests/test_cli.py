@@ -427,7 +427,7 @@ class TestSharedWork:
     def test_moment_family_evaluates_sqrt_det_g_once(self, monkeypatch, tmp_path):
         calls = _count_calls(
             monkeypatch, im.LegendrianImmersion, "sqrt_det_metric",
-            lambda L, u, jacobian=None: (L.name, len(u)),
+            lambda L, u, *given: (L.name, len(u)),
         )
         code = main(
             [
@@ -466,18 +466,18 @@ class TestSharedWork:
         assert built and set(built.values()) == {1}
 
     def test_nomizu_family_checks_legendrian_once_per_immersion(self, monkeypatch):
-        # the Legendrian check reads the node geometry's Jacobian, the one
-        # sweep that frames and sqrt det g are given too
-        calls = _count_calls(
-            monkeypatch, im.LegendrianImmersion, "jacobian_at", lambda L, u: L.name
+        # the Legendrian check reads the node geometry's points and Jacobian,
+        # from the one sweep whose Jacobian frames and sqrt det g are given too
+        sweeps = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "_orbit", lambda L, u, order: (L.name, order)
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
-        assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
+        assert sweeps == {(name, 1): 1 for name in CANONICAL_IMMERSIONS}
 
     def test_nomizu_family_takes_frames_once_per_pass(self, monkeypatch):
         # per immersion, the frame-sum identity's one tangent projector
         calls = _count_calls(
-            monkeypatch, im.LegendrianImmersion, "frames", lambda L, u, jacobian=None: L.name
+            monkeypatch, im.LegendrianImmersion, "frames", lambda L, u, *given: L.name
         )
         assert run_suite(SuiteConfig(suite="nomizu-family")).exit_code() == 0
         assert calls == dict.fromkeys(CANONICAL_IMMERSIONS, 1)
@@ -496,23 +496,29 @@ class TestSharedWork:
 
     def test_all_evaluates_each_node_set_once(self, monkeypatch):
         # every call of each evaluator has its own (immersion, node count);
-        # the Jacobian is swept once per node set, whose frames and sqrt
-        # det g take it, apart from the single point (key None) at which
-        # spectral.apply_mesh_operator reads the metric of its stencil
+        # each node set's points and Jacobian come from one orbit sweep, and
+        # its frames and sqrt det g take that Jacobian; the shape operator's
+        # Hessians are one more sweep.  The single chart point (key None) at
+        # which spectral.apply_mesh_operator reads the metric of its stencil
+        # is swept apart
         calls = {
             method: _count_calls(monkeypatch, im.LegendrianImmersion, method,
-                                 lambda L, u, jacobian=None: (L.name, len(u)))
-            for method in ("frames", "points", "sqrt_det_metric")
+                                 lambda L, u, *given: (L.name, len(u)) if np.ndim(u) == 2 else None)
+            for method in ("frames", "points", "jacobian_at", "sqrt_det_metric")
         }
-        calls["jacobian_at"] = _count_calls(
-            monkeypatch, im.LegendrianImmersion, "jacobian_at",
-            lambda L, u: (L.name, len(u)) if np.ndim(u) == 2 else None,
+        sweeps = _count_calls(
+            monkeypatch, im.LegendrianImmersion, "_orbit",
+            lambda L, u, order: (L.name, len(u), order) if np.ndim(u) == 2 else None,
         )
         calls["shape_operator"] = _count_calls(
             monkeypatch, im, "shape_operator", lambda geo: (geo.immersion.name, len(geo.u))
         )
         assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
-        assert calls["jacobian_at"].pop(None)
+        assert sweeps.pop(None) and calls["jacobian_at"].pop(None)
+        assert set(sweeps.values()) == {1}
+        assert {key[:2] for key in sweeps if key[2] == 1} == set(calls["points"])
+        assert {key[:2] for key in sweeps if key[2] == 2} == set(calls["shape_operator"])
+        assert {key[2] for key in sweeps} == {1, 2}
         assert set(calls["jacobian_at"]) == set(calls["points"])
         assert set(calls["shape_operator"]) == {
             (name, len(im.get_immersion(name).nodes()[0])) for name in CANONICAL_IMMERSIONS
@@ -522,13 +528,32 @@ class TestSharedWork:
 
     def test_moment_csv_sweeps_each_node_set_once(self, monkeypatch, tmp_path):
         sweeps = _count_calls(
-            monkeypatch, im.LegendrianImmersion, "jacobian_at", lambda L, u: (L.name, len(u))
+            monkeypatch, im.LegendrianImmersion, "_orbit", lambda L, u, order: (len(u), order)
         )
         argv = ["--suite", "moment-family", "--immersion", "clifford-torus-s5",
                 "--resolution", "16", "--format", "csv", "--output", str(tmp_path / "fields.csv")]
         assert main(argv) == 0
-        # the CSV's 16 x 16 nodes and the default 7 x 7 of the eigen-residuals
-        assert sweeps == {("clifford-torus-s5", 16 * 16): 1, ("clifford-torus-s5", 7 * 7): 1}
+        # the points and Jacobian of the CSV's 16 x 16 nodes and of the
+        # default 7 x 7 of Green's identity, and the Hessians of the
+        # minimality precheck at the default nodes
+        assert sweeps == {(16 * 16, 1): 1, (7 * 7, 1): 1, (7 * 7, 2): 1}
+
+    def test_relation_makes_no_pass_over_the_nodes(self, monkeypatch, tmp_path):
+        # the means and the traceless integrals read the second moment, and
+        # the families are compared as matrices: no pairing at 27,648 nodes
+        points = Counter()
+        pairing = mo.pairing
+
+        def counted(A, x):
+            points[np.shape(x)[:-1]] += 1
+            return pairing(A, x)
+
+        monkeypatch.setattr(mo, "pairing", counted)
+        argv = ["--suite", "relation", "--immersion", "geodesic-sphere-n3", "--resolution", "24",
+                "--output", str(tmp_path / "relation.json")]
+        assert main(argv) == 0
+        assert im.get_immersion("geodesic-sphere-n3").domain.node_count(24) == 27648
+        assert not points
 
     def test_all_contracts_each_closed_form_laplacian_once(self, monkeypatch):
         # each moment family keeps its Laplacian per node set, shared by

@@ -280,8 +280,8 @@ class TestShapeOperator:
 def _reeb_in_first_column(monkeypatch, size):
     jacobian_at = im.LegendrianImmersion.jacobian_at
 
-    def defective(L, u):
-        jac = jacobian_at(L, u)
+    def defective(L, u, sweep=None):
+        jac = jacobian_at(L, u, sweep)
         jac[..., 0] += size * L.ambient.reeb(L.points(u))
         return jac
 
@@ -300,8 +300,8 @@ def _radial_on_hessian_diagonal(monkeypatch, size):
 def _first_frame_vector_scaled(monkeypatch, size):
     frames = im.LegendrianImmersion.frames
 
-    def defective(L, u, jacobian=None):
-        frame = frames(L, u, jacobian)
+    def defective(L, u, *given):
+        frame = frames(L, u, *given)
         frame[..., 0, :] *= 1.0 + size
         return frame
 
@@ -567,6 +567,54 @@ class TestQuadrature:
             # bit for bit the quadrature of ones, and evaluated once
             assert vol == L.integrate(lambda u: np.ones(len(u)), res)
             assert L.volume(res) is vol is L.node_geometry(res).volume
+
+
+class TestSecondMoment:
+    """Integrals of quadratic forms read from ``NodeGeometry.second_moment``."""
+
+    # node sets of 4,096 to 16,384 nodes, on which one running total per
+    # entry (a BLAS product) would be several ulps off
+    FINER = {"great-circle-s3": 4096, "geodesic-sphere-n2": 64,
+             "clifford-torus-s5": 128, "geodesic-sphere-n3": 16}
+
+    @pytest.mark.parametrize("finer", [False, True], ids=["default", "finer"])
+    def test_pairing_integral_is_the_quadrature_of_the_pairing(self, immersion, finer):
+        L = immersion
+        res = self.FINER[L.name] if finer else None
+        geo, vol = L.node_geometry(res), L.volume(res)
+        algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
+        by_moment = mo.pairing_integral(algebra.generator, geo.second_moment) / vol
+        by_nodes = L.integrate(mo.moment(geo.x, algebra), res) / vol
+        assert np.max(np.abs(by_moment - by_nodes)) <= 1e-14
+        assert_allclose(np.trace(geo.second_moment), vol, rtol=1e-14)
+
+    def test_non_finite_weight_raises(self):
+        geo = im.great_circle().node_geometry()
+        geo.sqrt_g = np.where(np.arange(len(geo.u)) == 3, np.inf, geo.sqrt_g)
+        with pytest.raises(EvaluationError):
+            geo.second_moment
+
+    def test_sqrt_det_g_is_the_metric_determinant(self, immersion):
+        L = immersion
+        rng = np.random.default_rng(5)
+        for u in (L.nodes()[0], L.nodes(16)[0], rng.uniform(0.3, 2.8, (64, L.n))):
+            jac = L.jacobian_at(u)
+            reference = np.sqrt(np.linalg.det(np.swapaxes(jac, -1, -2) @ jac))
+            assert np.max(np.abs(L.sqrt_det_metric(u) - reference)) <= 1e-14
+        geo = L.node_geometry()
+        assert geo.sqrt_g.tobytes() == L.sqrt_det_metric(geo.u).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(im.registry()))
+    def test_one_sweep_gives_the_points(self, name):
+        # a sweep of any order turns the points alike, bit for bit
+        L = im.get_immersion(name)
+        u = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (40, L.n))
+        sweeps = [L._orbit(u, order) for order in (0, 1, 2)]
+        assert sweeps[0][0].tobytes() == sweeps[1][0].tobytes() == sweeps[2][0].tobytes()
+        assert [c.tobytes() for c in sweeps[1][1]] == [c.tobytes() for c in sweeps[2][1]]
+        geo = im.NodeGeometry(L, u)
+        assert geo.x.tobytes() == L.points(u).tobytes()
+        assert geo.jacobian.tobytes() == L.jacobian_at(u).tobytes()
 
 
 class TestNormalSplit:

@@ -11,9 +11,9 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.cli import main
-from legspec.errors import EvaluationError, PreconditionError, UnsupportedError
+from legspec.errors import ConvergenceError, EvaluationError, PreconditionError, UnsupportedError
 from legspec.reporting import FAIL, PASS
-from legspec.suites import SuiteConfig, run_suite, spectrum_records
+from legspec.suites import MESH_RECORDS, SuiteConfig, run_suite, spectrum_records
 
 
 def diag_field(n, entries):
@@ -246,6 +246,40 @@ class TestMeshSpectrum:
         assert status[f"{L.name}: equality case"] == "inconclusive"
         assert len(injected) == 2
 
+    def test_unconverged_eigensolve_is_inconclusive(self, monkeypatch, tmp_path):
+        # ARPACK's failure reaches the report as its reason, not a traceback
+        def unconverged(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", unconverged)
+        with pytest.raises(ConvergenceError, match="ARPACK error -1"):
+            spc.mesh_spectrum(im.geodesic_sphere(2), 3)
+        name = "geodesic-sphere-n2"
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"spectrum.{fmt}"
+            argv = ["--suite", "spectrum", "--immersion", name, "--resolution", "3",
+                    "--format", fmt, "--output", str(out)]
+            assert main(argv) == 2
+            assert out.exists()
+        assert (tmp_path / "spectrum.csv").read_text().splitlines() == ["immersion,index,eigenvalue"]
+        checks = json.loads((tmp_path / "spectrum.json").read_text())["checks"]
+        stopped = [c for c in checks if c["status"] == "inconclusive"]
+        assert [c["name"] for c in stopped] == [f"{name}: {check}" for check, _ in MESH_RECORDS]
+        assert all("ARPACK error -1" in c["details"]["reason"] for c in stopped)
+        assert {c["name"]: c["status"] for c in checks if c not in stopped} == {
+            f"{name}: Rayleigh quotients": "pass"}
+
+    def test_unconverged_eigensolve_leaves_the_other_immersions(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", unconverged)
+        report = run_suite(SuiteConfig(suite="spectrum"))
+        assert report.exit_code() == 2
+        stopped = {r.name for r in report.records if r.status == "inconclusive"}
+        assert stopped == {f"geodesic-sphere-n2: {check}" for check, _ in MESH_RECORDS}
+        assert {r.status for r in report.records if r.name not in stopped} <= {PASS, "info"}
+
     def test_non_finite_eigenvalue_is_inconclusive(self):
         ev = [0.0, 2.0, 2.0, 2.0, 6.0, 6.0, 6.0, 6.0, 6.0, 12.0, np.nan]
         verdict = spc.bound_check(spc.SpectralReport(ev, 3, "test", 6.0, 0.05, 5))
@@ -345,6 +379,20 @@ class TestPipelineAgreement:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
 
+    @pytest.mark.parametrize("name,grids", [("great-circle-s3", (128, 256, 512)),
+                                            ("clifford-torus-s5", (32, 64, 128))])
+    def test_agreement_grids_are_released_after_their_read(self, name, grids):
+        # the report reads each grid once; only the default nodes stay kept
+        cfg = SuiteConfig(suite="spectrum", immersion=name)
+        kept = json.loads(run_suite(cfg).to_json(include_timing=False))
+        L = cfg.selected_immersions()[0]
+        assert list(L._geometries) == [L.resolve_resolution()]
+        assert all((name, r) not in cfg._moments for r in grids)
+        again = SuiteConfig(suite="spectrum", immersion=name)
+        again.release = lambda L, resolution: None
+        assert json.loads(run_suite(again).to_json(include_timing=False)) == kept
+        assert set(again.selected_immersions()[0]._geometries) > set(L._geometries)
+
 
 class TestRayleigh:
     @pytest.mark.parametrize(
@@ -437,6 +485,29 @@ class TestNonFiniteFamily:
         for r in [stopped[name] for name in checks]:
             assert r.status == FAIL and np.isnan(r.value)
             assert "non-finite" in r.details["reason"]
+
+    def test_nan_point_fails_the_means_and_the_contact_integrals(self, monkeypatch):
+        # both read the node set's second moment, which integrates the nan
+        # point instead of skipping it; the report is still written
+        points = im.LegendrianImmersion.points
+
+        def nan_at_node_0(L, u, sweep=None):
+            x = points(L, u, sweep)
+            if np.ndim(x) == 2:
+                x = x.copy()
+                x[0, 0] = np.nan
+            return x
+
+        monkeypatch.setattr(im.LegendrianImmersion, "points", nan_at_node_0)
+        L = im.clifford_torus()
+        with pytest.raises(EvaluationError):
+            mo.moment_function(L, mo.stack_fields(mo.algebra_basis(2), "u(3)"))
+        report = run_suite(SuiteConfig(suite="relation", immersion=L.name))
+        assert report.exit_code() == 1
+        assert [(r.anchor, r.status) for r in report.records] == [
+            ("families-coincide", FAIL), ("contact-integral-vanishes", FAIL)]
+        for r in report.records:
+            assert np.isnan(r.value) and "non-finite" in r.details["reason"]
 
     def test_report_with_nan_values_is_strict_json(self, monkeypatch):
         # RFC 8259 has no NaN token: each nan record value is written as
