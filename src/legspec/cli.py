@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import moment as mo
-from .errors import ConvergenceError, LegspecError, UnsupportedError
+from .errors import LegspecError, UnsupportedError
 from .suites import SUITE_NAMES, SuiteConfig, list_targets, run_suite
 
 USAGE_EXIT = 64
@@ -86,9 +86,10 @@ def _spectrum_csv(cfg):
     for L in cfg.selected_immersions():
         if L.domain.mesh is None:
             continue
-        report = cfg.mesh_spectrum(L)
-        # an unconverged eigensolve has no eigenvalues; the report says why
-        if isinstance(report, ConvergenceError):
+        try:
+            report = cfg.mesh_spectrum(L)
+        except LegspecError:
+            # a spectrum that failed has no eigenvalues; the report says why
             continue
         for idx, ev in enumerate(report.eigenvalues):
             writer.writerow([L.name, idx, repr(float(ev))])

@@ -12,8 +12,10 @@ written as the string ``"nan"``, ``"inf"`` or ``"-inf"``.
 import json
 import math
 import time
+from typing import NamedTuple
 
 from . import __version__
+from .errors import EvaluationError
 
 SCHEMA_VERSION = 1
 
@@ -65,36 +67,55 @@ class CheckRecord:
         return f"[{self.status.upper():>12}] {self.name}: {val}{thr}"
 
 
-def residual_record(name, anchor, value, threshold, degenerate=False, details=None):
-    if degenerate:
-        status = DEGENERATE
-    else:
-        status = PASS if value <= threshold else FAIL
-    return CheckRecord(name, anchor, "residual", float(value), float(threshold), status, details)
+class Measured(NamedTuple):
+    """A check's measurement with what its judge cannot know: the record's
+    ``details``, and a ``status`` the measurement settles itself
+    (``degenerate``, or ``inconclusive`` when the value cannot be judged)."""
+
+    value: object
+    details: dict | None = None
+    status: str | None = None
 
 
-def count_record(name, anchor, value, expected, details=None, verdict=None):
-    """A count against its expected value, ``inconclusive`` (with the
-    diagnostics in ``details``) when the bound ``verdict`` it rests on is."""
-    status = PASS if value == expected else FAIL
-    det = dict(details or {}, expected=expected)
-    if verdict is not None and verdict.inconclusive:
-        status = INCONCLUSIVE
-        det.update(verdict.diagnostics)
-    return CheckRecord(name, anchor, "count", int(value), None, status, det)
+class Judge:
+    """How a check's measured value becomes its record.  ``kind`` and
+    ``threshold`` are the record's whatever its status; when the measurement
+    settles no status, ``passes(value, details)`` gives pass or fail, and a
+    judge without it gives info.  A nan value raises ``EvaluationError``,
+    so it never passes."""
+
+    def __init__(self, kind, threshold, convert, passes=None):
+        self.kind = kind
+        self.threshold = threshold
+        self._convert = convert
+        self._passes = passes
+
+    def __call__(self, measured):
+        """``(value, status, details)`` of a value or a :class:`Measured`."""
+        value, details, status = measured if isinstance(measured, Measured) else (measured, None, None)
+        if status is None:
+            if isinstance(value, float) and math.isnan(value):
+                raise EvaluationError("non-finite value")
+            status = INFO if self._passes is None else PASS if self._passes(value, details) else FAIL
+        return self._convert(value), status, details or {}
 
 
-def bound_record(name, anchor, verdict, details=None):
-    if verdict.inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = PASS if verdict.passed else FAIL
-    det = dict(details or {}, **verdict.diagnostics, equality=verdict.equality)
-    return CheckRecord(name, anchor, "bound", int(verdict.diagnostics.get("multiplicity", -1)), None, status, det)
+def at_most(threshold):
+    """A residual that passes at or below ``threshold``."""
+    return Judge("residual", float(threshold), float, lambda value, _: value <= threshold)
 
 
-def info_record(name, anchor, value, details=None):
-    return CheckRecord(name, anchor, "info", value, None, INFO, details)
+def at_least(threshold):
+    """A residual that passes at or above ``threshold``."""
+    return Judge("residual", float(threshold), float, lambda value, _: value >= threshold)
+
+
+# a count that passes when it is the ``expected`` of its details
+COUNT = Judge("count", None, int, lambda value, details: value == details["expected"])
+# a multiplicity that passes when it is at least the ``bound`` of its details
+BOUND = Judge("bound", None, int, lambda value, details: value >= details["bound"])
+# a value reported for information, with no verdict
+NOTE = Judge("info", None, lambda value: value)
 
 
 class Report:

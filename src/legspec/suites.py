@@ -5,8 +5,21 @@ Seven suites ship: ``sasaki-axioms``, ``legendrian-geometry``,
 ``all``.  Each suite is deterministic for a fixed config (seed, sample
 ordering and reduction order are fixed) and appends
 :class:`~legspec.reporting.CheckRecord` entries to a report.
+
+Each record comes from one check given to :func:`run_check`: its name,
+its anchor, a judge of :mod:`legspec.reporting` (a value at most or at
+least a threshold, a count against its expected value, the bound
+verdict, or info), which fixes the record's kind and threshold whatever
+its status, and a thunk that measures the value and details.  The runner
+is the one place where an error becomes a status:
+``PreconditionError`` and ``ConvergenceError`` give ``inconclusive``,
+``EvaluationError`` and a nan value ``fail``, with the message as the
+reason.  The inputs that several checks read (each mesh spectrum,
+eigenspace count, moment and cone family) are computed once per config,
+and a failure is raised again to every check that reads it.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +31,8 @@ from . import reporting as rp
 from . import sasaki as sk
 from . import spectral as spc
 from .config import DEFAULT_TOLERANCES, GREEN_IDENTITY, ZERO_FUNCTION, Tolerances
-from .errors import ConvergenceError, EvaluationError, PreconditionError, UnsupportedError
+from .errors import (ConvergenceError, EvaluationError, LegspecError, PreconditionError,
+                     UnsupportedError)
 
 CANONICAL_IMMERSIONS = (
     "great-circle-s3",
@@ -44,19 +58,6 @@ SUITE_NAMES = (
 )
 
 
-def _inconclusive(name, anchor, exc):
-    return rp.CheckRecord(
-        name, anchor, "residual", float("nan"), None, rp.INCONCLUSIVE,
-        {"reason": str(exc)},
-    )
-
-
-def _non_finite(name, anchor, threshold, exc):
-    """The failing record of a check whose integrand was not finite."""
-    return rp.CheckRecord(name, anchor, "residual", float("nan"), threshold, rp.FAIL,
-                          {"reason": str(exc)})
-
-
 @dataclass
 class SuiteConfig:
     suite: str
@@ -78,6 +79,8 @@ class SuiteConfig:
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (cache, key) -> the LegspecError that computing that entry raised
+    _failures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -145,42 +148,55 @@ class SuiteConfig:
             return [self.n]
         return sorted({L.n for L in self.selected_immersions()})
 
+    def _kept(self, cache, key, compute):
+        """Keep ``compute()`` in the dict attribute ``cache`` under ``key``,
+        computed once per config for every reader, or the ``LegspecError``
+        it raised in ``_failures``; return that failure, or None."""
+        kept = getattr(self, cache)
+        if key not in kept and (cache, key) not in self._failures:
+            try:
+                kept[key] = compute()
+            except LegspecError as exc:
+                self._failures[cache, key] = exc
+        return self._failures.get((cache, key))
+
+    def _once(self, cache, key, compute):
+        """The value :meth:`_kept` keeps; a kept failure is raised again to
+        each reader."""
+        failure = self._kept(cache, key, compute)
+        if failure is not None:
+            raise failure
+        return getattr(self, cache)[key]
+
     def mesh_spectrum(self, L):
         """Mesh spectrum of ``L`` at the configured resolution (default the
         finest shipped level), solved once per config for the spectrum
-        suite and its CSV export; the ``ConvergenceError`` of an eigensolve
-        that did not converge is kept in its place, for each reader to
-        report."""
-        if L.name not in self._spectra:
-            try:
-                self._spectra[L.name] = spc.mesh_spectrum(
-                    L, self.resolution, window=self.tolerances.cluster_window
-                )
-            except ConvergenceError as exc:
-                self._spectra[L.name] = exc
-        return self._spectra[L.name]
+        suite and its CSV export."""
+        return self._once("_spectra", L.name, lambda: spc.mesh_spectrum(
+            L, self.resolution, window=self.tolerances.cluster_window))
+
+    def _count(self, L):
+        target, window = 2.0 * L.n + 2.0, self.tolerances.cluster_window
+        return int(np.sum(np.abs(mo.quadratic_ritz(L)[0] - target) <= window * target))
 
     def eigenspace_count(self, L):
         """The ``moment.quadratic_ritz`` values of ``L`` in the cluster window
-        around ``2n + 2``, counted once per config; the ``EvaluationError`` of
-        a non-finite value is kept in its place, for each reader to fail with."""
-        if L.name not in self._counts:
-            target, window = 2.0 * L.n + 2.0, self.tolerances.cluster_window
-            try:
-                ritz = mo.quadratic_ritz(L)[0]
-                self._counts[L.name] = int(np.sum(np.abs(ritz - target) <= window * target))
-            except EvaluationError as exc:
-                self._counts[L.name] = exc
-        return self._counts[L.name]
+        around ``2n + 2``, counted once per config."""
+        return self._once("_counts", L.name, lambda: self._count(L))
+
+    def in_equality_case(self, L):
+        """Whether the eigenspace count of ``L`` meets the algebra bound: the
+        paper's equality case, which picks the checks that hold ``L`` to
+        being totally geodesic.  A count that failed picks them too, and
+        each, reading the count, fails with it."""
+        failed = self._kept("_counts", L.name, lambda: self._count(L))
+        return failed is not None or self._counts[L.name] == spc.algebra_bound(L.n)
 
     def moment_function(self, L, resolution=None):
         """``moment.moment_function`` of the stacked ``u(n+1)`` algebra on ``L``,
         built once per immersion and resolution for every suite and exporter."""
-        key = (L.name, L.resolve_resolution(resolution))
-        if key not in self._moments:
-            algebra = mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)")
-            self._moments[key] = mo.moment_function(L, algebra, resolution)
-        return self._moments[key]
+        return self._once("_moments", (L.name, L.resolve_resolution(resolution)), lambda: (
+            mo.moment_function(L, mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)"), resolution)))
 
     def release(self, L, resolution):
         """Forget ``L``'s node geometry at ``resolution``, the moment family
@@ -194,9 +210,42 @@ class SuiteConfig:
     def cone_family(self, n):
         """``nomizu.nomizu_function`` of the stacked ``u(n+1)`` algebra,
         built once per dimension and keeping its values per node set."""
-        if n not in self._cones:
-            self._cones[n] = nz.nomizu_function(mo.stack_fields(mo.algebra_basis(n), "u(n+1)"))
-        return self._cones[n]
+        return self._once("_cones", n, lambda: (
+            nz.nomizu_function(mo.stack_fields(mo.algebra_basis(n), "u(n+1)"))))
+
+
+# ---------------------------------------------------------------------------
+# the record runner
+
+# the status an error of a check's measurement gives its record
+ERROR_STATUS = {
+    PreconditionError: rp.INCONCLUSIVE,
+    ConvergenceError: rp.INCONCLUSIVE,
+    EvaluationError: rp.FAIL,
+}
+
+
+def run_check(name, anchor, judge, measure):
+    """The record of one check, named ``name`` and ``anchor``: ``measure()``
+    gives its value, or an ``rp.Measured`` with details or a status of its
+    own, and ``judge`` its kind, threshold and status.  This is the one
+    place where an error becomes a status, by ``ERROR_STATUS``, with value
+    nan and the message as the reason; a nan value is an
+    ``EvaluationError``.  The kind and threshold are the judge's whatever
+    the status."""
+    try:
+        value, status, details = judge(measure())
+    except tuple(ERROR_STATUS) as exc:
+        value, status, details = float("nan"), ERROR_STATUS[type(exc)], {"reason": str(exc)}
+    return rp.CheckRecord(name, anchor, judge.kind, value, judge.threshold, status, details)
+
+
+def _resting_on(verdict, value, details):
+    """A measurement that rests on the bound ``verdict``: inconclusive, with
+    the verdict's diagnostics added to ``details``, when the verdict is."""
+    if verdict.inconclusive:
+        return rp.Measured(value, {**details, **verdict.diagnostics}, rp.INCONCLUSIVE)
+    return rp.Measured(value, details)
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +259,20 @@ def sasaki_axiom_records(cfg):
         S = sk.SphereSasaki(n)
         samples = sk.sample_tangent_triples(S, 100, seed=cfg.seed)
         residuals = sk.verify_sasaki_axioms(S, samples)
-        for axiom, value in residuals.items():
-            records.append(
-                rp.residual_record(
-                    f"s{2*n+1}: axiom {axiom}",
-                    "sasaki-structure-axioms",
-                    value,
-                    tol.sasaki_axioms,
-                )
-            )
+        for axiom in residuals:
+            records.append(run_check(f"s{2*n+1}: axiom {axiom}", "sasaki-structure-axioms",
+                                     rp.at_most(tol.sasaki_axioms), lambda: residuals[axiom]))
         rng = np.random.default_rng(cfg.seed + 1)
         radii = rng.uniform(0.5, 2.0, 2)
         # a hemisphere chart point with |u| <= 0.5, where Gamma != 0
         u = rng.standard_normal(S.dim)
         u *= 0.5 * rng.uniform() / np.linalg.norm(u)
-        records.append(
-            rp.residual_record(
-                f"s{2*n+1}: curvature constant 2n",
-                "eta-einstein-constant",
-                sk.eta_einstein_residual(S, u),
-                tol.eta_einstein,
-            )
-        )
-        records.append(
-            rp.residual_record(
-                f"s{2*n+1}: cone curvature flat (chart cross-check)",
-                "cone-ricci-flat",
-                sk.SphereCone(S).ricci_via_chart(radii),
-                tol.cone_ricci_chart,
-            )
-        )
+        records.append(run_check(f"s{2*n+1}: curvature constant 2n", "eta-einstein-constant",
+                                 rp.at_most(tol.eta_einstein),
+                                 lambda: sk.eta_einstein_residual(S, u)))
+        records.append(run_check(f"s{2*n+1}: cone curvature flat (chart cross-check)",
+                                 "cone-ricci-flat", rp.at_most(tol.cone_ricci_chart),
+                                 lambda: sk.SphereCone(S).ricci_via_chart(radii)))
     return records
 
 
@@ -249,55 +282,46 @@ def legendrian_geometry_records(cfg):
     for L in cfg.selected_immersions():
         geo = L.node_geometry(cfg.resolution)
         # the node set every pointwise sup below is taken over
-        records.append(
-            rp.residual_record(
-                f"{L.name}: contact form pullback",
-                "legendrian-pullback-vanishes",
-                geo.legendrian_residual,
-                tol.legendrian,
-                details={"nodes": len(geo.u), "volume": float(geo.volume)},
-            )
-        )
-        sd = geo.shape
-        records.append(
-            rp.residual_record(
-                f"{L.name}: mean curvature",
-                "minimal-immersion",
-                sd.mean_curvature_norm(),
-                tol.mean_curvature,
-            )
-        )
+        records.append(run_check(
+            f"{L.name}: contact form pullback", "legendrian-pullback-vanishes",
+            rp.at_most(tol.legendrian),
+            lambda: rp.Measured(geo.legendrian_residual,
+                                {"nodes": len(geo.u), "volume": float(geo.volume)})))
+        records.append(run_check(f"{L.name}: mean curvature", "minimal-immersion",
+                                 rp.at_most(tol.mean_curvature),
+                                 lambda: geo.shape.mean_curvature_norm()))
+
+        def second_fundamental_norm():
+            # the count picked this check; a count that failed fails it
+            cfg.eigenspace_count(L)
+            return geo.shape.second_fundamental_norm()
+
         # the paper's equality case: L is totally geodesic exactly when its
         # eigenspace count meets the algebra bound
-        count, norm = cfg.eigenspace_count(L), sd.second_fundamental_norm()
-        name, anchor = f"{L.name}: second fundamental form", "totally-geodesic-equality-case"
-        if isinstance(count, EvaluationError):
-            records.append(_non_finite(name, anchor, tol.totally_geodesic, count))
-        elif count == spc.algebra_bound(L.n):
-            records.append(rp.residual_record(name, anchor, norm, tol.totally_geodesic))
+        if cfg.in_equality_case(L):
+            records.append(run_check(f"{L.name}: second fundamental form",
+                                     "totally-geodesic-equality-case",
+                                     rp.at_most(tol.totally_geodesic), second_fundamental_norm))
         else:
-            records.append(rp.CheckRecord(f"{name} nonzero", "minimal-but-not-totally-geodesic",
-                                          "residual", norm, 0.1, rp.PASS if norm >= 0.1 else rp.FAIL))
-        gram = np.einsum("...ia,...ja->...ij", geo.frame, geo.frame)
-        records.append(
-            rp.residual_record(
-                f"{L.name}: frame orthonormality",
-                "orthonormal-frame",
-                float(np.max(np.abs(gram - np.eye(L.n)))),
-                tol.frame_orthonormality,
-            )
-        )
-        first = mo.stack_fields(mo.algebra_basis(L.n)[: L.n + 2], "u(n+1)[:n+2]")
-        split = im.normal_split(geo, first)
-        rebuilt = im.normal_from_split(geo, split.reeb_component, split.one_form)
-        records.append(
-            rp.residual_record(
-                f"{L.name}: normal-split roundtrip",
-                "normal-bundle-isomorphism",
-                np.max(np.linalg.norm(rebuilt - split.normal, axis=-1)),
-                tol.chi_roundtrip,
-            )
-        )
+            records.append(run_check(f"{L.name}: second fundamental form nonzero",
+                                     "minimal-but-not-totally-geodesic", rp.at_least(0.1),
+                                     second_fundamental_norm))
+
+        def frame_orthonormality():
+            gram = np.einsum("...ia,...ja->...ij", geo.frame, geo.frame)
+            return np.max(np.abs(gram - np.eye(L.n)))
+
+        records.append(run_check(f"{L.name}: frame orthonormality", "orthonormal-frame",
+                                 rp.at_most(tol.frame_orthonormality), frame_orthonormality))
+
+        def roundtrip():
+            first = mo.stack_fields(mo.algebra_basis(L.n)[: L.n + 2], "u(n+1)[:n+2]")
+            split = im.normal_split(geo, first)
+            rebuilt = im.normal_from_split(geo, split.reeb_component, split.one_form)
+            return np.max(np.linalg.norm(rebuilt - split.normal, axis=-1))
+
+        records.append(run_check(f"{L.name}: normal-split roundtrip", "normal-bundle-isomorphism",
+                                 rp.at_most(tol.chi_roundtrip), roundtrip))
     return records
 
 
@@ -307,71 +331,53 @@ def moment_family_records(cfg):
     for n in cfg.selected_dimensions():
         S = sk.SphereSasaki(n)
         samples = sk.sample_tangent_triples(S, 10, seed=cfg.seed)
-        worst_killing = 0.0
-        for X in mo.algebra_basis(n):
-            r = mo.automorphism_residuals(S, X, samples)
-            worst_killing = max(worst_killing, r["killing"], r["contact_form"])
-        records.append(
-            rp.residual_record(
-                f"s{2*n+1}: generators Killing / contact-preserving",
-                "automorphism-killing",
-                worst_killing,
-                tol.killing,
-            )
-        )
+
+        def worst_killing():
+            worst = 0.0
+            for X in mo.algebra_basis(n):
+                r = mo.automorphism_residuals(S, X, samples)
+                worst = max(worst, r["killing"], r["contact_form"])
+            return worst
+
+        records.append(run_check(f"s{2*n+1}: generators Killing / contact-preserving",
+                                 "automorphism-killing", rp.at_most(tol.killing), worst_killing))
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
         basis = mo.algebra_basis(L.n)
-        f = cfg.moment_function(L, cfg.resolution)
-        try:
-            res = spc.eigen_residual(L, f, target, cfg.resolution)
-        except PreconditionError as exc:
-            res = exc
+        res = functools.cache(lambda: spc.eigen_residual(
+            L, cfg.moment_function(L, cfg.resolution), target, cfg.resolution))
         # the default nodes integrate f^2 (degree 4) exactly with positive
         # weights, so a function zero at all of them is zero; one that is
         # zero only at the requested nodes says these nodes are too few.
         # The default family is the one Green's identity reads below
-        default_sup = None
-        if L.resolve_resolution(cfg.resolution) != L.resolve_resolution():
-            default_values = cfg.moment_function(L).node_values(L.node_geometry())
-            default_sup = np.max(np.abs(default_values), axis=-1)
+        coarse = L.resolve_resolution(cfg.resolution) != L.resolve_resolution()
+        default_sup = functools.cache(lambda: np.max(
+            np.abs(cfg.moment_function(L).node_values(L.node_geometry())), axis=-1))
+
+        def eigen_residual(idx):
+            r = res()
+            if r.degenerate[idx] and coarse and default_sup()[idx] > ZERO_FUNCTION:
+                return rp.Measured(
+                    float("nan"),
+                    {"sup_norm": float(r.sup_norm[idx]),
+                     "default_sup_norm": float(default_sup()[idx]),
+                     "reason": "zero at the quadrature nodes but not at the default nodes"},
+                    rp.INCONCLUSIVE)
+            return rp.Measured(r.residual[idx], None, rp.DEGENERATE if r.degenerate[idx] else None)
+
         for idx, X in enumerate(basis):
-            name = f"{L.name}: eigen-residual basis[{idx}] {X.label}"
-            if isinstance(res, PreconditionError):
-                records.append(_inconclusive(name, "moment-family-eigenvalue", res))
-            elif res.degenerate[idx] and default_sup is not None and default_sup[idx] > ZERO_FUNCTION:
-                records.append(
-                    rp.CheckRecord(
-                        name, "moment-family-eigenvalue", "residual", float("nan"),
-                        tol.eigen_residual, rp.INCONCLUSIVE,
-                        {"sup_norm": float(res.sup_norm[idx]),
-                         "default_sup_norm": float(default_sup[idx]),
-                         "reason": "zero at the quadrature nodes but not at the default nodes"},
-                    )
-                )
-            else:
-                records.append(
-                    rp.residual_record(
-                        name, "moment-family-eigenvalue", res.residual[idx],
-                        tol.eigen_residual, degenerate=res.degenerate[idx],
-                    )
-                )
-        count = cfg.eigenspace_count(L)
-        if isinstance(count, EvaluationError):
-            records.append(_non_finite(f"{L.name}: rank of normal parts over basis",
-                                       "tangent-generator-kernel", None, count))
-        elif count == spc.algebra_bound(L.n):
-            records.append(_kernel_rank_record(L, mo.stack_fields(basis, "u(n+1)"), cfg.resolution))
+            records.append(run_check(f"{L.name}: eigen-residual basis[{idx}] {X.label}",
+                                     "moment-family-eigenvalue", rp.at_most(tol.eigen_residual),
+                                     lambda: eigen_residual(idx)))
+        if cfg.in_equality_case(L):
+            records.append(run_check(f"{L.name}: rank of normal parts over basis",
+                                     "tangent-generator-kernel", rp.COUNT,
+                                     lambda: _kernel_rank(cfg, L, basis)))
         # the one check of the closed form that does not share its algebra,
         # at the default resolution whatever --resolution is
-        name = f"{L.name}: closed-form Laplacian vs Green identity"
-        try:
-            value = spc.green_identity_residual(L, cfg.moment_function(L))
-            records.append(rp.residual_record(name, "closed-form-laplacian", value, GREEN_IDENTITY))
-        except PreconditionError as exc:
-            records.append(_inconclusive(name, "closed-form-laplacian", exc))
-        except EvaluationError as exc:
-            records.append(_non_finite(name, "closed-form-laplacian", GREEN_IDENTITY, exc))
+        records.append(run_check(f"{L.name}: closed-form Laplacian vs Green identity",
+                                 "closed-form-laplacian", rp.at_most(GREEN_IDENTITY),
+                                 lambda: spc.green_identity_residual(L, cfg.moment_function(L))))
     return records
 
 
@@ -390,21 +396,23 @@ def _normal_rank(L, algebra, resolution):
     return int(np.sum(svals > 1e-8 * svals[0]))
 
 
-def _kernel_rank_record(L, algebra, resolution):
-    name = f"{L.name}: rank of normal parts over basis"
-    rank = _normal_rank(L, algebra, resolution)
+def _kernel_rank(cfg, L, basis):
+    # the count picked this check; a count that failed fails it
+    cfg.eigenspace_count(L)
+    algebra = mo.stack_fields(basis, "u(n+1)")
+    rank = _normal_rank(L, algebra, cfg.resolution)
     expected = spc.algebra_bound(L.n) + 1
-    if rank < expected and L.resolve_resolution(resolution) != L.resolve_resolution():
+    if rank < expected and L.resolve_resolution(cfg.resolution) != L.resolve_resolution():
         # a rank over any node set is at most the true rank, so a deficit
         # the default nodes do not show says only that these nodes are too few
         default_rank = _normal_rank(L, algebra, None)
         if default_rank == expected:
-            return rp.CheckRecord(
-                name, "tangent-generator-kernel", "count", rank, None, rp.INCONCLUSIVE,
+            return rp.Measured(
+                rank,
                 {"expected": expected, "rank": rank, "default_rank": default_rank,
                  "reason": "the quadrature nodes cannot span the expected rank"},
-            )
-    return rp.count_record(name, "tangent-generator-kernel", rank, expected)
+                rp.INCONCLUSIVE)
+    return rp.Measured(rank, {"expected": expected})
 
 
 def nomizu_family_records(cfg):
@@ -415,35 +423,21 @@ def nomizu_family_records(cfg):
     for n in cfg.selected_dimensions():
         op, J = cfg.cone_family(n).matrix, sk.complex_structure(n)
         for idx, X in enumerate(mo.algebra_basis(n)):
-            records.append(
-                rp.residual_record(
-                    f"s{2*n+1}: operator algebra basis[{idx}] {X.label}",
-                    "cone-operator-algebra",
-                    max(nz.cone_field_residuals(op[idx], J).values()),
-                    tol.nomizu_algebra,
-                )
-            )
+            records.append(run_check(
+                f"s{2*n+1}: operator algebra basis[{idx}] {X.label}", "cone-operator-algebra",
+                rp.at_most(tol.nomizu_algebra),
+                lambda: max(nz.cone_field_residuals(op[idx], J).values())))
     # on a minimal L the closed form gives Lap f = 2n f - 2 tr(QP), so the
     # cone family's eigen-residual is 2 / sup|f| times its frame sum
     # |tr(QP) + f|, which holds on any Legendrian L
     for L in cfg.selected_immersions():
         f = cfg.cone_family(L.n)
-        try:
-            frame_sum = nz.operator_identity_residuals(
-                f, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian
-            )
-        except PreconditionError as exc:
-            frame_sum = exc
+        frame_sum = functools.cache(lambda: nz.operator_identity_residuals(
+            f, L, resolution=cfg.resolution, legendrian_tol=tol.legendrian))
         for idx in range(len(f.matrix)):
-            name = f"{L.name}: frame-sum identity basis[{idx}]"
-            if isinstance(frame_sum, PreconditionError):
-                records.append(_inconclusive(name, "frame-sum-identity", frame_sum))
-            else:
-                records.append(
-                    rp.residual_record(
-                        name, "frame-sum-identity", frame_sum[idx], tol.frame_sum_identity
-                    )
-                )
+            records.append(run_check(f"{L.name}: frame-sum identity basis[{idx}]",
+                                     "frame-sum-identity", rp.at_most(tol.frame_sum_identity),
+                                     lambda: frame_sum()[idx]))
     return records
 
 
@@ -451,52 +445,37 @@ def relation_records(cfg):
     tol = cfg.tolerances
     records = []
     for L in cfg.selected_immersions():
-        # both records read means of degree-2 integrands, which coarser
-        # nodes integrate wrong on correct code
-        least = L.domain.resolution_for(2)
-        if L.resolve_resolution(cfg.resolution) < least:
-            reason = (f"resolution {cfg.resolution} does not integrate degree 2 exactly; "
-                      f"{L.name} needs {least}")
-            records.append(_inconclusive(
-                f"{L.name}: cone family vs moment family", "families-coincide", reason))
-            records.append(_inconclusive(
-                f"{L.name}: traceless contact integrals", "contact-integral-vanishes", reason))
-            continue
+
+        def degree_two():
+            # both records read means of degree-2 integrands, which coarser
+            # nodes integrate wrong on correct code
+            least = L.domain.resolution_for(2)
+            if L.resolve_resolution(cfg.resolution) < least:
+                raise PreconditionError(f"resolution {cfg.resolution} does not integrate "
+                                        f"degree 2 exactly; {L.name} needs {least}")
+
         # both read the node set's second moment, which a non-finite point
         # fails; neither reads a node value
-        name = f"{L.name}: cone family vs moment family"
-        try:
+        def coincidence():
+            degree_two()
             f_mom, f_cone = cfg.moment_function(L, cfg.resolution), cfg.cone_family(L.n)
-            value = np.max(nz.family_coincidence_residuals(f_mom, f_cone))
-            records.append(rp.residual_record(name, "families-coincide", value,
-                                              tol.family_coincidence))
-        except EvaluationError as exc:
-            records.append(_non_finite(name, "families-coincide", tol.family_coincidence, exc))
+            return np.max(nz.family_coincidence_residuals(f_mom, f_cone))
+
         # its own integrals: the moment family's means, which a skipped mean
         # subtraction zeroes, would read 0 whatever the integrals are
-        name = f"{L.name}: traceless contact integrals"
-        traceless = mo.stack_fields(mo.traceless_basis(L.n), "su(n+1)")
-        try:
+        def contact_integrals():
+            degree_two()
+            traceless = mo.stack_fields(mo.traceless_basis(L.n), "su(n+1)")
             second_moment = L.node_geometry(cfg.resolution).second_moment
             integrals = mo.pairing_integral(traceless.generator, second_moment)
-            value = np.max(np.abs(integrals) / L.volume(cfg.resolution))
-            records.append(rp.residual_record(name, "contact-integral-vanishes", value,
-                                              tol.mean_zero))
-        except EvaluationError as exc:
-            records.append(_non_finite(name, "contact-integral-vanishes", tol.mean_zero, exc))
+            return np.max(np.abs(integrals) / L.volume(cfg.resolution))
+
+        records.append(run_check(f"{L.name}: cone family vs moment family", "families-coincide",
+                                 rp.at_most(tol.family_coincidence), coincidence))
+        records.append(run_check(f"{L.name}: traceless contact integrals",
+                                 "contact-integral-vanishes", rp.at_most(tol.mean_zero),
+                                 contact_integrals))
     return records
-
-
-# the spectrum records each mesh spectrum gives, inconclusive together when
-# its eigensolve does not converge
-MESH_RECORDS = (
-    ("multiplicity at target", "eigenspace-multiplicity-bound"),
-    ("multiplicity >= algebra bound", "eigenspace-multiplicity-bound"),
-    ("equality case", "equality-case-totally-geodesic"),
-    ("cluster mean accuracy", "spectral-cluster-accuracy"),
-    ("constants eigenvalue", "spectral-cluster-accuracy"),
-    ("cluster separation ratio", "cluster-separation"),
-)
 
 
 def spectrum_records(cfg):
@@ -504,136 +483,102 @@ def spectrum_records(cfg):
     records = []
     for L in cfg.selected_immersions():
         if L.domain.mesh is None:
-            records.append(
-                rp.info_record(
-                    f"{L.name}: no intrinsic discretizer",
-                    "pointwise-pipeline-only",
-                    "covered by the pointwise pipeline and Rayleigh checks",
-                )
-            )
+            records.append(run_check(f"{L.name}: no intrinsic discretizer",
+                                     "pointwise-pipeline-only", rp.NOTE,
+                                     lambda: "covered by the pointwise pipeline and Rayleigh checks"))
             continue
-        report = cfg.mesh_spectrum(L)
-        if isinstance(report, ConvergenceError):
-            records += [_inconclusive(f"{L.name}: {check}", anchor, report)
-                        for check, anchor in MESH_RECORDS]
-            continue
-        basis = mo.algebra_basis(L.n)
-        f = cfg.moment_function(L)
-        er = spc.eigen_residual(L, f, report.target)
-        residuals = {
-            f"basis[{idx}] {X.label}": float(er.residual[idx])
-            for idx, X in enumerate(basis)
-            if not er.degenerate[idx]
-        }
-        verdict = spc.bound_check(report, min_separation=tol.cluster_separation)
-        name, count = f"{L.name}: multiplicity at target", cfg.eigenspace_count(L)
-        if isinstance(count, EvaluationError):
-            records.append(_non_finite(name, "eigenspace-multiplicity-bound", None, count))
-        else:
-            records.append(rp.count_record(
-                name, "eigenspace-multiplicity-bound", report.multiplicity, count,
-                details=dict(report.summary(), eigen_residuals=residuals), verdict=verdict,
-            ))
-        records.append(
-            rp.bound_record(
-                f"{L.name}: multiplicity >= algebra bound",
-                "eigenspace-multiplicity-bound",
-                verdict,
-            )
-        )
-        # measured, on the shape operator eigen_residual's minimality precheck built
-        flat = L.node_geometry().shape.second_fundamental_norm() <= tol.totally_geodesic
-        records.append(
-            rp.count_record(
-                f"{L.name}: equality case",
-                "equality-case-totally-geodesic",
-                int(verdict.equality),
-                int(flat),
-                verdict=verdict,
-            )
-        )
-        records.append(
-            rp.residual_record(
-                f"{L.name}: cluster mean accuracy",
-                "spectral-cluster-accuracy",
-                abs(report.cluster_mean - report.target) / report.target,
-                tol.cluster_accuracy,
-            )
-        )
-        records.append(
-            rp.residual_record(
-                f"{L.name}: constants eigenvalue",
-                "spectral-cluster-accuracy",
-                abs(report.first_eigenvalue),
-                tol.cluster_window * report.target,
-            )
-        )
-        sep = report.separation_ratio()
-        records.append(
-            rp.CheckRecord(
-                f"{L.name}: cluster separation ratio",
-                "cluster-separation",
-                "residual",
-                sep,
-                tol.cluster_separation,
-                rp.PASS if sep >= tol.cluster_separation else rp.FAIL,
-            )
-        )
+        target = 2.0 * L.n + 2.0
+        verdict = functools.cache(lambda: spc.bound_check(
+            cfg.mesh_spectrum(L), min_separation=tol.cluster_separation))
+
+        def multiplicity():
+            report = cfg.mesh_spectrum(L)
+            er = spc.eigen_residual(L, cfg.moment_function(L), report.target)
+            residuals = {
+                f"basis[{idx}] {X.label}": float(er.residual[idx])
+                for idx, X in enumerate(mo.algebra_basis(L.n))
+                if not er.degenerate[idx]
+            }
+            details = dict(report.summary(), eigen_residuals=residuals,
+                           expected=cfg.eigenspace_count(L))
+            return _resting_on(verdict(), report.multiplicity, details)
+
+        def equality():
+            # measured, on the shape operator eigen_residual's minimality precheck built
+            norm = L.node_geometry().shape.second_fundamental_norm()
+            if np.isnan(norm):
+                raise EvaluationError(f"{L.name}: non-finite second fundamental form")
+            flat = norm <= tol.totally_geodesic
+            return _resting_on(verdict(), int(verdict().equality), {"expected": int(flat)})
+
+        def cluster_accuracy():
+            report = cfg.mesh_spectrum(L)
+            return abs(report.cluster_mean - report.target) / report.target
+
+        records += [
+            run_check(f"{L.name}: multiplicity at target", "eigenspace-multiplicity-bound",
+                      rp.COUNT, multiplicity),
+            run_check(f"{L.name}: multiplicity >= algebra bound", "eigenspace-multiplicity-bound",
+                      rp.BOUND, lambda: _resting_on(
+                          verdict(), verdict().diagnostics["multiplicity"],
+                          dict(verdict().diagnostics, equality=verdict().equality))),
+            run_check(f"{L.name}: equality case", "equality-case-totally-geodesic", rp.COUNT,
+                      equality),
+            run_check(f"{L.name}: cluster mean accuracy", "spectral-cluster-accuracy",
+                      rp.at_most(tol.cluster_accuracy), cluster_accuracy),
+            run_check(f"{L.name}: constants eigenvalue", "spectral-cluster-accuracy",
+                      rp.at_most(tol.cluster_window * target),
+                      lambda: abs(cfg.mesh_spectrum(L).first_eigenvalue)),
+            run_check(f"{L.name}: cluster separation ratio", "cluster-separation",
+                      rp.at_least(tol.cluster_separation),
+                      lambda: cfg.mesh_spectrum(L).separation_ratio()),
+        ]
     # cross-pipeline agreement and Rayleigh checks
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
         if L.domain.periodic:
             res = 256 if L.n == 1 else 64
 
-            def family_disagreement(r2):
-                f = cfg.moment_function(L, r2)
-                fv = f.node_values(L.node_geometry(r2))
-                keep = ~(np.max(np.abs(fv), axis=-1) <= ZERO_FUNCTION)
+            @functools.cache
+            def disagreement(r2):
+                f, geo = cfg.moment_function(L, r2), L.node_geometry(r2)
+                sup = np.max(np.abs(f.node_values(geo)), axis=-1)
+                if np.isnan(sup).any():
+                    raise EvaluationError(f"{L.name}: non-finite family value at a node")
+                # the stencil reads the pairing values: it cancels a constant
+                # only in exact arithmetic, so on the mean-subtracted values
+                # the means' roundoff, over h^2, would move the records
+                keep = sup > ZERO_FUNCTION
+                grid = mo.pairing(f.matrix[keep], geo.x).reshape((-1,) + L.domain.grid_shape(r2))
                 # the stencil first: it and the Laplacian row copy are never alive at once
-                grid = fv[keep].reshape((-1,) + L.domain.grid_shape(r2))
-                mesh_vals = spc.apply_mesh_operator(L, grid).reshape(-1, fv.shape[-1])
+                mesh_vals = spc.apply_mesh_operator(L, grid).reshape(-1, len(geo.x))
                 ext_vals = f.laplacian(L, r2)[keep]
                 worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)
-                return float(np.max(worst / np.max(np.abs(ext_vals), axis=-1), initial=0.0))
-
-            errs = []
-            for r2 in (res // 2, res, 2 * res):
-                errs.append(family_disagreement(r2))
                 # read once: only the default nodes are read after this,
                 # by the Rayleigh quotients, and spectrum is the last suite
                 if r2 != L.resolve_resolution():
                     cfg.release(L, r2)
-            records.append(
-                rp.residual_record(
-                    f"{L.name}: mesh vs pointwise operator",
-                    "pipeline-agreement",
-                    errs[1],
-                    tol.pipeline_agreement,
-                )
-            )
+                return float(np.max(worst / np.max(np.abs(ext_vals), axis=-1), initial=0.0))
+
+            records.append(run_check(f"{L.name}: mesh vs pointwise operator",
+                                     "pipeline-agreement", rp.at_most(tol.pipeline_agreement),
+                                     lambda: disagreement(res)))
             # np.min keeps a nan, where min(x, nan) returns x
-            order = np.min([np.log2(errs[i] / errs[i + 1]) for i in range(2)])
-            records.append(
-                rp.CheckRecord(
-                    f"{L.name}: agreement refinement order",
-                    "pipeline-agreement",
-                    "residual",
-                    float(order),
-                    1.8,
-                    rp.PASS if order >= 1.8 else rp.FAIL,
-                )
-            )
+            records.append(run_check(
+                f"{L.name}: agreement refinement order", "pipeline-agreement", rp.at_least(1.8),
+                lambda: np.min([np.log2(disagreement(r // 2) / disagreement(r))
+                                for r in (res, 2 * res)])))
+
         # --resolution is the mesh level here, so the Rayleigh quotients
         # integrate at the default quadrature like the eigen-residuals above
-        f = cfg.moment_function(L)
-        keep = ~(np.max(np.abs(f.node_values(L.node_geometry())), axis=-1) <= ZERO_FUNCTION)
-        name = f"{L.name}: Rayleigh quotients"
-        try:
+        def rayleigh():
+            f = cfg.moment_function(L)
+            keep = ~(np.max(np.abs(f.node_values(L.node_geometry())), axis=-1) <= ZERO_FUNCTION)
             q = spc.rayleigh_quotient(L, f)[keep]
-            value = np.max(np.abs(q - target) / target, initial=0.0)
-            records.append(rp.residual_record(name, "rayleigh-quotient", value, tol.rayleigh))
-        except EvaluationError as exc:
-            records.append(_non_finite(name, "rayleigh-quotient", tol.rayleigh, exc))
+            return np.max(np.abs(q - target) / target, initial=0.0)
+
+        records.append(run_check(f"{L.name}: Rayleigh quotients", "rayleigh-quotient",
+                                 rp.at_most(tol.rayleigh), rayleigh))
     return records
 
 

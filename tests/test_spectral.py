@@ -13,7 +13,18 @@ from legspec import spectral as spc
 from legspec.cli import main
 from legspec.errors import ConvergenceError, EvaluationError, PreconditionError, UnsupportedError
 from legspec.reporting import FAIL, PASS
-from legspec.suites import MESH_RECORDS, SuiteConfig, run_suite, spectrum_records
+from legspec.suites import SUITE_NAMES, SuiteConfig, run_suite, spectrum_records
+
+# the records each mesh spectrum gives, in report order: inconclusive
+# together when its eigensolve does not converge
+MESH_CHECKS = (
+    "multiplicity at target",
+    "multiplicity >= algebra bound",
+    "equality case",
+    "cluster mean accuracy",
+    "constants eigenvalue",
+    "cluster separation ratio",
+)
 
 
 def diag_field(n, entries):
@@ -264,7 +275,7 @@ class TestMeshSpectrum:
         assert (tmp_path / "spectrum.csv").read_text().splitlines() == ["immersion,index,eigenvalue"]
         checks = json.loads((tmp_path / "spectrum.json").read_text())["checks"]
         stopped = [c for c in checks if c["status"] == "inconclusive"]
-        assert [c["name"] for c in stopped] == [f"{name}: {check}" for check, _ in MESH_RECORDS]
+        assert [c["name"] for c in stopped] == [f"{name}: {check}" for check in MESH_CHECKS]
         assert all("ARPACK error -1" in c["details"]["reason"] for c in stopped)
         assert {c["name"]: c["status"] for c in checks if c not in stopped} == {
             f"{name}: Rayleigh quotients": "pass"}
@@ -277,7 +288,7 @@ class TestMeshSpectrum:
         report = run_suite(SuiteConfig(suite="spectrum"))
         assert report.exit_code() == 2
         stopped = {r.name for r in report.records if r.status == "inconclusive"}
-        assert stopped == {f"geodesic-sphere-n2: {check}" for check, _ in MESH_RECORDS}
+        assert stopped == {f"geodesic-sphere-n2: {check}" for check in MESH_CHECKS}
         assert {r.status for r in report.records if r.name not in stopped} <= {PASS, "info"}
 
     def test_non_finite_eigenvalue_is_inconclusive(self):
@@ -393,6 +404,24 @@ class TestPipelineAgreement:
         assert json.loads(run_suite(again).to_json(include_timing=False)) == kept
         assert set(again.selected_immersions()[0]._geometries) > set(L._geometries)
 
+    def test_agreement_does_not_read_the_means(self, monkeypatch):
+        # the stencil reads the pairing values, whose constant it cancels; a
+        # mean moved by 1e-13 would move the circle's records by it over h^2
+        def agreement():
+            report = run_suite(SuiteConfig(suite="spectrum", immersion="great-circle-s3"))
+            return [r.value for r in report.records if r.anchor == "pipeline-agreement"]
+
+        kept = agreement()
+        moment_function = mo.moment_function
+
+        def shifted(L, X, resolution=None):
+            f = moment_function(L, X, resolution)
+            f.offset = f.offset + 1e-13
+            return f
+
+        monkeypatch.setattr(mo, "moment_function", shifted)
+        assert agreement() == kept
+
 
 class TestRayleigh:
     @pytest.mark.parametrize(
@@ -430,6 +459,32 @@ def _nan_in_basis_1(monkeypatch, where):
         return vals
 
     monkeypatch.setattr(mo.QuadraticFamily, "node_values", patched)
+
+
+def _nan_at_point_0(monkeypatch):
+    """Make the first coordinate of node 0 nan in every node set's points."""
+    points = im.LegendrianImmersion.points
+
+    def patched(L, u, sweep=None):
+        x = points(L, u, sweep)
+        if np.ndim(x) == 2:
+            x = x.copy()
+            x[0, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(im.LegendrianImmersion, "points", patched)
+
+
+# the torus records, after "clifford-torus-s5: ", that read no point: the
+# frame is the Jacobian's, and the mesh spectrum reads the metric at the
+# chart origin; the records of S^5 read no immersion
+READ_NO_POINT = {
+    "frame orthonormality",
+    "multiplicity >= algebra bound",
+    "cluster mean accuracy",
+    "constants eigenvalue",
+    "cluster separation ratio",
+}
 
 
 # the torus records, after "clifford-torus-s5: ", that read the default-node
@@ -509,6 +564,26 @@ class TestNonFiniteFamily:
         for r in report.records:
             assert np.isnan(r.value) and "non-finite" in r.details["reason"]
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_nan_point_fails_every_record_that_reads_the_points(self, monkeypatch, tmp_path, suite):
+        # each report is written; only sasaki-axioms, which reads no
+        # immersion, keeps exit code 0
+        name = "clifford-torus-s5"
+        clean = {r.name: r.status for r in run_suite(SuiteConfig(suite=suite, immersion=name)).records}
+        _nan_at_point_0(monkeypatch)
+        out = tmp_path / "report.json"
+        code = main(["--suite", suite, "--immersion", name, "--output", str(out)])
+        assert code == (0 if suite == "sasaki-axioms" else 1)
+        checks = json.loads(out.read_text())["checks"]
+        assert checks
+        for c in checks:
+            where, _, check = c["name"].partition(": ")
+            if where == "s5" or check in READ_NO_POINT:
+                assert c["status"] == clean[c["name"]], c["name"]
+            else:
+                assert (c["status"], c["value"]) == (FAIL, "nan"), c["name"]
+                assert "non-finite" in c["details"]["reason"], c["name"]
+
     def test_report_with_nan_values_is_strict_json(self, monkeypatch):
         # RFC 8259 has no NaN token: each nan record value is written as
         # the string "nan", so a strict parser reads the whole report
@@ -552,3 +627,66 @@ def _latitude_circle(angle):
     # immersion that is not Legendrian
     return im.LegendrianImmersion("latitude-circle", [mo.algebra_basis(1)[0].generator],
                                   (np.cos(angle), np.sin(angle), 0.0, 0.0), im.PeriodicGridDomain(1))
+
+
+class TestNonMinimal:
+    def test_spectrum_records_what_needs_minimality_as_inconclusive(self):
+        # the closed-form Laplacian holds only on a minimal immersion: the
+        # records that read it are inconclusive, and the report is written
+        cfg = SuiteConfig(suite="spectrum")
+        cfg._immersions = [_latitude_circle(0.3)]
+        report = run_suite(cfg)
+        json.loads(report.to_json())
+        records = {r.name.split(": ", 1)[1]: r for r in report.records}
+        for check in ("multiplicity at target", "mesh vs pointwise operator",
+                      "agreement refinement order"):
+            assert records[check].status == "inconclusive", check
+            assert "mean-curvature residual 3.09e-01" in records[check].details["reason"]
+        assert report.exit_code() == 1
+
+
+def _kind_and_threshold(report, rename=lambda name: name):
+    return {rename(r.name): (r.kind, r.threshold) for r in report.records}
+
+
+class TestKindAndThreshold:
+    """A record's kind and threshold are its judge's whatever its status:
+    each failure path gives, name by name, those of the seed-0 report."""
+
+    @pytest.fixture(scope="class")
+    def seed_0(self):
+        return _kind_and_threshold(run_suite(SuiteConfig(suite="all")))
+
+    @staticmethod
+    def _compare(seed_0, report, rename=lambda name: name):
+        ours = _kind_and_threshold(report, rename)
+        shared = set(ours) & set(seed_0)
+        assert {name: ours[name] for name in shared} == {name: seed_0[name] for name in shared}
+        return {rename(r.name) for r in report.records if r.status not in (PASS, "info")}, shared
+
+    def test_unconverged_eigensolve(self, monkeypatch, seed_0):
+        def unconverged(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", unconverged)
+        stopped, shared = self._compare(seed_0, run_suite(SuiteConfig(suite="spectrum")))
+        assert stopped == {f"geodesic-sphere-n2: {check}" for check in MESH_CHECKS}
+        assert stopped <= shared
+
+    def test_nan_value(self, monkeypatch, seed_0):
+        _nan_in_basis_1(monkeypatch, lambda geo: True)
+        report = run_suite(SuiteConfig(suite="all", immersion="clifford-torus-s5"))
+        stopped, shared = self._compare(seed_0, report)
+        # the failed count picks the equality-case checks, which the torus
+        # does not have at seed 0
+        picked = {"clifford-torus-s5: second fundamental form",
+                  "clifford-torus-s5: rank of normal parts over basis"}
+        assert len(stopped) > len(picked) and stopped - picked <= shared
+
+    def test_non_minimal(self, seed_0):
+        cfg = SuiteConfig(suite="all")
+        cfg._immersions = [_latitude_circle(0.3)]
+        # held to the great circle's records, the other circle of S^3
+        rename = lambda name: name.replace("latitude-circle", "great-circle-s3")
+        stopped, shared = self._compare(seed_0, run_suite(cfg), rename)
+        assert len(stopped) > 10 and stopped <= shared
