@@ -14,6 +14,12 @@ from .errors import UnsupportedError
 # most 5.4e-16 on the shipped immersions, whose quadratures are exact for it
 GREEN_IDENTITY = 1e-12
 
+# Largest ptp / target of an icosphere's l = 2 cluster: icosahedral symmetry
+# makes it one eigenvalue, which the sector solves give to at most 9.5e-13
+# (dense, level 4) and 7.4e-15 (eigsh, levels 3-6); a fold without the
+# sector character splits it by 3e-2 at level 4, inside cluster_accuracy
+CLUSTER_SPREAD = 1e-10
+
 # Sup norm at or below which a family member is the zero function: its
 # eigen-residual is degenerate and the agreement and Rayleigh checks skip it.
 ZERO_FUNCTION = 1e-12

@@ -83,16 +83,13 @@ def icosphere(level):
 
 
 def cotangent_laplacian(verts, faces):
-    """Stiffness matrix (cotangent weights) and lumped mass diagonal, both
-    CSR, assembled from ``faces``: a vertex's row is exact when every face
-    around it is given.  On the whole mesh ``stiffness v = lambda mass v``
-    has eigenvalues approximating the nonnegative Laplace-Beltrami spectrum.
+    """Stiffness matrix (cotangent weights) as ``(rows, cols, values)``
+    triplets, duplicates to be added on assembly, and the lumped mass
+    diagonal, assembled from ``faces``: a vertex's row is exact when every
+    face around it is given.  On the whole mesh ``stiffness v = lambda mass
+    v`` has eigenvalues approximating the nonnegative Laplace-Beltrami
+    spectrum.
     """
-    # imported here, not at module level, so processes that never assemble
-    # a mesh start without loading scipy (cold start)
-    import scipy.sparse as sp
-
-    nv = len(verts)
     tri = verts[faces]
     rows, cols, vals = [], [], []
     for k in range(3):
@@ -101,24 +98,42 @@ def cotangent_laplacian(verts, faces):
         e1 = tri[:, (k + 1) % 3] - tri[:, k]
         e2 = tri[:, (k + 2) % 3] - tri[:, k]
         area2 = np.linalg.norm(np.cross(e1, e2), axis=1)
-        cot = (e1 * e2).sum(axis=1) / area2
-        rows += [i, j]
-        cols += [j, i]
-        vals += [-0.5 * cot, -0.5 * cot]
+        w = 0.5 * (e1 * e2).sum(axis=1) / area2
+        # the edge's share w (v_i - v_j)^2 of the quadratic form
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-w, -w, w, w]
         if k == 0:
             areas = 0.5 * area2
-    stiffness = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv),
-    )
-    stiffness = stiffness - sp.diags(np.asarray(stiffness.sum(axis=1)).ravel())
-    mass = np.bincount(faces.ravel(), np.repeat(areas / 3.0, 3), minlength=nv)
-    return stiffness.tocsr(), sp.diags(mass).tocsr()
+    mass = np.bincount(faces.ravel(), np.repeat(areas / 3.0, 3), minlength=len(verts))
+    return tuple(map(np.concatenate, (rows, cols, vals))), mass
+
+
+# Columns up to which a sector is a dense array, all of whose eigenvalues
+# eigvalsh finds (345 at level 4, 1 MB, in 10 ms); above them, sparse CSR
+# for shift-invert eigsh (1233 to 1329 at level 5, 5,313 at most at level 6)
+DENSE_SECTOR_COLUMNS = 1000
+
+
+def _symmetric(rows, cols, values, size):
+    """``(A + A^T) / 2`` of the ``(size, size)`` matrix ``A`` whose entries
+    are the sums of the triplets: a dense array up to
+    ``DENSE_SECTOR_COLUMNS``, else sparse CSR."""
+    if size > DENSE_SECTOR_COLUMNS:
+        # imported here, not at module level, so processes that solve no
+        # sparse sector start without loading scipy (cold start)
+        import scipy.sparse as sp
+
+        a = sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+    else:
+        a = np.bincount(rows * size + cols, values, minlength=size * size).reshape(size, size)
+    return (a + a.T) * 0.5
 
 
 def sector_operators(verts, faces, sectors=range(8)):
     """Mass-scaled Laplacian of each reflection sector in ``sectors``, a
-    symmetric sparse matrix assembled on the octant ``x, y, z >= 0``.
+    symmetric matrix assembled on the octant ``x, y, z >= 0`` (see
+    :func:`_symmetric` for its type).
 
     Sector ``s`` is odd in coordinate ``i`` when bit ``2 - i`` of ``s`` is
     set.  Its basis ``B`` has one column ``sum_j chi(j) e_j`` over the
@@ -136,9 +151,6 @@ def sector_operators(verts, faces, sectors=range(8)):
     rotation maps each sector onto those odd in as many coordinates, so
     sectors 1, 2, 4 share one spectrum, and so do 3, 5, 6.
     """
-    # imported here for cold start, as in cotangent_laplacian
-    import scipy.sparse as sp
-
     # one orbit per distinct row of |x|, numbered in sorted order
     a = np.abs(verts)
     order = np.lexsort(a.T[::-1])
@@ -159,22 +171,24 @@ def sector_operators(verts, faces, sectors=range(8)):
     if not np.array_equal(rows, turned[np.lexsort(turned.T[::-1])]):
         raise PreconditionError("a vertex has no exact image under (x, y, z) -> (y, z, x)")
 
-    # the vertex of each orbit in the octant, and every face touching one
+    # the faces touching the octant give the exact rows of its vertices, one
+    # per orbit; each triplet is scaled by its orbits' sqrt(s_p / m_p) and
+    # 1 / sqrt(s_q m_q), and folded onto column q
     octant = sign == 0
-    rep = np.empty(len(rows), dtype=int)
-    rep[orbit[octant]] = np.flatnonzero(octant)
-    stiffness, mass = cotangent_laplacian(verts, faces[octant[faces].any(axis=1)])
-    k = stiffness[rep].tocoo()
-    m = mass.diagonal()[rep]
+    (i, j, value), mass = cotangent_laplacian(verts, faces[octant[faces].any(axis=1)])
+    mine = octant[i]
+    p, q, column_sign = orbit[i[mine]], orbit[j[mine]], sign[j[mine]]
+    m = np.empty(len(rows))
+    m[orbit[octant]] = mass[octant]
+    value = np.sqrt(size / m)[p] * value[mine] / np.sqrt(size * m)[q]
     # chi in sector s of a sign pattern: -1 to the number of bits they share
     parity = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
     out = []
     for s in sectors:
         # chi cancels on an orbit with an odd coordinate zero
         keep = ((rows > 0) @ bits & s) == s
-        folded = sp.csr_matrix((k.data * parity[sign[k.col] & s], (k.row, orbit[k.col])),
-                               shape=(len(rows),) * 2)[keep][:, keep]
-        sector = (sp.diags(np.sqrt(size[keep] / m[keep])) @ folded
-                  @ sp.diags(1.0 / np.sqrt(size[keep] * m[keep])))
-        out.append(((sector + sector.T) * 0.5).tocsr())
+        index = np.cumsum(keep) - 1
+        inside = keep[p] & keep[q]
+        out.append(_symmetric(index[p[inside]], index[q[inside]],
+                              (value * parity[column_sign & s])[inside], int(keep.sum())))
     return out

@@ -132,18 +132,24 @@ def rayleigh_quotient(L, f, resolution=None):
 # intrinsic mesh pipeline
 
 
+# Shipped range and default of each mesh's resolution: the finest grid for
+# the stencils; for the icosphere the coarsest level whose l = 2 cluster
+# accuracy stays 10x inside the default cluster_accuracy (P1 eigenvalue
+# error is O(h^2 lambda^2), Strang & Fix 1973: 5.7e-3 at level 3, 1.4e-3
+# at 4, 3.6e-4 at 5, 8.9e-5 at 6)
 MESH_RESOLUTIONS = {
-    "circle": (64, 4096),
-    "torus": (32, 256),
-    "icosphere": (3, 6),
+    "circle": (64, 4096, 4096),
+    "torus": (32, 256, 256),
+    "icosphere": (3, 6, 4),
 }
 
 
 def mesh_resolution(kind, resolution=None):
-    """The ``kind`` mesh resolution to use: the finest shipped one for
-    ``None``; a value outside ``MESH_RESOLUTIONS[kind]`` is a usage error."""
-    lo, hi = MESH_RESOLUTIONS[kind]
-    resolution = hi if resolution is None else int(resolution)
+    """The ``kind`` mesh resolution to use: its default for ``None``; a value
+    outside the shipped range of ``MESH_RESOLUTIONS[kind]`` is a usage
+    error."""
+    lo, hi, default = MESH_RESOLUTIONS[kind]
+    resolution = default if resolution is None else int(resolution)
     if not lo <= resolution <= hi:
         raise UnsupportedError(
             f"{kind} resolution {resolution} outside shipped range [{lo}, {hi}]"
@@ -173,9 +179,12 @@ class SpectralReport:
         return float(self.eigenvalues[0])
 
     @property
+    def window_bounds(self):
+        return self.target * (1.0 - self.window), self.target * (1.0 + self.window)
+
+    @property
     def cluster(self):
-        lo = self.target * (1.0 - self.window)
-        hi = self.target * (1.0 + self.window)
+        lo, hi = self.window_bounds
         ev = self.eigenvalues
         return ev[(ev >= lo) & (ev <= hi)]
 
@@ -191,8 +200,7 @@ class SpectralReport:
     def separation_ratio(self):
         """Distance of the nearest outside eigenvalue to the target,
         in units of the window half-width."""
-        lo = self.target * (1.0 - self.window)
-        hi = self.target * (1.0 + self.window)
+        lo, hi = self.window_bounds
         ev = self.eigenvalues
         outside = ev[(ev < lo) | (ev > hi)]
         if len(outside) == 0:
@@ -239,6 +247,27 @@ def apply_mesh_operator(L, grid_values):
     return np.negative(total, out=total)
 
 
+def _shift_invert(sector, k):
+    """The ``k`` eigenvalues of the sparse ``sector`` nearest ``-0.5``, by
+    shift-invert Lanczos; ``ConvergenceError`` with ARPACK's message when
+    it does not converge."""
+    # imported here, not at module level, so processes that solve no sparse
+    # sector start without loading scipy (cold start); eigsh is looked up on
+    # the module at call time, so a wrapper set on scipy.sparse.linalg.eigsh
+    # (perfbench/tracer.py) sees each solve
+    import scipy.sparse.linalg as spla
+
+    # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
+    # ARPACK would otherwise draw one from OS entropy
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, sector.shape[0])
+    try:
+        # a negative shift keeps sector - shift * I positive definite
+        return spla.eigsh(sector, k=k, sigma=-0.5, which="LM", v0=v0,
+                          return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(str(exc)) from None
+
+
 def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     """Discrete Laplace-Beltrami spectrum of the induced metric.
 
@@ -248,21 +277,24 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
     circulant and its eigenvalues are the DFT of its response to a unit
     impulse; that response is symmetric, so the DFT is real.  Round
     2-sphere: cotangent finite elements with lumped mass on the
-    icosphere at subdivision ``resolution``, split into the eight
-    reflection sectors of ``icosphere.sector_operators``, each a standard
-    symmetric problem.  The rotation ``(x, y, z) -> (y, z, x)`` permutes
-    the sectors odd in one coordinate, and those odd in two, so four
-    sector eigensolves, one per orbit, give all eight spectra.
-    Shift-invert Lanczos takes ``ceil(num_modes / 8) + 2`` eigenvalues of
-    each, whose values count once per sector of the orbit, and the report
-    holds the ``num_modes`` smallest of their union that lie at or below
-    the smallest sector maximum, up to which every sector's spectrum is
-    complete (fewer when the sectors cover less; a non-finite value keeps
-    the whole union, for :func:`bound_check` to reject).  The default 16
-    is the complete round-sphere clusters l <= 3: it ends one cluster
-    above the ``2n + 2 = 6`` target (l = 2) without splitting one.  A
-    sector eigensolve that does not converge raises ``ConvergenceError``
-    with ARPACK's message.
+    icosphere at subdivision ``resolution`` (default level 4, see
+    ``MESH_RESOLUTIONS``), split into the eight reflection sectors of
+    ``icosphere.sector_operators``, each a standard symmetric problem.
+    The rotation ``(x, y, z) -> (y, z, x)`` permutes the sectors odd in
+    one coordinate, and those odd in two, so four sector eigensolves, one
+    per orbit, give all eight spectra.  A dense sector (levels 3 and 4)
+    gives every eigenvalue by ``numpy.linalg.eigvalsh``; a sparse one
+    (levels 5 and 6) its ``ceil(num_modes / 8) + 2`` smallest by
+    shift-invert Lanczos.  Each sector's values count once per sector of
+    its orbit, and the report holds the ``num_modes`` smallest of their
+    union that lie at or below the smallest sector maximum, up to which
+    every sector's spectrum is complete (fewer when the sectors cover
+    less; a non-finite value, which eigvalsh returns for a nan entry
+    without raising, keeps the whole union, for :func:`bound_check` to
+    reject).  The default 16 is the complete round-sphere clusters l <= 3:
+    it ends one cluster above the ``2n + 2 = 6`` target (l = 2) without
+    splitting one.  A sector eigensolve that does not converge raises
+    ``ConvergenceError`` with the solver's message.
     """
     if L.domain.mesh is None:
         raise UnsupportedError(
@@ -278,32 +310,16 @@ def mesh_spectrum(L, resolution=None, window=0.05, num_modes=16):
         ev = np.fft.fftn(apply_mesh_operator(L, impulse)).real.ravel()
         method = "periodic-fd-symbol"
     else:
-        # imported here, not at module level, so processes that never build
-        # an icosphere spectrum start without loading scipy (cold start);
-        # eigsh is looked up on the module at call time, so a wrapper set on
-        # scipy.sparse.linalg.eigsh (perfbench/tracer.py) sees each solve
-        import scipy.sparse.linalg as spla
-
         parts = []
         # sector 2^odd - 1, odd in the last ``odd`` coordinates, shares its
         # spectrum with the comb(3, odd) sectors the rotation maps it onto
         for odd, sector in enumerate(sector_operators(*icosphere(resolution), [0, 1, 3, 7])):
-            # a fixed Lanczos start vector keeps the spectrum byte-reproducible;
-            # ARPACK would otherwise draw one from OS entropy
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, sector.shape[0])
             try:
-                values = spla.eigsh(
-                    sector,
-                    # ceil(num_modes / 8) and two spare modes, since the
-                    # sectors' shares of the lowest num_modes are uneven
-                    k=-(-num_modes // 8) + 2,
-                    # a negative shift keeps sector - shift * I positive definite
-                    sigma=-0.5,
-                    which="LM",
-                    v0=v0,
-                    return_eigenvectors=False,
-                )
-            except spla.ArpackNoConvergence as exc:
+                # ceil(num_modes / 8) and two spare modes of a sparse sector,
+                # since the sectors' shares of the lowest num_modes are uneven
+                values = (np.linalg.eigvalsh(sector) if isinstance(sector, np.ndarray)
+                          else _shift_invert(sector, -(-num_modes // 8) + 2))
+            except (np.linalg.LinAlgError, ConvergenceError) as exc:
                 raise ConvergenceError(
                     f"{L.name}: icosphere level {resolution} eigensolve did not converge: {exc}"
                 ) from None

@@ -1,8 +1,10 @@
-"""scipy is loaded only by the icosphere spectrum.
+"""scipy is loaded only by the sparse icosphere spectrum.
 
 Importing ``scipy.sparse.linalg`` takes most of a cold ``legspec`` start,
-and only the cotangent-FEM eigensolve needs it.  Each check runs the CLI
-in a fresh interpreter, since this process has scipy loaded already.
+and only the shift-invert eigensolve of the icosphere's finer levels (5
+and 6) needs it; levels 3 and 4, the default among them, are solved
+densely with numpy.  Each check runs the CLI in a fresh interpreter,
+since this process has scipy loaded already.
 """
 
 import json
@@ -48,10 +50,17 @@ def test_scipy_stays_unloaded_outside_the_icosphere_spectrum(tmp_path):
     assert result["scipy"] == []
 
 
+def test_default_and_dense_icosphere_spectra_load_no_scipy(tmp_path):
+    sphere = ["--suite", "spectrum", "--immersion", "geodesic-sphere-n2"]
+    result = _run_fresh(tmp_path, [sphere, sphere + ["--resolution", "3"]])
+    assert result["codes"] == [0, 0]
+    assert result["scipy"] == []
+
+
 def test_icosphere_spectrum_loads_scipy(tmp_path):
     result = _run_fresh(
         tmp_path, [["--suite", "spectrum", "--immersion", "geodesic-sphere-n2",
-                    "--resolution", "3"]]
+                    "--resolution", "5"]]
     )
     assert result["codes"] == [0]
     assert "scipy.sparse.linalg" in result["scipy"]

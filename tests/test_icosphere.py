@@ -110,13 +110,22 @@ def _reference_bases(verts):
     return bases
 
 
+def _full_matrices(verts, faces):
+    """The stiffness and lumped mass of ``ic.cotangent_laplacian`` as sparse
+    ``(nv, nv)`` matrices, duplicate triplets added."""
+    (rows, cols, values), mass = ic.cotangent_laplacian(verts, faces)
+    stiffness = sp.csr_matrix((values, (rows, cols)), shape=(len(verts),) * 2)
+    return stiffness, sp.diags(mass).tocsr()
+
+
 def _projected(verts, faces, sectors=range(8), chi=True, weighted=True):
     """``D^-1/2 B^T K B D^-1/2``, ``D = B^T M B``, for the reference bases
-    ``B`` of ``sectors`` and the full-size matrices.  Two seeded defects:
-    ``chi=False`` drops the character (``|B|`` for ``B``), ``weighted=False``
-    drops the factor ``sqrt(s_p / s_q)`` of the orbit sizes (and
-    symmetrizes, as the fold does)."""
-    stiffness, mass = ic.cotangent_laplacian(verts, faces)
+    ``B`` of ``sectors`` and the full-size matrices, dense or sparse as
+    ``ic.sector_operators`` makes them.  Two seeded defects: ``chi=False``
+    drops the character (``|B|`` for ``B``), ``weighted=False`` drops the
+    factor ``sqrt(s_p / s_q)`` of the orbit sizes (and symmetrizes, as the
+    fold does)."""
+    stiffness, mass = _full_matrices(verts, faces)
     bases = _reference_bases(verts)
     out = []
     for s in sectors:
@@ -127,7 +136,8 @@ def _projected(verts, faces, sectors=range(8), chi=True, weighted=True):
             size = np.sqrt(np.diff(basis.indptr))
             matrix = sp.diags(1.0 / size) @ matrix @ sp.diags(size)
             matrix = 0.5 * (matrix + matrix.T)
-        out.append(matrix.tocsr())
+        out.append(matrix.toarray() if matrix.shape[0] <= ic.DENSE_SECTOR_COLUMNS
+                   else matrix.tocsr())
     return out
 
 
@@ -148,7 +158,7 @@ def test_sector_bases_are_orthogonal_and_complete(level):
 @pytest.mark.parametrize("level", [3, 4])
 def test_sectors_are_invariant_under_stiffness_and_mass(level):
     verts, faces = ic.icosphere(level)
-    stiffness, mass = ic.cotangent_laplacian(verts, faces)
+    stiffness, mass = _full_matrices(verts, faces)
     for basis in _reference_bases(verts):
         # the columns are orthogonal, so B (B^T B)^-1 B^T projects onto their span
         inv_gram = sp.diags(1.0 / (basis.T @ basis).diagonal())
@@ -165,6 +175,9 @@ def test_folded_sectors_match_the_projected_full_matrices(level):
     assert sum(f.shape[0] for f in folded) == len(verts)
     octant = np.flatnonzero(np.all(verts >= 0, axis=1))
     for basis, got, want in zip(_reference_bases(verts), folded, _projected(verts, faces)):
+        # dense exactly when small enough for a full eigvalsh
+        assert isinstance(got, np.ndarray) == (got.shape[0] <= ic.DENSE_SECTOR_COLUMNS)
+        got, want = sp.csr_matrix(got), sp.csr_matrix(want)
         # each reference column meets the octant once; order the columns by
         # that vertex's |x| and sign them +1 there, as the fold does
         at_octant = basis[octant].tocsc()
@@ -178,12 +191,12 @@ def test_folded_sectors_match_the_projected_full_matrices(level):
             assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
-def _level3_spectrum(monkeypatch, **defect):
-    """The level-3 spectrum report of geodesic-sphere-n2, with the sectors
-    built by ``_projected`` seeded with ``defect``, and the status of each
-    of its spectrum records by name."""
+def _level3_spectrum(monkeypatch, level=3, **defect):
+    """The spectrum report of geodesic-sphere-n2 at ``level`` (None for the
+    default), with the sectors built by ``_projected`` seeded with
+    ``defect``, and the status of each of its spectrum records by name."""
     monkeypatch.setattr(spc, "sector_operators", functools.partial(_projected, **defect))
-    cfg = SuiteConfig(suite="spectrum", immersion="geodesic-sphere-n2", resolution=3)
+    cfg = SuiteConfig(suite="spectrum", immersion="geodesic-sphere-n2", resolution=level)
     report = cfg.mesh_spectrum(cfg.selected_immersions()[0])
     return report, {r.name.split(": ")[1]: r.status for r in run_suite(cfg).records}
 
@@ -199,6 +212,16 @@ def test_dropped_character_is_inconclusive(monkeypatch):
     report, status = _level3_spectrum(monkeypatch, chi=False)
     assert report.multiplicity == 2
     assert status["multiplicity >= algebra bound"] == "inconclusive"
+
+
+def test_dropped_character_fails_the_cluster_spread_at_the_default_level(monkeypatch):
+    # at level 4 the split cluster keeps its five values and its mean
+    # accuracy (0.0192 against 0.02): only the spread sees it
+    report, status = _level3_spectrum(monkeypatch, level=None, chi=False)
+    assert report.resolution == 4 and report.multiplicity == 5
+    assert status["cluster mean accuracy"] == "pass"
+    assert np.ptp(report.cluster) / report.target > 1e-2
+    assert status["cluster spread"] == "fail"
 
 
 @pytest.mark.parametrize("level", [3, 4, 6])
@@ -218,6 +241,12 @@ def test_dropped_orbit_weight_fails_the_constants_eigenvalue(monkeypatch):
     # the unsymmetric scaling, symmetrized, is no longer positive semidefinite
     report, status = _level3_spectrum(monkeypatch, weighted=False)
     assert report.first_eigenvalue < -3.0
+    assert status["constants eigenvalue"] == "fail"
+
+
+def test_dropped_orbit_weight_fails_the_constants_eigenvalue_at_the_default_level(monkeypatch):
+    report, status = _level3_spectrum(monkeypatch, level=None, weighted=False)
+    assert report.resolution == 4 and report.first_eigenvalue < -8.0
     assert status["constants eigenvalue"] == "fail"
 
 

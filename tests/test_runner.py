@@ -61,7 +61,7 @@ def test_every_record_goes_through_the_runner(monkeypatch):
 
     monkeypatch.setattr(suites, "run_check", counted)
     report = run_suite(SuiteConfig(suite="all"))
-    assert len(names) == len(report.records) == 194
+    assert len(names) == len(report.records) == 195
     assert names == [r.name for r in report.records]
 
 

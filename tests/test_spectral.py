@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from legspec import icosphere as ic
@@ -11,12 +12,13 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.cli import main
+from legspec.config import DEFAULT_TOLERANCES
 from legspec.errors import ConvergenceError, EvaluationError, PreconditionError, UnsupportedError
 from legspec.reporting import FAIL, PASS
 from legspec.suites import SUITE_NAMES, SuiteConfig, run_suite, spectrum_records
 
-# the records each mesh spectrum gives, in report order: inconclusive
-# together when its eigensolve does not converge
+# the records the icosphere's mesh spectrum gives, in report order:
+# inconclusive together when its eigensolve does not converge
 MESH_CHECKS = (
     "multiplicity at target",
     "multiplicity >= algebra bound",
@@ -24,7 +26,23 @@ MESH_CHECKS = (
     "cluster mean accuracy",
     "constants eigenvalue",
     "cluster separation ratio",
+    "cluster spread",
 )
+# the records that rest on the bound verdict, inconclusive with it
+BOUND_CHECKS = MESH_CHECKS[:3]
+
+
+def _on_dense_sectors(monkeypatch, solve):
+    """Route the icosphere's dense sector eigensolves through ``solve(A)``.
+    numpy's ``leggauss`` also calls eigvalsh, on the quadrature's Jacobi
+    matrices (4 rows at the default nodes), which keep numpy's; the
+    smallest sector, at level 3, has 69 columns."""
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: solve(A) if len(A) >= 64 else eigvalsh(A))
+
+
+def _unconverged_dense(A):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def diag_field(n, entries):
@@ -159,8 +177,11 @@ class TestMeshSpectrum:
     def test_icosphere_modes_match_arpack_internal_lu(self, level):
         # the sector solves against one full-size solve
         rep = spc.mesh_spectrum(im.geodesic_sphere(2), level)
-        stiffness, mass = ic.cotangent_laplacian(*ic.icosphere(level))
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, stiffness.shape[0])
+        verts, faces = ic.icosphere(level)
+        (rows, cols, values), mass = ic.cotangent_laplacian(verts, faces)
+        stiffness = sp.csr_matrix((values, (rows, cols)), shape=(len(verts),) * 2)
+        mass = sp.diags(mass).tocsr()
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(verts))
         ref = np.sort(spla.eigsh(stiffness, k=16, M=mass, sigma=-0.5, which="LM",
                                  v0=v0, return_eigenvectors=False))
         assert len(rep.eigenvalues) == 16
@@ -186,9 +207,9 @@ class TestMeshSpectrum:
         assert np.max(np.abs(rep.eigenvalues - ev)) <= 1e-12 * scale
 
     def test_assembly_and_solves_stay_sector_sized(self, monkeypatch):
-        # level 4: 763 of the 5,120 faces touch the octant x, y, z >= 0, and
-        # each solve is a standard problem on the sector of one rotation
-        # orbit, odd in 0, 1, 2 and 3 coordinates (sizes sum to 2,562 with
+        # level 5: 2,803 of the 20,480 faces touch the octant x, y, z >= 0,
+        # and each solve is a standard problem on the sector of one rotation
+        # orbit, odd in 0, 1, 2 and 3 coordinates (sizes sum to 10,242 with
         # the three-fold ones counted thrice)
         assembled, solved = [], []
         cotangent, eigsh = ic.cotangent_laplacian, spla.eigsh
@@ -203,9 +224,31 @@ class TestMeshSpectrum:
 
         monkeypatch.setattr(ic, "cotangent_laplacian", counted_cotangent)
         monkeypatch.setattr(spla, "eigsh", counted_eigsh)
-        spc.mesh_spectrum(im.geodesic_sphere(2), 4)
+        spc.mesh_spectrum(im.geodesic_sphere(2), 5)
+        assert assembled == [2803]
+        assert solved == [((n, n), None) for n in (1329, 1296, 1264, 1233)]
+
+    def test_dense_assembly_and_solves_stay_sector_sized(self, monkeypatch):
+        # level 4, the default: 763 of the 5,120 faces touch the octant, and
+        # each of the four solves is a dense array of one sector (sizes sum
+        # to 2,562 with the three-fold ones counted thrice), never eigsh
+        assembled, solved = [], []
+        cotangent, eigvalsh = ic.cotangent_laplacian, np.linalg.eigvalsh
+
+        def counted_cotangent(verts, faces):
+            assembled.append(len(faces))
+            return cotangent(verts, faces)
+
+        def counted_eigvalsh(A):
+            solved.append((type(A), A.shape))
+            return eigvalsh(A)
+
+        monkeypatch.setattr(ic, "cotangent_laplacian", counted_cotangent)
+        _on_dense_sectors(monkeypatch, counted_eigvalsh)
+        monkeypatch.setattr(spla, "eigsh", None)
+        spc.mesh_spectrum(im.geodesic_sphere(2))
         assert assembled == [763]
-        assert solved == [((n, n), None) for n in (345, 328, 312, 297)]
+        assert solved == [(np.ndarray, (n, n)) for n in (345, 328, 312, 297)]
 
     def test_truncated_spectrum_is_inconclusive(self):
         # nine modes end at the l = 2 cluster, so it may continue past them
@@ -221,7 +264,7 @@ class TestMeshSpectrum:
         # the target window
         original = spla.eigsh
         monkeypatch.setattr(spla, "eigsh", lambda *a, **kw: original(*a, **dict(kw, k=per_sector)))
-        rep = spc.mesh_spectrum(im.geodesic_sphere(2), 3)
+        rep = spc.mesh_spectrum(im.geodesic_sphere(2), 5)
         assert rep.eigenvalues[-1] <= rep.target * (1.0 + rep.window)
         verdict = spc.bound_check(rep)
         assert verdict.inconclusive and not verdict.passed
@@ -246,16 +289,36 @@ class TestMeshSpectrum:
         monkeypatch.setattr(spla, "eigsh", third_sector_nan)
         monkeypatch.setattr(spc, "mesh_spectrum", counting_from_zero)
         L = im.geodesic_sphere(2)
-        verdict = spc.bound_check(spc.mesh_spectrum(L, 3))
+        verdict = spc.bound_check(spc.mesh_spectrum(L, 5))
         assert verdict.inconclusive and not verdict.passed
         out = tmp_path / "spectrum.json"
-        argv = ["--suite", "spectrum", "--immersion", L.name, "--resolution", "3"]
+        argv = ["--suite", "spectrum", "--immersion", L.name, "--resolution", "5"]
         assert main(argv + ["--output", str(out)]) != 0
         status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
-        assert status[f"{L.name}: multiplicity >= algebra bound"] == "inconclusive"
-        assert status[f"{L.name}: multiplicity at target"] == "inconclusive"
-        assert status[f"{L.name}: equality case"] == "inconclusive"
+        for check in BOUND_CHECKS:
+            assert status[f"{L.name}: {check}"] == "inconclusive"
         assert len(injected) == 2
+
+    def test_nan_from_a_dense_sector_is_inconclusive(self, monkeypatch, tmp_path):
+        # eigvalsh returns nan for a nan entry, silently: the default level's
+        # whole union is kept, and the bound records are inconclusive
+        eigvalsh, injected = np.linalg.eigvalsh, []
+
+        def third_sector_nan(A):
+            ev = eigvalsh(A)
+            injected.append(1)
+            if len(injected) == 3:
+                ev[0] = np.nan
+            return ev
+
+        _on_dense_sectors(monkeypatch, third_sector_nan)
+        name = "geodesic-sphere-n2"
+        out = tmp_path / "spectrum.json"
+        assert main(["--suite", "spectrum", "--immersion", name, "--output", str(out)]) != 0
+        status = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+        for check in BOUND_CHECKS:
+            assert status[f"{name}: {check}"] == "inconclusive"
+        assert len(injected) == 4
 
     def test_unconverged_eigensolve_is_inconclusive(self, monkeypatch, tmp_path):
         # ARPACK's failure reaches the report as its reason, not a traceback
@@ -264,11 +327,11 @@ class TestMeshSpectrum:
 
         monkeypatch.setattr(spla, "eigsh", unconverged)
         with pytest.raises(ConvergenceError, match="ARPACK error -1"):
-            spc.mesh_spectrum(im.geodesic_sphere(2), 3)
+            spc.mesh_spectrum(im.geodesic_sphere(2), 5)
         name = "geodesic-sphere-n2"
         for fmt in ("json", "csv"):
             out = tmp_path / f"spectrum.{fmt}"
-            argv = ["--suite", "spectrum", "--immersion", name, "--resolution", "3",
+            argv = ["--suite", "spectrum", "--immersion", name, "--resolution", "5",
                     "--format", fmt, "--output", str(out)]
             assert main(argv) == 2
             assert out.exists()
@@ -281,10 +344,10 @@ class TestMeshSpectrum:
             f"{name}: Rayleigh quotients": "pass"}
 
     def test_unconverged_eigensolve_leaves_the_other_immersions(self, monkeypatch):
-        def unconverged(*args, **kwargs):
-            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-        monkeypatch.setattr(spla, "eigsh", unconverged)
+        # the default level's dense solve, which raises LinAlgError
+        _on_dense_sectors(monkeypatch, _unconverged_dense)
+        with pytest.raises(ConvergenceError, match="Eigenvalues did not converge"):
+            spc.mesh_spectrum(im.geodesic_sphere(2))
         report = run_suite(SuiteConfig(suite="spectrum"))
         assert report.exit_code() == 2
         stopped = {r.name for r in report.records if r.status == "inconclusive"}
@@ -317,6 +380,22 @@ class TestMeshSpectrum:
         ]
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
+
+    def test_default_level_is_the_coarsest_ten_times_inside_the_threshold(self):
+        # measured, not declared: 1.4e-3 at level 4 against 5.7e-3 at level 3
+        L, limit = im.geodesic_sphere(2), DEFAULT_TOLERANCES.cluster_accuracy / 10.0
+        default = spc.mesh_resolution("icosphere")
+
+        def accuracy(level):
+            return abs(spc.mesh_spectrum(L, level).cluster_mean - 6.0) / 6.0
+
+        assert default > spc.MESH_RESOLUTIONS["icosphere"][0]
+        assert accuracy(default) <= limit < accuracy(default - 1)
+
+    def test_only_the_icosphere_has_a_cluster_spread_record(self):
+        report = run_suite(SuiteConfig(suite="spectrum"))
+        assert [r.name for r in report.records if r.name.endswith(": cluster spread")] == [
+            "geodesic-sphere-n2: cluster spread"]
 
     def test_fem_convergence_order(self):
         errors = [
@@ -645,6 +724,15 @@ class TestNonMinimal:
         assert report.exit_code() == 1
 
 
+    def test_empty_window_fails_with_its_bounds(self):
+        # the latitude circle's stencil has no eigenvalue near 2n + 2 = 4
+        cfg = SuiteConfig(suite="spectrum")
+        cfg._immersions = [_latitude_circle(0.3)]
+        record = next(r for r in run_suite(cfg).records if r.name.endswith("cluster mean accuracy"))
+        assert record.status == FAIL
+        assert record.details["reason"] == "latitude-circle: no eigenvalue in the window [3.8, 4.2]"
+
+
 def _kind_and_threshold(report, rename=lambda name: name):
     return {rename(r.name): (r.kind, r.threshold) for r in report.records}
 
@@ -665,10 +753,7 @@ class TestKindAndThreshold:
         return {rename(r.name) for r in report.records if r.status not in (PASS, "info")}, shared
 
     def test_unconverged_eigensolve(self, monkeypatch, seed_0):
-        def unconverged(*args, **kwargs):
-            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-        monkeypatch.setattr(spla, "eigsh", unconverged)
+        _on_dense_sectors(monkeypatch, _unconverged_dense)
         stopped, shared = self._compare(seed_0, run_suite(SuiteConfig(suite="spectrum")))
         assert stopped == {f"geodesic-sphere-n2: {check}" for check in MESH_CHECKS}
         assert stopped <= shared
