@@ -15,9 +15,10 @@ from .errors import UnsupportedError
 GREEN_IDENTITY = 1e-12
 
 # Largest ptp / target of an icosphere's l = 2 cluster: icosahedral symmetry
-# makes it one eigenvalue, which the sector solves give to at most 9.5e-13
-# (dense, level 4) and 7.4e-15 (eigsh, levels 3-6); a fold without the
-# sector character splits it by 3e-2 at level 4, inside cluster_accuracy
+# makes it one eigenvalue, which the sector solves give to 2.8e-14 (dense,
+# level 3), 2.2e-13 (dense, level 4), 3.4e-15 (eigsh, level 5) and 2.4e-14
+# (eigsh, level 6); a fold without the sector character splits it by 3e-2
+# at level 4, inside cluster_accuracy
 CLUSTER_SPREAD = 1e-10
 
 # Sup norm at or below which a family member is the zero function: its

@@ -30,7 +30,9 @@ so polar singularities are never evaluated.  Each domain's
 every default node set is ``resolution_for(QUADRATURE_DEGREE)``.
 
 The per-node tensors every check reads live in one :class:`NodeGeometry`
-per immersion and resolution, each built on first read and kept.
+per immersion and resolution, each built on first read and kept; a node
+set read only once is built as its own ``NodeGeometry``, which no cache
+keeps.
 """
 
 import copy
@@ -222,11 +224,6 @@ class LegendrianImmersion:
         if res not in self._geometries:
             self._geometries[res] = NodeGeometry(self, *self.domain.nodes_weights(res), res)
         return self._geometries[res]
-
-    def release_node_geometry(self, resolution):
-        """Forget the :class:`NodeGeometry` at ``resolution`` and return it
-        (``None`` if none was built), so a one-off node set is not kept."""
-        return self._geometries.pop(self.resolve_resolution(resolution), None)
 
     def nodes(self, resolution=None):
         geo = self.node_geometry(resolution)

@@ -187,11 +187,6 @@ class QuadraticFamily:
         offset = np.reshape(self.offset, np.shape(self.offset) + (1,) * (xhat.ndim - 1))
         return pairing(self.matrix, xhat) - offset
 
-    def release(self, geo):
-        """Forget the values, Laplacians and matrices kept at ``geo``."""
-        for kept in (self._node_values, self._laplacians, self._stiffness_mass):
-            kept.pop(geo, None)
-
     def node_values(self, geo):
         """Values at the nodes of ``geo``, through :meth:`ambient`."""
         if geo not in self._node_values:

@@ -49,13 +49,21 @@ def extrinsic_laplacian(L, Q, resolution=None):
     since along a unit ``e`` orthogonal to ``x`` the radially constant
     extension of ``f`` has second derivative ``2 e^T Q e - 2 x^T Q x``.
     """
+    return laplacian_at(L.node_geometry(resolution), Q)
+
+
+def laplacian_at(geo, Q):
+    """:func:`extrinsic_laplacian` at the nodes of the ``NodeGeometry``
+    ``geo``, which no cache need keep; the precheck reads the default nodes
+    of its immersion."""
+    L = geo.immersion
     worst = L.node_geometry().shape.mean_curvature_norm()
     if worst > 1e-6:
         raise PreconditionError(
             f"{L.name}: mean-curvature residual {worst:.2e} exceeds 1.0e-06; "
             "the frame-trace Laplacian holds only for minimal immersions"
         )
-    return 2.0 * L.node_geometry(resolution).projector_trace(Q, L.n)
+    return 2.0 * geo.projector_trace(Q, L.n)
 
 
 class EigenResidual:

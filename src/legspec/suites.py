@@ -15,8 +15,10 @@ is the one place where an error becomes a status:
 ``PreconditionError`` and ``ConvergenceError`` give ``inconclusive``,
 ``EvaluationError`` and a nan value ``fail``, with the message as the
 reason.  The inputs that several checks read (each mesh spectrum,
-eigenspace count, moment and cone family) are computed once per config,
-and a failure is raised again to every check that reads it.
+eigenspace count, moment and cone family) are computed once per config
+and kept in one memo, and a failure is raised again to every check that
+reads it.  A node set read by one check only, such as the
+pipeline-agreement grids, is built where it is read and kept by no cache.
 """
 
 import functools
@@ -71,16 +73,12 @@ class SuiteConfig:
     # the defaults with tolerance_overrides applied
     tolerances: Tolerances = field(init=False)
     # built on first use and shared by every suite and exporter of this
-    # config, so each immersion's node geometry per resolution (and the
-    # tensors it keeps), each mesh spectrum, eigenspace count and family
-    # with its node values are computed once per report
+    # config: each mesh spectrum, eigenspace count and family (with its node
+    # values at the default nodes) is computed once per report, and kept,
+    # or the LegspecError it raised, in _memo; a node set read once is
+    # built where it is read and kept by no cache
     _immersions: list | None = field(default=None, init=False, repr=False, compare=False)
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (cache, key) -> the LegspecError that computing that entry raised
-    _failures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -148,69 +146,53 @@ class SuiteConfig:
             return [self.n]
         return sorted({L.n for L in self.selected_immersions()})
 
-    def _kept(self, cache, key, compute):
-        """Keep ``compute()`` in the dict attribute ``cache`` under ``key``,
-        computed once per config for every reader, or the ``LegspecError``
-        it raised in ``_failures``; return that failure, or None."""
-        kept = getattr(self, cache)
-        if key not in kept and (cache, key) not in self._failures:
+    def _once(self, key, compute):
+        """``compute()``, computed once per config under ``key`` for every
+        reader; a ``LegspecError`` it raised is kept instead and raised
+        again to each reader."""
+        if key not in self._memo:
             try:
-                kept[key] = compute()
+                self._memo[key] = compute()
             except LegspecError as exc:
-                self._failures[cache, key] = exc
-        return self._failures.get((cache, key))
-
-    def _once(self, cache, key, compute):
-        """The value :meth:`_kept` keeps; a kept failure is raised again to
-        each reader."""
-        failure = self._kept(cache, key, compute)
-        if failure is not None:
-            raise failure
-        return getattr(self, cache)[key]
+                self._memo[key] = exc
+        if isinstance(self._memo[key], LegspecError):
+            raise self._memo[key]
+        return self._memo[key]
 
     def mesh_spectrum(self, L):
         """Mesh spectrum of ``L`` at the configured resolution (default
         ``spectral.MESH_RESOLUTIONS``' default level), solved once per config
         for the spectrum suite and its CSV export."""
-        return self._once("_spectra", L.name, lambda: spc.mesh_spectrum(
+        return self._once(("spectrum", L.name), lambda: spc.mesh_spectrum(
             L, self.resolution, window=self.tolerances.cluster_window))
-
-    def _count(self, L):
-        target, window = 2.0 * L.n + 2.0, self.tolerances.cluster_window
-        return int(np.sum(np.abs(mo.quadratic_ritz(L)[0] - target) <= window * target))
 
     def eigenspace_count(self, L):
         """The ``moment.quadratic_ritz`` values of ``L`` in the cluster window
         around ``2n + 2``, counted once per config."""
-        return self._once("_counts", L.name, lambda: self._count(L))
+        target, window = 2.0 * L.n + 2.0, self.tolerances.cluster_window
+        return self._once(("count", L.name), lambda: int(np.sum(
+            np.abs(mo.quadratic_ritz(L)[0] - target) <= window * target)))
 
     def in_equality_case(self, L):
         """Whether the eigenspace count of ``L`` meets the algebra bound: the
         paper's equality case, which picks the checks that hold ``L`` to
         being totally geodesic.  A count that failed picks them too, and
         each, reading the count, fails with it."""
-        failed = self._kept("_counts", L.name, lambda: self._count(L))
-        return failed is not None or self._counts[L.name] == spc.algebra_bound(L.n)
+        try:
+            return self.eigenspace_count(L) == spc.algebra_bound(L.n)
+        except LegspecError:
+            return True
 
     def moment_function(self, L, resolution=None):
         """``moment.moment_function`` of the stacked ``u(n+1)`` algebra on ``L``,
         built once per immersion and resolution for every suite and exporter."""
-        return self._once("_moments", (L.name, L.resolve_resolution(resolution)), lambda: (
+        return self._once(("moment", L.name, L.resolve_resolution(resolution)), lambda: (
             mo.moment_function(L, mo.stack_fields(mo.algebra_basis(L.n), "u(n+1)"), resolution)))
-
-    def release(self, L, resolution):
-        """Forget ``L``'s node geometry at ``resolution``, the moment family
-        built on it and the cone families' tensors there, for a node set no
-        later reader of the report uses."""
-        geo = L.release_node_geometry(resolution)
-        self._moments.pop((L.name, L.resolve_resolution(resolution)), None)
-        for f in self._cones.values():
-            f.release(geo)
 
     def cone_family(self, n):
         """``nomizu.nomizu_function`` of the stacked ``u(n+1)`` algebra,
         built once per dimension and keeping its values per node set."""
-        return self._once("_cones", n, lambda: (
+        return self._once(("cone", n), lambda: (
             nz.nomizu_function(mo.stack_fields(mo.algebra_basis(n), "u(n+1)"))))
 
 
@@ -545,28 +527,28 @@ def spectrum_records(cfg):
     # cross-pipeline agreement and Rayleigh checks
     for L in cfg.selected_immersions():
         target = 2.0 * L.n + 2.0
+        # the default nodes integrate f^2 exactly, so a function zero at
+        # all of them is zero on L and has no agreement or Rayleigh quotient
+        # to check; a nan value is kept, never skipped as a zero function
+        nonzero = functools.cache(lambda: ~(np.max(np.abs(
+            cfg.moment_function(L).node_values(L.node_geometry())), axis=-1) <= ZERO_FUNCTION))
         if L.domain.periodic:
             res = 256 if L.n == 1 else 64
 
             @functools.cache
             def disagreement(r2):
-                f, geo = cfg.moment_function(L, r2), L.node_geometry(r2)
-                sup = np.max(np.abs(f.node_values(geo)), axis=-1)
-                if np.isnan(sup).any():
-                    raise EvaluationError(f"{L.name}: non-finite family value at a node")
+                f, keep = cfg.moment_function(L), nonzero()
+                # read once, so built here and kept by no cache: only its
+                # points and frames are formed
+                geo = im.NodeGeometry(L, *L.domain.nodes_weights(r2), r2)
                 # the stencil reads the pairing values: it cancels a constant
                 # only in exact arithmetic, so on the mean-subtracted values
                 # the means' roundoff, over h^2, would move the records
-                keep = sup > ZERO_FUNCTION
-                grid = mo.pairing(f.matrix[keep], geo.x).reshape((-1,) + L.domain.grid_shape(r2))
-                # the stencil first: it and the Laplacian row copy are never alive at once
-                mesh_vals = spc.apply_mesh_operator(L, grid).reshape(-1, len(geo.x))
-                ext_vals = f.laplacian(L, r2)[keep]
+                grid = mo.pairing(f.matrix[keep], geo.x)
+                mesh_vals = spc.apply_mesh_operator(
+                    L, grid.reshape((-1,) + L.domain.grid_shape(r2))).reshape(grid.shape)
+                ext_vals = spc.laplacian_at(geo, f.quadratic_form[keep])
                 worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)
-                # read once: only the default nodes are read after this,
-                # by the Rayleigh quotients, and spectrum is the last suite
-                if r2 != L.resolve_resolution():
-                    cfg.release(L, r2)
                 return float(np.max(worst / np.max(np.abs(ext_vals), axis=-1), initial=0.0))
 
             records.append(run_check(f"{L.name}: mesh vs pointwise operator",
@@ -581,9 +563,7 @@ def spectrum_records(cfg):
         # --resolution is the mesh level here, so the Rayleigh quotients
         # integrate at the default quadrature like the eigen-residuals above
         def rayleigh():
-            f = cfg.moment_function(L)
-            keep = ~(np.max(np.abs(f.node_values(L.node_geometry())), axis=-1) <= ZERO_FUNCTION)
-            q = spc.rayleigh_quotient(L, f)[keep]
+            q = spc.rayleigh_quotient(L, cfg.moment_function(L))[nonzero()]
             return np.max(np.abs(q - target) / target, initial=0.0)
 
         records.append(run_check(f"{L.name}: Rayleigh quotients", "rayleigh-quotient",

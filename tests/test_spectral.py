@@ -1,6 +1,8 @@
 """Laplacian pipelines: pointwise values, mesh spectra, bounds."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -425,7 +427,7 @@ class TestEqualityCase:
 
     def test_count_at_the_bound_does_not_change_the_record(self):
         # the torus's count held at its bound, 5
-        record = _torus_equality_record(lambda cfg, L: cfg._counts.update({L.name: 5}))
+        record = _torus_equality_record(lambda cfg, L: cfg._memo.update({("count", L.name): 5}))
         assert (record.status, record.value, record.details["expected"]) == ("pass", 0, 0)
 
     def test_vanishing_second_fundamental_form_fails(self):
@@ -471,17 +473,49 @@ class TestPipelineAgreement:
 
     @pytest.mark.parametrize("name,grids", [("great-circle-s3", (128, 256, 512)),
                                             ("clifford-torus-s5", (32, 64, 128))])
-    def test_agreement_grids_are_released_after_their_read(self, name, grids):
+    def test_agreement_grids_are_released_after_their_read(self, monkeypatch, name, grids):
         # the report reads each grid once; only the default nodes stay kept
+        built = []
+        init = im.NodeGeometry.__init__
+
+        def recorded(geo, immersion, u, w=None, resolution=None):
+            init(geo, immersion, u, w, resolution)
+            built.append((resolution, weakref.ref(geo)))
+
+        monkeypatch.setattr(im.NodeGeometry, "__init__", recorded)
         cfg = SuiteConfig(suite="spectrum", immersion=name)
-        kept = json.loads(run_suite(cfg).to_json(include_timing=False))
+        run_suite(cfg)
+        gc.collect()
         L = cfg.selected_immersions()[0]
+        assert sorted(r for r, _ in built if r in grids) == list(grids)
+        assert all(ref() is None for r, ref in built if r in grids)
         assert list(L._geometries) == [L.resolve_resolution()]
-        assert all((name, r) not in cfg._moments for r in grids)
-        again = SuiteConfig(suite="spectrum", immersion=name)
-        again.release = lambda L, resolution: None
-        assert json.loads(run_suite(again).to_json(include_timing=False)) == kept
-        assert set(again.selected_immersions()[0]._geometries) > set(L._geometries)
+        assert not [key for key in cfg._memo if set(key) & set(grids)]
+
+    def test_spectrum_reads_sqrt_det_g_and_the_family_at_the_default_nodes_only(
+            self, monkeypatch):
+        # the grids read their points and frames only: no sqrt det g, mean
+        # or family is formed on them
+        read = []
+        sqrt_det_metric, moment_function = im.LegendrianImmersion.sqrt_det_metric, mo.moment_function
+
+        def sqrt_det_spy(L, u, *args, **kwargs):
+            read.append(("sqrt_det_metric", L.name, len(u)))
+            return sqrt_det_metric(L, u, *args, **kwargs)
+
+        def moment_spy(L, X, resolution=None):
+            count = L.domain.node_count(L.resolve_resolution(resolution))
+            read.append(("moment_function", L.name, count))
+            return moment_function(L, X, resolution)
+
+        monkeypatch.setattr(im.LegendrianImmersion, "sqrt_det_metric", sqrt_det_spy)
+        monkeypatch.setattr(mo, "moment_function", moment_spy)
+        cfg = SuiteConfig(suite="spectrum")
+        run_suite(cfg)
+        default = {L.name: L.domain.node_count(L.resolve_resolution())
+                   for L in cfg.selected_immersions()}
+        assert {kind for kind, _, _ in read} == {"sqrt_det_metric", "moment_function"}
+        assert [r for r in read if r[2] != default[r[1]]] == []
 
     def test_agreement_does_not_read_the_means(self, monkeypatch):
         # the stencil reads the pairing values, whose constant it cancels; a
@@ -540,13 +574,14 @@ def _nan_in_basis_1(monkeypatch, where):
     monkeypatch.setattr(mo.QuadraticFamily, "node_values", patched)
 
 
-def _nan_at_point_0(monkeypatch):
-    """Make the first coordinate of node 0 nan in every node set's points."""
+def _nan_at_point_0(monkeypatch, where=lambda count: True):
+    """Make the first coordinate of node 0 nan in the points of every node
+    set whose node count satisfies ``where``."""
     points = im.LegendrianImmersion.points
 
     def patched(L, u, sweep=None):
         x = points(L, u, sweep)
-        if np.ndim(x) == 2:
+        if np.ndim(x) == 2 and where(len(x)):
             x = x.copy()
             x[0, 0] = np.nan
         return x
@@ -581,20 +616,25 @@ class TestNonFiniteFamily:
     @pytest.mark.parametrize(
         "where,expected",
         [
-            # every agreement grid (32, 64 and 128), not the default 48
-            (lambda geo: geo is not geo.immersion.node_geometry(), [FAIL, FAIL]),
+            # every agreement grid (32, 64 and 128), not the default 49
+            (lambda count: count in (32 * 32, 64 * 64, 128 * 128), [FAIL, FAIL]),
             # only the finest: the middle grid's record holds, the order not
-            (lambda geo: len(geo.u) == 128 * 128, [PASS, FAIL]),
+            (lambda count: count == 128 * 128, [PASS, FAIL]),
         ],
         ids=["agreement-grids", "finest-grid"],
     )
     def test_nan_on_the_agreement_grids_fails_pipeline_agreement(
         self, monkeypatch, where, expected
     ):
-        _nan_in_basis_1(monkeypatch, where)
+        # the grids read their points, in the pairing values and the
+        # closed-form Laplacian; a nan point fails instead of being skipped
+        _nan_at_point_0(monkeypatch, where)
         report = run_suite(SuiteConfig(suite="spectrum", immersion="clifford-torus-s5"))
-        statuses = [r.status for r in report.records if r.anchor == "pipeline-agreement"]
-        assert statuses == expected
+        records = [r for r in report.records if r.anchor == "pipeline-agreement"]
+        assert [r.status for r in records] == expected
+        for r in records:
+            if r.status == FAIL:
+                assert np.isnan(r.value) and "non-finite value" in r.details["reason"]
 
     def test_nan_at_the_default_nodes_raises(self, monkeypatch):
         # the stiffness and mass pass behind closed-form-laplacian and
