@@ -60,6 +60,35 @@ class TestAlgebraBasis:
                 assert res["killing"] <= 1e-7, X.label
                 assert res["contact_form"] <= 1e-7, X.label
 
+    def test_derivative_calls_do_not_grow_with_the_samples(self, monkeypatch):
+        calls = []
+        derivative = mo.derivative
+
+        def counted(*args):
+            calls.append(1)
+            return derivative(*args)
+
+        # automorphism_residuals differentiates directly and through
+        # sasaki's brackets
+        monkeypatch.setattr(mo, "derivative", counted)
+        monkeypatch.setattr(sk.rm, "derivative", counted)
+        S = sk.SphereSasaki(2)
+        algebra = mo.stack_fields(mo.algebra_basis(2), "u(n+1)")
+        counts = []
+        for count in (10, 100):
+            calls.clear()
+            mo.automorphism_residuals(S, algebra, sk.sample_tangent_triples(S, count, seed=0))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_nan_sample_reaches_both_residuals(self):
+        S = sk.SphereSasaki(1)
+        samples = sk.sample_tangent_triples(S, 10, seed=0)
+        x, v, w = samples[3]
+        samples[3] = (np.full_like(x, np.nan), v, w)
+        res = mo.automorphism_residuals(S, mo.algebra_basis(1)[0], samples)
+        assert np.isnan(res["killing"]) and np.isnan(res["contact_form"])
+
     def test_bad_generator_rejected(self):
         bad = np.eye(4)
         with pytest.raises(InvalidFieldError):

@@ -1,5 +1,9 @@
 """The record runner: one mapping of errors to statuses, one judge per check."""
 
+import gc
+import traceback
+import weakref
+
 import numpy as np
 import pytest
 
@@ -79,3 +83,27 @@ def test_a_cached_failure_is_raised_to_each_reader(monkeypatch):
         with pytest.raises(ConvergenceError, match="solver stopped"):
             cfg.mesh_spectrum(L)
     assert calls == [1]
+
+
+def test_a_cached_failure_keeps_no_traceback_between_reads():
+    # the kept error is raised with a fresh traceback each time, so the
+    # traceback does not grow per read and the failed computation's frame,
+    # with its locals, is not kept alive by the memo
+    cfg = SuiteConfig(suite="spectrum")
+    refs = []
+
+    def compute():
+        local = np.zeros(1000)
+        refs.append(weakref.ref(local))
+        raise ConvergenceError("solver stopped")
+
+    lengths = []
+    for _ in range(4):
+        try:
+            cfg._once(("spectrum", "failing"), compute)
+        except ConvergenceError as exc:
+            lengths.append(len(traceback.extract_tb(exc.__traceback__)))
+    assert len(refs) == 1
+    assert len(set(lengths)) == 1, lengths
+    gc.collect()
+    assert refs[0]() is None

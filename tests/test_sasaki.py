@@ -35,7 +35,7 @@ class TestAxioms:
         rng = np.random.default_rng(3)
         x = sphere.random_point(rng)
         w = sphere.random_tangent(rng, x)
-        val = sk.contact_two_form(sphere, sk._reeb_field(sphere), sk._extend(w, x), x)
+        val = sk.contact_two_form(sphere, sphere.reeb, sk._extend(w, x), x)
         assert abs(val) <= 1e-8
 
     def test_zero_vector_residuals_vanish(self, sphere):
@@ -51,6 +51,46 @@ class TestAxioms:
         x = sphere.random_point(rng)
         with pytest.raises(InvalidSampleError):
             sk.verify_sasaki_axioms(sphere, [(x, x.copy(), x.copy())])
+        # one bad sample among 100, last: a vector off the tangent space,
+        # then a point off the unit sphere with tangent vectors
+        samples = sk.sample_tangent_triples(sphere, 100, seed=5)
+        x, v, w = samples[-1]
+        with pytest.raises(InvalidSampleError, match="not tangent"):
+            sk.verify_sasaki_axioms(sphere, samples[:-1] + [(x, v, w + 1e-6 * x)])
+        with pytest.raises(InvalidSampleError, match="unit sphere"):
+            sk.verify_sasaki_axioms(sphere, samples[:-1] + [(1.5 * x, v, w)])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_sample_reaches_every_axiom(self, sphere):
+        # a nan point passes both guards; its residuals must not be dropped
+        samples = sk.sample_tangent_triples(sphere, 10, seed=0)
+        x, v, w = samples[3]
+        samples[3] = (np.full_like(x, np.nan), v, w)
+        assert all(np.isnan(value) for value in sk.verify_sasaki_axioms(sphere, samples).values())
+
+    def test_batched_axioms_equal_the_max_of_one_sample_calls(self, sphere):
+        # bit for bit, so no sample's vectors meet another sample's point
+        samples = sk.sample_tangent_triples(sphere, 100, seed=0)
+        batched = sk.verify_sasaki_axioms(sphere, samples)
+        singles = [sk.verify_sasaki_axioms(sphere, [t]) for t in samples]
+        for axiom, value in batched.items():
+            assert value == max(r[axiom] for r in singles), axiom
+
+    def test_derivative_calls_do_not_grow_with_the_samples(self, sphere, monkeypatch):
+        calls = []
+        derivative = rm.derivative
+
+        def counted(*args):
+            calls.append(1)
+            return derivative(*args)
+
+        monkeypatch.setattr(rm, "derivative", counted)
+        counts = []
+        for count in (10, 100):
+            calls.clear()
+            sk.verify_sasaki_axioms(sphere, sk.sample_tangent_triples(sphere, count, seed=0))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestPointwiseStructure:

@@ -7,6 +7,7 @@ import pytest
 from legspec import immersions as im
 from legspec import moment as mo
 from legspec import nomizu as nz
+from legspec import sasaki as sk
 from legspec import spectral as spc
 from legspec.errors import InvalidFieldError
 
@@ -86,3 +87,14 @@ def test_normal_split(case):
     rebuilt = im.normal_from_split(geo, split.reeb_component, split.one_form)
     same_bits(rebuilt, [im.normal_from_split(geo, s.reeb_component, s.one_form)
                         for s in singles])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_automorphism_residuals(n):
+    S = sk.SphereSasaki(n)
+    samples = sk.sample_tangent_triples(S, 10, seed=0)
+    basis = mo.algebra_basis(n)
+    stacked = mo.automorphism_residuals(S, mo.stack_fields(basis, "u(n+1)"), samples)
+    singles = [mo.automorphism_residuals(S, X, samples) for X in basis]
+    for key in ("killing", "contact_form"):
+        same_bits(stacked[key], [r[key] for r in singles])
