@@ -57,6 +57,10 @@ from .sasaki import SphereSasaki
 # integrate degree <= 4; 6 also covers products of cubics.
 QUADRATURE_DEGREE = 6
 
+# Nodes per block where a pass over a large node set forms its per-node
+# tensors a block at a time, to bound memory.
+NODE_BLOCK = 2048
+
 
 # ---------------------------------------------------------------------------
 # quadrature domains
@@ -454,12 +458,12 @@ class NodeGeometry:
     def projector_trace(self, A, radial):
         """``tr(A (radial x x^T - P))`` at each node, ``P = sum_i e_i e_i^T``
         the tangent projector, for a ``(d, d)`` matrix or a ``(k, d, d)``
-        stack ``A``; the ``(N, d, d)`` weights are formed in 2048-node
+        stack ``A``; the ``(N, d, d)`` weights are formed in ``NODE_BLOCK``-node
         blocks to bound memory."""
         x, frame = self.x, self.frame
         out = np.empty(np.shape(A)[:-2] + (len(x),))
-        for start in range(0, len(x), 2048):
-            block = slice(start, start + 2048)
+        for start in range(0, len(x), NODE_BLOCK):
+            block = slice(start, start + NODE_BLOCK)
             weights = radial * x[block, :, None] * x[block, None, :]
             weights -= np.einsum("nia,nib->nab", frame[block], frame[block])
             # each output row reads only its own A, so a stacked row equals,

@@ -224,9 +224,7 @@ def defective_cone_ricci(S, radii):
 
 def _cone_ricci(S, radii, defective):
     metric, dmetric = rm.cone_metric(*rm.sphere_metric(S.dim), defective=defective)
-    worst = 0.0
-    for r in radii:
-        u = np.concatenate([np.zeros(S.dim), [float(r)]])
-        _, ricci = rm.riemann_ricci(metric, dmetric, u)
-        worst = max(worst, float(np.max(np.abs(ricci))))
-    return worst
+    ricci = [rm.riemann_ricci(metric, dmetric, np.concatenate([np.zeros(S.dim), [float(r)]]))[1]
+             for r in radii]
+    # np.max keeps a nan, where max(x, nan) returns x
+    return float(np.max(np.abs(ricci)))

@@ -243,16 +243,32 @@ def apply_mesh_operator(L, grid_values):
     v = np.asarray(grid_values, dtype=float)
     h = 2.0 * np.pi / v.shape[-1]
     k = L.n
-    # summed in place, left to right, as each term is formed: one alive at a time
-    for i in range(k):
-        up, down = np.roll(v, -1, i - k), np.roll(v, 1, i - k)
-        diagonal = ginv[i, i] * ((down - 2.0 * v + up) / h**2)
-        total = diagonal if i == 0 else np.add(total, diagonal, out=total)
-        for j in range(i + 1, k):
-            cross = (np.roll(up, -1, j - k) - np.roll(up, 1, j - k)
-                     - np.roll(down, -1, j - k) + np.roll(down, 1, j - k))
-            total += 2.0 * ginv[i, j] * (cross / (4.0 * h**2))
-    return np.negative(total, out=total)
+    out = np.empty(v.shape)
+    term = np.empty(v.shape[-k:])
+    # one function of the stack at a time, each term formed in place in the
+    # order ((down - 2 v) + up) / h^2 * g^ii, then the cross terms, summed
+    # left to right: a few single-function grids are alive beside ``out``
+    for index in np.ndindex(v.shape[:-k]):
+        f, total = v[index], out[index]
+        for i in range(k):
+            up, down = np.roll(f, -1, i), np.roll(f, 1, i)
+            diagonal = total if i == 0 else term
+            np.multiply(2.0, f, out=diagonal)
+            np.subtract(down, diagonal, out=diagonal)
+            diagonal += up
+            diagonal /= h**2
+            diagonal *= ginv[i, i]
+            if i:
+                total += diagonal
+            for j in range(i + 1, k):
+                np.subtract(np.roll(up, -1, j), np.roll(up, 1, j), out=term)
+                term -= np.roll(down, -1, j)
+                term += np.roll(down, 1, j)
+                term /= 4.0 * h**2
+                term *= 2.0 * ginv[i, j]
+                total += term
+        np.negative(total, out=total)
+    return out
 
 
 def _shift_invert(sector, k):

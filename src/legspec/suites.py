@@ -537,17 +537,24 @@ def spectrum_records(cfg):
             @functools.cache
             def disagreement(r2):
                 f, keep = cfg.moment_function(L), nonzero()
-                # read once, so built here and kept by no cache: only its
-                # points and frames are formed
-                geo = im.NodeGeometry(L, *L.domain.nodes_weights(r2), r2)
-                # the stencil reads the pairing values: it cancels a constant
-                # only in exact arithmetic, so on the mean-subtracted values
-                # the means' roundoff, over h^2, would move the records
-                grid = mo.pairing(f.matrix[keep], geo.x)
+                A, Q = f.matrix[keep], f.quadratic_form[keep]
+                u, _ = L.domain.nodes_weights(r2)
+                grid, ext_vals = np.empty((2, len(A), len(u)))
+                # read once, so each block of nodes is built here and kept
+                # by no cache: only its points and frames are formed
+                for start in range(0, len(u), im.NODE_BLOCK):
+                    block = slice(start, start + im.NODE_BLOCK)
+                    geo = im.NodeGeometry(L, u[block])
+                    # the stencil reads the pairing values: it cancels a
+                    # constant only in exact arithmetic, so on the
+                    # mean-subtracted values the means' roundoff, over h^2,
+                    # would move the records
+                    grid[:, block] = mo.pairing(A, geo.x)
+                    ext_vals[:, block] = spc.laplacian_at(geo, Q)
                 mesh_vals = spc.apply_mesh_operator(
                     L, grid.reshape((-1,) + L.domain.grid_shape(r2))).reshape(grid.shape)
-                ext_vals = spc.laplacian_at(geo, f.quadratic_form[keep])
-                worst = np.max(np.abs(mesh_vals - ext_vals), axis=-1)
+                mesh_vals -= ext_vals
+                worst = np.max(np.abs(mesh_vals, out=mesh_vals), axis=-1)
                 return float(np.max(worst / np.max(np.abs(ext_vals), axis=-1), initial=0.0))
 
             records.append(run_check(f"{L.name}: mesh vs pointwise operator",

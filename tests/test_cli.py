@@ -495,33 +495,39 @@ class TestSharedWork:
         assert calls == {"shape_operator": {}, "extrinsic_laplacian": {}}
 
     def test_all_evaluates_each_node_set_once(self, monkeypatch):
-        # every call of each evaluator has its own (immersion, node count);
+        # every call of each evaluator has its own (immersion, chart points);
         # each node set's points and Jacobian come from one orbit sweep, and
         # its frames and sqrt det g take that Jacobian; the shape operator's
-        # Hessians are one more sweep.  The single chart point (key None) at
-        # which spectral.apply_mesh_operator reads the metric of its stencil
-        # is swept apart
+        # Hessians are one more sweep.  The pipeline-agreement grids are
+        # node sets of at most NODE_BLOCK nodes each, 18 sweeps in all.  The
+        # single chart point (key None) at which spectral.apply_mesh_operator
+        # reads the metric of its stencil is swept apart
+        def node_set(L, u):
+            return (L.name, len(u), np.asarray(u).tobytes()) if np.ndim(u) == 2 else None
+
         calls = {
             method: _count_calls(monkeypatch, im.LegendrianImmersion, method,
-                                 lambda L, u, *given: (L.name, len(u)) if np.ndim(u) == 2 else None)
+                                 lambda L, u, *given: node_set(L, u))
             for method in ("frames", "points", "jacobian_at", "sqrt_det_metric")
         }
         sweeps = _count_calls(
             monkeypatch, im.LegendrianImmersion, "_orbit",
-            lambda L, u, order: (L.name, len(u), order) if np.ndim(u) == 2 else None,
+            lambda L, u, order: node_set(L, u) + (order,) if np.ndim(u) == 2 else None,
         )
         calls["shape_operator"] = _count_calls(
-            monkeypatch, im, "shape_operator", lambda geo: (geo.immersion.name, len(geo.u))
+            monkeypatch, im, "shape_operator", lambda geo: node_set(geo.immersion, geo.u)
         )
         assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
         assert sweeps.pop(None) and calls["jacobian_at"].pop(None)
         assert set(sweeps.values()) == {1}
-        assert {key[:2] for key in sweeps if key[2] == 1} == set(calls["points"])
-        assert {key[:2] for key in sweeps if key[2] == 2} == set(calls["shape_operator"])
-        assert {key[2] for key in sweeps} == {1, 2}
+        assert {key[:3] for key in sweeps if key[3] == 1} == set(calls["points"])
+        assert {key[:3] for key in sweeps if key[3] == 2} == set(calls["shape_operator"])
+        assert {key[3] for key in sweeps} == {1, 2}
+        assert len(calls["points"]) == 18
+        assert max(count for _, count, _ in calls["points"]) == im.NODE_BLOCK
         assert set(calls["jacobian_at"]) == set(calls["points"])
         assert set(calls["shape_operator"]) == {
-            (name, len(im.get_immersion(name).nodes()[0])) for name in CANONICAL_IMMERSIONS
+            node_set(L, L.nodes()[0]) for L in map(im.get_immersion, CANONICAL_IMMERSIONS)
         }
         for method, counted in calls.items():
             assert counted and set(counted.values()) == {1}, (method, counted)
@@ -559,15 +565,15 @@ class TestSharedWork:
         # each moment family keeps its Laplacian per node set, shared by
         # moment-family, the Green-identity record and spectrum (a row
         # slice); the cone family's frame sum is its own contraction, the
-        # only one nomizu-family makes.  The circle's pipeline-agreement
-        # grids (128, 256, 512) are not its default nodes, so each is a
+        # only one nomizu-family makes.  The pipeline-agreement grids are
+        # not the default nodes, so each of their node blocks is a
         # contraction of its own
         calls = _count_calls(
             monkeypatch, im.NodeGeometry, "projector_trace",
-            lambda geo, A, radial: (geo.immersion.name, len(geo.u), radial, A.tobytes()),
+            lambda geo, A, radial: (geo.immersion.name, geo.u.tobytes(), radial, A.tobytes()),
         )
         assert run_suite(SuiteConfig(suite="all", seed=0)).exit_code() == 0
-        assert sum(calls.values()) == 14
+        assert sum(calls.values()) == 22
         assert set(calls.values()) == {1}
 
     @pytest.mark.parametrize(

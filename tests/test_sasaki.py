@@ -162,6 +162,24 @@ class TestCone:
     def test_wrong_cone_metric_fails(self, sphere):
         assert sk.defective_cone_ricci(sphere, [1.5]) >= 0.1
 
+    def test_nan_ricci_fails_the_chart_cross_check(self, monkeypatch):
+        # a running max(worst, nan) returns worst: the record would pass at 0
+        riemann_ricci = rm.riemann_ricci
+
+        def nan_ricci(metric, dmetric, u):
+            riemann, ricci = riemann_ricci(metric, dmetric, u)
+            ricci = ricci.copy()
+            ricci[0, 0] = np.nan
+            return riemann, ricci
+
+        monkeypatch.setattr(rm, "riemann_ricci", nan_ricci)
+        report = run_suite(SuiteConfig(suite="sasaki-axioms"))
+        cone = [r for r in report.records if r.anchor == "cone-ricci-flat"]
+        assert [(r.name.split(":")[0], r.status) for r in cone] == [
+            ("s3", "fail"), ("s5", "fail"), ("s7", "fail")
+        ]
+        assert all(np.isnan(r.value) for r in cone)
+
 
 class _FlippedTerms:
     """numpy as seen by ``legspec.riemannian``, with the sign of the

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,7 +15,7 @@ from legspec import immersions as im
 from legspec import moment as mo
 from legspec import spectral as spc
 from legspec.cli import main
-from legspec.config import DEFAULT_TOLERANCES
+from legspec.config import DEFAULT_TOLERANCES, ZERO_FUNCTION
 from legspec.errors import ConvergenceError, EvaluationError, PreconditionError, UnsupportedError
 from legspec.reporting import FAIL, PASS
 from legspec.suites import SUITE_NAMES, SuiteConfig, run_suite, spectrum_records
@@ -45,6 +46,32 @@ def _on_dense_sectors(monkeypatch, solve):
 
 def _unconverged_dense(A):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _traced_peak(compute):
+    """``compute()`` and the peak of the memory it allocated, in bytes, by
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        return compute(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _stacked_stencil(L, v):
+    """The stencil of ``spectral.apply_mesh_operator`` formed over the whole
+    stack ``v`` at once, term by term in the same order."""
+    ginv = np.linalg.inv(L.induced_metric(np.zeros(L.n)))
+    h, k = 2.0 * np.pi / v.shape[-1], L.n
+    for i in range(k):
+        up, down = np.roll(v, -1, i - k), np.roll(v, 1, i - k)
+        diagonal = ginv[i, i] * ((down - 2.0 * v + up) / h**2)
+        total = diagonal if i == 0 else total + diagonal
+        for j in range(i + 1, k):
+            cross = (np.roll(up, -1, j - k) - np.roll(up, 1, j - k)
+                     - np.roll(down, -1, j - k) + np.roll(down, 1, j - k))
+            total = total + 2.0 * ginv[i, j] * (cross / (4.0 * h**2))
+    return -total
 
 
 def diag_field(n, entries):
@@ -169,6 +196,18 @@ class TestMeshSpectrum:
         L = im.get_immersion(name)
         a = spc.mesh_spectrum(L).eigenvalues
         assert a.tobytes() == spc.mesh_spectrum(L).eigenvalues.tobytes()
+
+    def test_stacked_stencil_takes_one_function_at_a_time(self):
+        # each row equals, bit for bit, its function alone and the stencil
+        # formed over the whole stack; beside the output, at most 8
+        # single-function grids are alive at once
+        L = im.clifford_torus()
+        stack = np.random.default_rng(0).standard_normal((6, 128, 128))
+        out, peak = _traced_peak(lambda: spc.apply_mesh_operator(L, stack))
+        assert peak <= out.nbytes + 8 * stack[0].nbytes
+        assert out.tobytes() == _stacked_stencil(L, stack).tobytes()
+        for f, row in zip(stack, out):
+            assert spc.apply_mesh_operator(L, f).tobytes() == row.tobytes()
 
     def test_stencil_needs_a_periodic_grid(self):
         L = im.geodesic_sphere(2)
@@ -474,23 +513,64 @@ class TestPipelineAgreement:
     @pytest.mark.parametrize("name,grids", [("great-circle-s3", (128, 256, 512)),
                                             ("clifford-torus-s5", (32, 64, 128))])
     def test_agreement_grids_are_released_after_their_read(self, monkeypatch, name, grids):
-        # the report reads each grid once; only the default nodes stay kept
+        # the report reads each grid once, in node blocks off any quadrature;
+        # only the default nodes stay kept
         built = []
         init = im.NodeGeometry.__init__
 
         def recorded(geo, immersion, u, w=None, resolution=None):
             init(geo, immersion, u, w, resolution)
-            built.append((resolution, weakref.ref(geo)))
+            built.append((resolution, geo.u, weakref.ref(geo)))
+
+        def rows(u):
+            return u[np.lexsort(u.T[::-1])]
 
         monkeypatch.setattr(im.NodeGeometry, "__init__", recorded)
         cfg = SuiteConfig(suite="spectrum", immersion=name)
         run_suite(cfg)
         gc.collect()
         L = cfg.selected_immersions()[0]
-        assert sorted(r for r, _ in built if r in grids) == list(grids)
-        assert all(ref() is None for r, ref in built if r in grids)
+        blocks = [(u, ref) for r, u, ref in built if r is None]
+        # every node of each grid, in one block each
+        grid_nodes = np.concatenate([L.domain.nodes_weights(r)[0] for r in grids])
+        np.testing.assert_array_equal(rows(np.concatenate([u for u, _ in blocks])),
+                                      rows(grid_nodes))
+        assert max(len(u) for u, _ in blocks) <= im.NODE_BLOCK
+        assert all(ref() is None for _, ref in blocks)
+        assert not [r for r, _, _ in built if r in grids]
         assert list(L._geometries) == [L.resolve_resolution()]
         assert not [key for key in cfg._memo if set(key) & set(grids)]
+
+    @pytest.mark.parametrize("name", ["great-circle-s3", "clifford-torus-s5"])
+    def test_blocked_grids_give_the_whole_grid_values(self, name):
+        # each record equals, bit for bit, the value of one node set per
+        # grid and the stencil over the whole stack
+        cfg = SuiteConfig(suite="spectrum", immersion=name)
+        report = run_suite(cfg)
+        L = cfg.selected_immersions()[0]
+        f = cfg.moment_function(L)
+        keep = np.max(np.abs(f.node_values(L.node_geometry())), axis=-1) > ZERO_FUNCTION
+
+        def disagreement(r):
+            geo = im.NodeGeometry(L, *L.domain.nodes_weights(r), r)
+            grid = mo.pairing(f.matrix[keep], geo.x)
+            mesh = _stacked_stencil(L, grid.reshape((-1,) + L.domain.grid_shape(r)))
+            ext = spc.laplacian_at(geo, f.quadratic_form[keep])
+            worst = np.max(np.abs(mesh.reshape(grid.shape) - ext), axis=-1)
+            return float(np.max(worst / np.max(np.abs(ext), axis=-1)))
+
+        res = 256 if L.n == 1 else 64
+        whole = {r: disagreement(r) for r in (res // 2, res, 2 * res)}
+        order = min(np.log2(whole[r // 2] / whole[r]) for r in (res, 2 * res))
+        values = [r.value for r in report.records if r.anchor == "pipeline-agreement"]
+        assert values == [whole[res], order]
+
+    def test_spectrum_peak_memory(self):
+        # the agreement grids are read in node blocks and the stencil takes
+        # one function at a time: 9.3 MB when the torus's 128 x 128 grid
+        # was evaluated whole
+        _, peak = _traced_peak(lambda: run_suite(SuiteConfig(suite="spectrum", seed=0)))
+        assert peak <= 6.5e6
 
     def test_spectrum_reads_sqrt_det_g_and_the_family_at_the_default_nodes_only(
             self, monkeypatch):
@@ -574,19 +654,26 @@ def _nan_in_basis_1(monkeypatch, where):
     monkeypatch.setattr(mo.QuadraticFamily, "node_values", patched)
 
 
-def _nan_at_point_0(monkeypatch, where=lambda count: True):
+def _nan_at_point_0(monkeypatch, where=lambda u: True):
     """Make the first coordinate of node 0 nan in the points of every node
-    set whose node count satisfies ``where``."""
+    set whose chart points ``u`` satisfy ``where``."""
     points = im.LegendrianImmersion.points
 
     def patched(L, u, sweep=None):
         x = points(L, u, sweep)
-        if np.ndim(x) == 2 and where(len(x)):
+        if np.ndim(x) == 2 and where(u):
             x = x.copy()
             x[0, 0] = np.nan
         return x
 
     monkeypatch.setattr(im.LegendrianImmersion, "points", patched)
+
+
+def _on_grid(u, resolution):
+    """Whether every chart point of ``u`` is a node of the uniform periodic
+    grid of ``resolution`` per axis."""
+    steps = np.asarray(u) / (2.0 * np.pi / resolution)
+    return bool(np.all(np.abs(steps - np.round(steps)) <= 1e-9))
 
 
 # the torus records, after "clifford-torus-s5: ", that read no point: the
@@ -616,10 +703,11 @@ class TestNonFiniteFamily:
     @pytest.mark.parametrize(
         "where,expected",
         [
-            # every agreement grid (32, 64 and 128), not the default 49
-            (lambda count: count in (32 * 32, 64 * 64, 128 * 128), [FAIL, FAIL]),
+            # every block of every agreement grid (32, 64 and 128 per axis),
+            # not the default 7 x 7
+            (lambda u: _on_grid(u, 128), [FAIL, FAIL]),
             # only the finest: the middle grid's record holds, the order not
-            (lambda count: count == 128 * 128, [PASS, FAIL]),
+            (lambda u: _on_grid(u, 128) and not _on_grid(u, 64), [PASS, FAIL]),
         ],
         ids=["agreement-grids", "finest-grid"],
     )
